@@ -37,7 +37,7 @@ from .errors import (
     PolynomialParseError,
 )
 from .gecc import SheafSpec, StratumSpec, build_gecc, critical_locus, support_of_gecc
-from .geom import conormal_ideal
+from .geom import conormal_ideal, row_reduce
 from .ideals import Ideal, eliminate
 from .poly import PolyRing
 from .vogel import decompose_all_degrees, polar_support_sets
@@ -116,20 +116,10 @@ def _mat_mul(A, B):
 
 def _mat_inverse(M):
     n = len(M)
-    a = [list(map(Fraction, row)) + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(M)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [x / inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [row[n:] for row in a]
+    reduced, pivots = row_reduce([list(row) + e for row, e in zip(M, _identity(n))], n)
+    if len(pivots) < n:
+        return None
+    return [row[n:] for row in reduced]
 
 
 def parse_config(text_or_dict):

@@ -8,7 +8,7 @@ components, and both are immutable.
 
 from __future__ import annotations
 
-from .abgroups import AbGroup, ZERO_GROUP
+from .abgroups import ZERO_GROUP
 from .errors import RingMismatchError
 
 
@@ -71,9 +71,6 @@ class EnrichedCycle:
             if not group.summand_of(other.coefficient(ideal)):
                 return False
         return True
-
-    def with_warnings(self, warnings):
-        return EnrichedCycle(self.ring, self.components, self.warnings | set(warnings))
 
     # -- identity -----------------------------------------------------------------
 
@@ -196,34 +193,3 @@ class GradedEnrichedCycle:
 
     def to_json(self):
         return {str(k): self.by_degree[k].to_json() for k in self.degrees()}
-
-
-# module-level operation aliases matching the algebra's vocabulary
-
-
-def ab_dsum(a: AbGroup, b: AbGroup) -> AbGroup:
-    return a.dsum(b)
-
-
-def ab_tensor(a: AbGroup, b: AbGroup) -> AbGroup:
-    return a.tensor(b)
-
-
-def cycle_add(d, e):
-    return d.add(e)
-
-
-def cycle_scale(group, e):
-    return e.scale(group)
-
-
-def cycle_ord(e):
-    return e.ord()
-
-
-def cycle_le(d, e):
-    return d.le(e)
-
-
-def cycle_shift(e, k):
-    return e.shift(k)

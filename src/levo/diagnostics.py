@@ -15,8 +15,9 @@ from fractions import Fraction
 
 from .abgroups import ZERO_GROUP
 from .errors import InputError
-from .geom import blowup_exceptional, conormal_ideal, graph_ideal
-from .ideals import eliminate, radical_member, split_components
+from .gecc import base_images
+from .geom import blowup_exceptional, conormal_ideal, dim_at_point, graph_ideal
+from .ideals import eliminate, radical_member
 
 
 class GenericityCertificate:
@@ -97,13 +98,8 @@ def isolating_certificate(packages, point, nvars):
 def _isolated_after_slicing(W, point, j):
     base = W.ring
     forms = [base.var(base.vars[i]) - point[i] for i in range(j)]
-    J = W.plus(forms)
-    if J.is_unit():
-        return True
-    for comp in split_components(J):
-        if comp.ideal.vanishes_at(point) and comp.ideal.dimension() > 0:
-            return False
-    return True
+    d = dim_at_point(W.plus(forms), point)
+    return d is None or d == 0
 
 
 def essential_transversality(conormal, point, full_ring):
@@ -118,26 +114,16 @@ def essential_transversality(conormal, point, full_ring):
     point = tuple(Fraction(c) for c in point)
     n = len(base.vars) - 1
     cot = full_ring.cotangent_vars
-    zero_section = [full_ring.var(w) for w in cot]
     per_i = []
     for i in range(n + 1):
         cut = [full_ring.var(w) for w in cot[i + 1 :]]
         slices = [
             full_ring.var(full_ring.base_vars[t]) - point[t] for t in range(i)
         ]
-        J = conormal.plus(cut + slices)
-        ok = True
-        if not J.is_unit():
-            for comp in split_components(J):
-                if all(comp.ideal.contains(w) for w in zero_section):
-                    continue
-                img = eliminate(comp.ideal, cot)
-                if not img.vanishes_at(point):
-                    continue
-                if img.dimension() > 0:
-                    ok = False
-                    break
-        per_i.append(ok)
+        images = base_images([conormal], cut + slices, skip_zero_section=True)
+        per_i.append(
+            not any(img.vanishes_at(point) and img.dimension() > 0 for img in images)
+        )
     return per_i, all(per_i)
 
 

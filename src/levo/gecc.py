@@ -20,7 +20,7 @@ from .geom import (
     local_multiplicity_at_point,
     relative_conormal_ideal,
 )
-from .ideals import eliminate, saturate, split_components
+from .ideals import eliminate, maximal_loci, split_components
 
 
 class StratumSpec:
@@ -139,16 +139,7 @@ def support_of_gecc(G):
             essential[img.key()] = img
         per_degree[k] = _dedupe(ideals)
     essential_list = [essential[key] for key in sorted(essential)]
-    total = [
-        I
-        for I in essential_list
-        if not any(
-            J is not I and I.contains_ideal(J) and I.key() != J.key()
-            for J in essential_list
-        )
-    ]
-    total = _dedupe(total)
-    return SupportReport(per_degree, essential_list, total)
+    return SupportReport(per_degree, essential_list, maximal_loci(essential_list))
 
 
 def _dedupe(ideals):
@@ -156,6 +147,26 @@ def _dedupe(ideals):
     for I in ideals:
         seen.setdefault(I.key(), I)
     return [seen[k] for k in sorted(seen)]
+
+
+def base_images(ideals, extra, skip_zero_section=False):
+    """Distinct base projections, in canonical order, of the components of
+    V(P + extra) for every P in `ideals`.
+
+    With `skip_zero_section`, components inside the zero section (which
+    carry no projective direction) are discarded before projecting.
+    """
+    images = []
+    for P in ideals:
+        J = P.plus(extra)
+        if J.is_unit():
+            continue
+        cot = J.ring.cotangent_vars
+        for comp in split_components(J):
+            if skip_zero_section and all(comp.ideal.contains(J.ring.var(w)) for w in cot):
+                continue
+            images.append(eliminate(comp.ideal, cot))
+    return _dedupe(images)
 
 
 def nearby_gecc(spec, f, seed=0):
@@ -216,54 +227,25 @@ def isolated_vanishing_stalk(G, f, point):
     grad = [f.diff(z).eval_point(point) for z in base.vars]
     lifted_point = point + tuple(grad)
     graph = graph_ideal(f, ring)
-
-    # localized isolation check, component by component
-    for comp in G.components():
-        J = comp.plus(graph.gens)
-        if J.is_unit():
-            continue
-        for piece in split_components(J):
-            if piece.ideal.vanishes_at(lifted_point) and piece.ideal.dimension() > 0:
-                raise GenericityError(
-                    "support meets the gradient graph in positive dimension; "
-                    "use the inductive decomposition route",
-                    stage=("stalk", None, piece.ideal),
-                )
-
     out = {}
     for k in G.degrees():
         total = None
         for P, coeff in G.piece(k).items():
             J = P.plus(graph.gens)
-            if J.is_unit():
-                continue
-            J = _localize_at(J, lifted_point)
-            if J is None:
-                continue
-            mult = local_multiplicity_at_point(J, lifted_point)
+            try:
+                mult = local_multiplicity_at_point(J, lifted_point)
+            except InputError as exc:
+                raise GenericityError(
+                    "support meets the gradient graph in positive dimension; "
+                    "use the inductive decomposition route",
+                    stage=("stalk", None, J),
+                ) from exc
             if mult == 0:
                 continue
             contrib = coeff.tensor(AbGroup(mult))
             total = contrib if total is None else total.dsum(contrib)
         if total is not None and not total.is_zero():
             out[k] = total
-    return out
-
-
-def _localize_at(J, point):
-    """Saturate away the components missing the point; None if none remain."""
-    comps = split_components(J)
-    near = [c.ideal for c in comps if c.ideal.vanishes_at(point)]
-    if not near:
-        return None
-    out = J
-    for c in comps:
-        if c.ideal.vanishes_at(point):
-            continue
-        for g in c.ideal.groebner():
-            if g.eval_point(point) != 0:
-                out = saturate(out, g)
-                break
     return out
 
 
@@ -286,27 +268,9 @@ class CriticalComponent:
 def critical_locus(G, f):
     """Base components where the support meets the gradient graph, with
     the value of f on each (None when irrational or non-unique)."""
-    ring = G.ring
-    base = ring.base_ring()
-    graph = graph_ideal(f, ring)
-    found = {}
-    for comp in G.components():
-        J = comp.plus(graph.gens)
-        if J.is_unit():
-            continue
-        for piece in split_components(J):
-            img = eliminate(piece.ideal, ring.cotangent_vars)
-            found.setdefault(img.key(), img)
-    ideals = [found[k] for k in sorted(found)]
-    # drop components contained in others
-    keep = []
-    for I in ideals:
-        if not any(
-            J.key() != I.key() and I.contains_ideal(J) for J in ideals
-        ):
-            keep.append(I)
+    graph = graph_ideal(f, G.ring)
     out = []
-    for I in keep:
+    for I in maximal_loci(base_images(G.components(), graph.gens)):
         constant, value = constant_value_on(I, f)
         out.append(CriticalComponent(I, I.dimension(), value if constant else None))
     return out

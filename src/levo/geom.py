@@ -2,7 +2,7 @@
 
 Hypersurface intersections with exact multiplicities (generic linear
 slicing with cross-checked independent slices), point-local
-multiplicities by maximal-ideal power stabilization, conormal and
+multiplicities by localization at the point, conormal and
 relative-conormal ideals, push-forward along the gradient graph, and an
 experimental Rees-style blow-up used as an independent cross-check.
 
@@ -28,9 +28,7 @@ from .errors import (
 from .ideals import (
     Ideal,
     _eliminate_to,
-    _entry,
     _fresh_names,
-    _reduce_terms,
     eliminate,
     map_ideal,
     map_poly,
@@ -42,7 +40,6 @@ from .ideals import (
 from .poly import PolyRing, Polynomial
 
 SLICE_COEFF_BOUND = 50
-_MAX_POWER = 60
 
 
 def _child_seed(seed, *branch):
@@ -210,52 +207,35 @@ def intersect_hypersurface(E, g, seed=0):
 
 
 def local_multiplicity_at_point(J, point):
-    """Length of the local ring at a rational point of a zero-dimensional
-    locus: the vector-space dimension of ring/(J + m^k) stabilized over k.
+    """Length of the local ring of ring/J at a rational point.
 
-    Zero when the point is off the locus; positive-dimensional input is
-    rejected.
+    Every component of V(J) that misses the point is removed by
+    saturating J with one of its basis elements that is nonzero at the
+    point; what is left is supported at the point alone, so its quotient
+    dimension is the length.  Components missing the point may have any
+    dimension; a positive-dimensional component through the point is
+    rejected.  Zero when the point is off the locus.
     """
     ring = J.ring
     point = tuple(Fraction(c) for c in point)
     if len(point) != ring.nvars:
         raise InputError("point has wrong number of coordinates")
-    if J.dimension() > 0:
-        raise InputError("local multiplicity requires a zero-dimensional ideal")
-    shift = {name: ring.var(name) + val for name, val in zip(ring.vars, point)}
-    J0 = Ideal(ring, [g.subs(shift) for g in J.gens])
-    prev = None
-    for k in range(1, _MAX_POWER):
-        dim = _truncated_dimension(J0, k)
-        if dim == prev:
-            return dim
-        prev = dim
-    raise InternalError("local multiplicity failed to stabilize")
-
-
-def _truncated_dimension(J0, k):
-    ring = J0.ring
-    gens = [g.terms for g in J0.groebner()]
-    key = ring.key()
-    basis = [_entry(t, key) for t in gens]
-    extra = []
-    seen = set()
-    for combo in itertools.combinations_with_replacement(range(ring.nvars), k):
-        exps = [0] * ring.nvars
-        for i in combo:
-            exps[i] += 1
-        mono = {tuple(exps): Fraction(1)}
-        red = _reduce_terms(mono, basis, key)
-        if red:
-            c = tuple(sorted(red.items()))
-            if c not in seen:
-                seen.add(c)
-                extra.append(Polynomial(ring, red, _clean=False))
-    trunc = Ideal(ring, list(J0.groebner()) + extra)
-    dim = quotient_dimension(trunc)
-    if dim is None:
-        raise InternalError("truncation by a maximal-ideal power is not finite")
-    return dim
+    comps = [] if J.is_unit() else [c.ideal for c in split_components(J)]
+    if not any(C.vanishes_at(point) for C in comps):
+        return 0
+    local = J
+    for C in comps:
+        if not C.vanishes_at(point):
+            local = saturate(local, next(g for g in C.groebner() if g.eval_point(point)))
+        elif C.dimension() > 0:
+            raise InputError(
+                "local multiplicity requires the locus to be zero-dimensional "
+                "at the point; V(%s) is not" % ", ".join(C.generator_strings())
+            )
+    length = quotient_dimension(local)
+    if length is None:
+        raise InternalError("localization at the point left a positive-dimensional locus")
+    return length
 
 
 def dim_at_point(J, point):
@@ -300,17 +280,16 @@ def _linear_coefficient_rows(gens, ring, columns):
     return rows
 
 
-def _nullspace(rows, ncols):
-    """Basis of the rational null space of the given coefficient rows."""
+def row_reduce(rows, ncols):
+    """Exact Gauss-Jordan elimination over the rationals, pivoting only in
+    the first `ncols` columns; returns (reduced rows, pivot columns)."""
     m = [list(map(Fraction, r)) for r in rows]
     pivots = []
-    r = 0
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot = i
-                break
+        r = len(pivots)
+        if r == len(m):
+            break
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
@@ -321,12 +300,14 @@ def _nullspace(rows, ncols):
                 f = m[i][c]
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    return m, pivots
+
+
+def _nullspace(rows, ncols):
+    """Basis of the rational null space of the given coefficient rows."""
+    m, pivots = row_reduce(rows, ncols)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
         for i, pc in enumerate(pivots):

@@ -643,18 +643,20 @@ def is_irreducible(p):
     return len(fac) == 1 and fac[0][1] == 1
 
 
-def squarefree_part(p):
-    fac = factor_rational(p)
-    if not fac:
-        return p
-    out = p.ring.one()
-    for f, _ in fac:
-        out = out * f
-    return out
-
-
 # ---------------------------------------------------------------------------
 # component splitting and certification
+
+
+def maximal_loci(ideals):
+    """The distinct ideals in canonical order, without any that contains
+    another: the maximal loci of a union of vanishing loci."""
+    unique = {}
+    for I in ideals:
+        unique.setdefault(I.key(), I)
+    ordered = [unique[k] for k in sorted(unique)]
+    return [
+        I for I in ordered if not any(J is not I and I.contains_ideal(J) for J in ordered)
+    ]
 
 
 class Component:
@@ -744,21 +746,7 @@ def split_components(I):
         else:
             found.setdefault(J.key(), J)
 
-    comps = list(found.values())
-    # keep minimal primes: drop any ideal strictly containing another
-    keep = []
-    for J in comps:
-        drop = False
-        for K in comps:
-            if K.key() == J.key():
-                continue
-            if J.contains_ideal(K):
-                drop = True
-                break
-        if not drop:
-            keep.append(J)
-    keep.sort(key=lambda J: J.key())
-    return [Component(J, _certify_prime(J)) for J in keep]
+    return [Component(J, _certify_prime(J)) for J in maximal_loci(found.values())]
 
 
 def _certify_prime(J):

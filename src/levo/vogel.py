@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .abgroups import AbGroup, ZERO_GROUP
+from .abgroups import ZERO_GROUP
 from .cycles import EnrichedCycle, empty_cycle
 from .errors import (
     GenericityError,
@@ -24,6 +24,7 @@ from .errors import (
 from .gecc import (
     SheafSpec,
     StratumSpec,
+    base_images,
     build_gecc,
     isolated_vanishing_stalk,
     nearby_gecc,
@@ -35,9 +36,8 @@ from .geom import (
     graph_ideal,
     graph_pushforward,
     intersect_hypersurface,
-    local_multiplicity_at_point,
 )
-from .ideals import Ideal, eliminate, map_poly, split_components
+from .ideals import Ideal, eliminate, map_poly, maximal_loci, split_components
 
 
 class VogelDecomposition:
@@ -214,7 +214,8 @@ def levo_cycles(decomposition, f):
 def levo_modules(cycles_by_j, point, seed=0):
     """Point modules: slice the degree-j cycle by the first j coordinate
     hyperplanes through the point, keeping only components through the
-    point, then read the local multiplicity into the coefficient.
+    point; what is left sits at the point with length one, so the
+    coefficients add up unchanged.
     """
     out = {}
     for j, lam in sorted(cycles_by_j.items()):
@@ -241,19 +242,21 @@ def levo_modules(cycles_by_j, point, seed=0):
             cur = _through_point(cur, pt)
         if cur.is_zero():
             continue
+        # a zero-dimensional split component through a rational point is
+        # that point's maximal ideal, of length one
         total = None
         for W, coeff in cur.items():
-            try:
-                mult = local_multiplicity_at_point(W, pt)
-            except InputError as exc:
+            if W.dimension() > 0:
                 raise GenericityError(
                     "sliced cycle is not isolated at the point",
                     stage=("slice", j, W),
-                ) from exc
-            if mult == 0:
-                continue
-            contrib = coeff.tensor(AbGroup(mult))
-            total = contrib if total is None else total.dsum(contrib)
+                )
+            if not all(W.contains(base.var(z) - c) for z, c in zip(base.vars, pt)):
+                raise InternalError(
+                    "point component V(%s) is not the maximal ideal of the point"
+                    % ", ".join(W.generator_strings())
+                )
+            total = coeff if total is None else total.dsum(coeff)
         if total is not None and not total.is_zero():
             out[j] = total
     return out
@@ -314,25 +317,8 @@ def polar_support_sets(G, m):
     n = len(ring.base_vars) - 1
     if not 0 <= m <= n:
         raise InputError("index out of range")
-    zero_section = [ring.var(w) for w in cot]
     cut = [ring.var(w) for w in cot[m + 1 :]]
-    found = {}
-    for P in G.components():
-        J = P.plus(cut)
-        if J.is_unit():
-            continue
-        for comp in split_components(J):
-            if all(comp.ideal.contains(w) for w in zero_section):
-                continue
-            img = eliminate(comp.ideal, cot)
-            found.setdefault(img.key(), img)
-    raw = [found[k] for k in sorted(found)]
-    # the set is a union: keep the maximal loci only
-    ideals = [
-        I
-        for I in raw
-        if not any(J.key() != I.key() and I.contains_ideal(J) for J in raw)
-    ]
+    ideals = maximal_loci(base_images(G.components(), cut, skip_zero_section=True))
     m_dimensional = [I for I in ideals if I.dimension() == m]
     return ideals, m_dimensional
 

@@ -148,12 +148,19 @@ def test_local_multiplicity_examples():
     plane_base = plane().base_ring()
     assert local_multiplicity_at_point(Ideal(plane_base, ["x - 1", "y"]), (0, 0)) == 0
     assert local_multiplicity_at_point(Ideal(plane_base, ["x", "y"]), (0, 0)) == 1
+    # a positive-dimensional component that misses the point is allowed
+    assert local_multiplicity_at_point(Ideal(plane_base, ["x*(x - 1)", "x*y"]), (1, 0)) == 1
+    # length 2^7 at the origin, beside a second point at h = 1
+    octic = PolyRing(tuple("abcdefgh"), ())
+    J = Ideal(octic, ["%s^2" % v for v in "abcdefg"] + ["h^2 - h"])
+    assert local_multiplicity_at_point(J, (0,) * 8) == 128
 
 
 def test_local_multiplicity_rejects_positive_dimension():
     base = plane().base_ring()
-    with pytest.raises(InputError):
-        local_multiplicity_at_point(Ideal(base, ["x"]), (0, 0))
+    for gens in (["x"], ["x*(x - 1)", "x*y"]):
+        with pytest.raises(InputError):
+            local_multiplicity_at_point(Ideal(base, gens), (0, 0))
 
 
 def test_local_multiplicity_translated_point():

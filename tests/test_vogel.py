@@ -4,6 +4,7 @@ import pytest
 
 from conftest import constant_sheaf_spec, milnor_number, two_plane_spec
 from levo.abgroups import Z, ZERO_GROUP, Zmod
+from levo.cli import parse_config, run_pipeline
 from levo.cycles import EnrichedCycle, GradedEnrichedCycle
 from levo.errors import GenericityError, InputError
 from levo.gecc import SheafSpec, StratumSpec, build_gecc
@@ -313,6 +314,33 @@ def test_polar_constant_sheaf_is_empty():
     pkg = packages[2]
     assert all(c.is_zero() for c in pkg.decomposition.distinguished.values())
     assert pkg.modules == {}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="under [[1, 1], [0, 1]] the first coordinate hyperplane is tangent "
+    "to a branch of the node, yet the run is certified with polar modules "
+    "j=0 rank 2 and j=1 rank 3 instead of rank 1 and rank 2",
+)
+def test_certified_polar_modules_of_the_node_agree_across_coordinates():
+    rank_one = {"0": {"rank": 1, "torsion": []}}
+    doc = {
+        "variables": ["x", "y"],
+        "sheaf": {
+            "strata": [
+                {"closure": ["y^2 - x^2 - x^3"], "morse": rank_one},
+                {"closure": ["x", "y"], "morse": rank_one},
+            ]
+        },
+        "point": [0, 0],
+        "seed": 1,
+    }
+    certified = []
+    for matrix in ([[1, 0], [0, 1]], [[1, 1], [0, 1]]):
+        report, _code = run_pipeline(parse_config(dict(doc, coordinate_order=matrix)))
+        if report["certificate"]["status"] == "certified":
+            certified.append(report["polar_modules"])
+    assert all(modules == certified[0] for modules in certified)
 
 
 # ---------------------------------------------------------------------------
