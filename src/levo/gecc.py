@@ -20,7 +20,7 @@ from .geom import (
     local_multiplicity_at_point,
     relative_conormal_ideal,
 )
-from .ideals import eliminate, maximal_loci, split_components
+from .ideals import _dedupe, eliminate, maximal_loci, split_components
 
 
 class StratumSpec:
@@ -128,25 +128,12 @@ def support_of_gecc(G):
     `total` keeps only maximal subvarieties (those not inside another),
     whose union is the support.
     """
-    ring = G.ring
-    per_degree = {}
-    essential = {}
-    for k in G.degrees():
-        ideals = []
-        for comp in G.piece(k).support():
-            img = eliminate(comp, ring.cotangent_vars)
-            ideals.append(img)
-            essential[img.key()] = img
-        per_degree[k] = _dedupe(ideals)
-    essential_list = [essential[key] for key in sorted(essential)]
-    return SupportReport(per_degree, essential_list, maximal_loci(essential_list))
-
-
-def _dedupe(ideals):
-    seen = {}
-    for I in ideals:
-        seen.setdefault(I.key(), I)
-    return [seen[k] for k in sorted(seen)]
+    cot = G.ring.cotangent_vars
+    per_degree = {
+        k: _dedupe(eliminate(P, cot) for P in G.piece(k).support()) for k in G.degrees()
+    }
+    essential = _dedupe(I for ideals in per_degree.values() for I in ideals)
+    return SupportReport(per_degree, essential, maximal_loci(essential))
 
 
 def base_images(ideals, extra, skip_zero_section=False):

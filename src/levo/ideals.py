@@ -647,13 +647,18 @@ def is_irreducible(p):
 # component splitting and certification
 
 
+def _dedupe(ideals):
+    """The distinct ideals in canonical order."""
+    seen = {}
+    for I in ideals:
+        seen.setdefault(I.key(), I)
+    return [seen[k] for k in sorted(seen)]
+
+
 def maximal_loci(ideals):
     """The distinct ideals in canonical order, without any that contains
     another: the maximal loci of a union of vanishing loci."""
-    unique = {}
-    for I in ideals:
-        unique.setdefault(I.key(), I)
-    ordered = [unique[k] for k in sorted(unique)]
+    ordered = _dedupe(ideals)
     return [
         I for I in ordered if not any(J is not I and I.contains_ideal(J) for J in ordered)
     ]
