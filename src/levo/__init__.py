@@ -47,7 +47,6 @@ from .diagnostics import (
 )
 from .ideals import (
     Ideal,
-    colon,
     eliminate,
     groebner_basis,
     krull_dimension,
@@ -107,7 +106,6 @@ __all__ = [
     "isolating_certificate",
     "zawatsky_complex",
     "Ideal",
-    "colon",
     "eliminate",
     "groebner_basis",
     "krull_dimension",

@@ -2,7 +2,7 @@
 
 Reduced Groebner bases via Buchberger's algorithm (normal selection plus
 the product and chain criteria), full normal forms, block-order
-elimination, quotients, saturation, Krull dimension from the staircase,
+elimination, intersection, saturation, Krull dimension from the staircase,
 quotient vector-space dimension, radical membership, and decomposition
 into rational components by recursive factorization.
 
@@ -447,11 +447,25 @@ def _eliminate_to(ideal, drop, target):
     return Ideal(target, out)
 
 
-def _with_tag_vars(ring, count, prefix="_t"):
-    names = _fresh_names(set(ring.vars), prefix, count)
-    ext = PolyRing(tuple(names) + ring.vars, (), ring.order)
-    positions = [ext.index(v) for v in ring.vars]
-    return ext, names, positions
+def _with_tag_var(ring):
+    """The ring with one fresh tag variable in front, its name, and the
+    positions of the old variables in it."""
+    (name,) = _fresh_names(set(ring.vars), "_t", 1)
+    ext = PolyRing((name,) + ring.vars, (), ring.order)
+    return ext, name, [ext.index(v) for v in ring.vars]
+
+
+def _rabinowitsch(I, g):
+    """I + (1 - t*g) in the ring extended by a tag variable t, and t.
+
+    Its contraction to the original ring is the saturation I : g^infinity,
+    and it is the unit ideal exactly when g lies in rad(I) (Cox, Little and
+    O'Shea, Ideals, Varieties, and Algorithms, ch. 4 sec. 4, Thm. 14).
+    """
+    ext, t, positions = _with_tag_var(I.ring)
+    gens = [_map_poly(h, ext, positions) for h in I.gens]
+    gens.append(ext.one() - ext.var(t) * _map_poly(g, ext, positions))
+    return Ideal(ext, gens), t
 
 
 def map_poly(p, target):
@@ -471,92 +485,35 @@ def intersect(I, J):
     """Ideal intersection via the single-tag trick."""
     if I.ring != J.ring:
         raise RingMismatchError("ideals in different rings")
-    ring = I.ring
-    ext, (t,), positions = _with_tag_vars(ring, 1)
+    ext, t, positions = _with_tag_var(I.ring)
     tv = ext.var(t)
     gens = [tv * _map_poly(g, ext, positions) for g in I.gens]
     gens += [(ext.one() - tv) * _map_poly(g, ext, positions) for g in J.gens]
-    K = Ideal(ext, gens)
-    elim = _eliminate_to(K, {t}, ring)
-    return Ideal(ring, elim.gens)
+    return _eliminate_to(Ideal(ext, gens), {t}, I.ring)
 
 
-def exact_divide(p, g):
-    """Quotient p/g when g divides p exactly; error otherwise."""
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    key = p.ring.key()
-    glm, glc = g.lead(key)
-    work = dict(p.terms)
-    quot = {}
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        if not monomial_divides(glm, m):
-            raise ValueError("polynomial is not an exact multiple")
-        q = monomial_div(m, glm)
-        f = c / glc
-        quot[q] = quot.get(q, _ZERO) + f
-        for bm, bc in g.terms.items():
-            if bm == glm:
-                continue
-            mm = monomial_mul(bm, q)
-            s = work.get(mm, _ZERO) - f * bc
-            if s:
-                work[mm] = s
-            else:
-                work.pop(mm, None)
-    return Polynomial(p.ring, quot, _clean=False)
-
-
-def colon(I, g):
-    """Ideal quotient I : (g), via intersection with the principal ideal."""
-    if isinstance(g, str):
-        g = I.ring.parse(g)
-    if g.is_zero():
-        raise ValueError("colon by the zero polynomial")
-    if g.is_constant():
-        return I
-    J = intersect(I, Ideal(I.ring, [g]))
-    return Ideal(I.ring, [exact_divide(h, g) for h in J.gens])
-
-
-def colon_ideal(I, J):
-    """Ideal quotient I : J as the intersection of single quotients."""
-    gens = [g for g in J.gens if not g.is_constant()]
-    if not gens:
-        return I
-    acc = colon(I, gens[0])
-    for g in gens[1:]:
-        acc = intersect(acc, colon(I, g))
-    return acc
-
-
-def saturate(I, g, max_steps=64):
-    """I : g^infinity by iterated colon until the ideal stabilizes."""
+def saturate(I, g):
+    """I : g^infinity, by eliminating t from I + (1 - t*g)."""
     if isinstance(g, str):
         g = I.ring.parse(g)
     if g.is_zero():
         raise ValueError("saturation by the zero polynomial")
     if g.is_constant():
         return I
-    current = I
-    for _ in range(max_steps):
-        nxt = colon(current, g)
-        if nxt.key() == current.key():
-            return current
-        current = nxt
-    raise InternalError("saturation did not stabilize")
+    K, t = _rabinowitsch(I, g)
+    return _eliminate_to(K, {t}, I.ring)
 
 
-def saturate_ideal(I, J, max_steps=64):
-    current = I
-    for _ in range(max_steps):
-        nxt = colon_ideal(current, J)
-        if nxt.key() == current.key():
-            return current
-        current = nxt
-    raise InternalError("saturation did not stabilize")
+def saturate_ideal(I, J):
+    """I : J^infinity, the intersection of the saturations by the
+    non-constant generators of J."""
+    sats = [saturate(I, g) for g in J.gens if not g.is_constant()]
+    if not sats:
+        return I
+    acc = sats[0]
+    for S in sats[1:]:
+        acc = intersect(acc, S)
+    return acc
 
 
 def rational_point_of(I):
@@ -590,11 +547,7 @@ def radical_member(g, I):
         g = I.ring.parse(g)
     if g.is_zero():
         return True
-    ring = I.ring
-    ext, (t,), positions = _with_tag_vars(ring, 1)
-    gens = [_map_poly(h, ext, positions) for h in I.gens]
-    gens.append(ext.one() - ext.var(t) * _map_poly(g, ext, positions))
-    return Ideal(ext, gens).is_unit()
+    return _rabinowitsch(I, g)[0].is_unit()
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_polynomial
 from levo.ideals import (
     Ideal,
-    colon,
     decomposition_covers,
     eliminate,
     groebner_basis,
@@ -22,6 +24,7 @@ from levo.ideals import (
 )
 from levo.poly import (
     PolyRing,
+    Polynomial,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -205,24 +208,63 @@ def test_eliminate_respects_containment():
 # quotients and saturation
 
 
-def test_colon_examples():
-    ring = PolyRing(("x", "y"), ("w_0", "w_1"))
-    assert str(colon(Ideal(ring, ["x^2"]), "x")) == "Ideal(x)"
-    assert colon(Ideal(ring, ["x", "y"]), "y").is_unit()
-    J = colon(Ideal(ring, ["w_0", "w_1", "y^2"]), "y")
-    assert {str(g) for g in J.groebner()} == {"w_0", "w_1", "y"}
-
-
 def test_saturate_examples():
     ring = PolyRing(("x", "y"), ("w_0", "w_1"))
     assert {str(g) for g in saturate(Ideal(ring, ["x*y"]), "x").groebner()} == {"y"}
     assert saturate(Ideal(ring, ["x"]), "1") == Ideal(ring, ["x"])
-    # two colon steps by hand: (w0,w1,y^2):y = (w0,w1,y), then :y again = (1)
+    assert saturate(Ideal(ring, ["x^2"]), "x").is_unit()
+    # (w0,w1,y^2) : y = (w0,w1,y), and y : y is the unit ideal, so the
+    # saturation swallows both steps
     I = Ideal(ring, ["w_0", "w_1", "y^2"])
-    step1 = colon(I, "y")
-    step2 = colon(step1, "y")
-    assert step2.is_unit()
     assert saturate(I, "y").is_unit()
+    assert saturate(I, "x") == I
+    with pytest.raises(ValueError):
+        saturate(I, "0")
+
+
+def _colon_by_division(I, g):
+    """I : (g) from I intersected with (g), each generator divided by g with
+    sympy; independent of the tag-variable elimination under test."""
+    syms = sympy.symbols(I.ring.vars)
+
+    def to_sympy(p):
+        coeffs = {m: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()}
+        return sympy.Poly.from_dict(coeffs, *syms, domain="QQ")
+
+    quotients = []
+    for h in intersect(I, Ideal(I.ring, [g])).gens:
+        q, r = sympy.div(to_sympy(h), to_sympy(g))
+        assert r.is_zero
+        terms = {m: sympy.Rational(c) for m, c in q.terms()}
+        quotients.append(
+            Polynomial(I.ring, {m: Fraction(int(c.p), int(c.q)) for m, c in terms.items()})
+        )
+    return Ideal(I.ring, quotients)
+
+
+def _saturate_by_iterated_colon(I, g):
+    current = I
+    while True:
+        nxt = _colon_by_division(current, g)
+        if nxt == current:
+            return current
+        current = nxt
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(2, 3))
+def test_saturate_matches_iterated_colon(seed, nvars):
+    rng = random.Random(seed)
+    ring = PolyRing(("x", "y", "z")[:nvars])
+    g = random_polynomial(ring, rng, max_degree=2, max_terms=2)
+    assume(not g.is_zero())
+    # generators carrying powers of g make most saturations nontrivial
+    gens = [
+        g ** rng.randint(0, 2) * random_polynomial(ring, rng)
+        for _ in range(rng.randint(1, 3))
+    ]
+    I = Ideal(ring, gens)
+    assert saturate(I, g) == _saturate_by_iterated_colon(I, g)
 
 
 def test_intersect_principal():
