@@ -48,7 +48,6 @@ from .diagnostics import (
 from .ideals import (
     Ideal,
     eliminate,
-    groebner_basis,
     krull_dimension,
     quotient_dimension,
     radical_member,
@@ -107,7 +106,6 @@ __all__ = [
     "zawatsky_complex",
     "Ideal",
     "eliminate",
-    "groebner_basis",
     "krull_dimension",
     "quotient_dimension",
     "radical_member",

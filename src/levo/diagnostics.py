@@ -213,7 +213,7 @@ def _full_ring_of(f):
     cot = tuple("w_%d" % i for i in range(len(base.vars)))
     if any(w in set(base.vars) for w in cot):
         raise InputError("base variables clash with cotangent names")
-    return PolyRing(base.vars, cot, base.order)
+    return PolyRing(base.vars, cot)
 
 
 def _conormal_fibre_forms(N_ideal, full):

@@ -394,7 +394,7 @@ def function_values_on(I, f):
     univariate eliminant whose roots are the values of f."""
     ring = I.ring
     (tname,) = _fresh_names(set(ring.vars), "_v", 1)
-    ext = PolyRing(ring.vars + (tname,), (), ring.order)
+    ext = PolyRing(ring.vars + (tname,))
     gens = [map_poly(g, ext) for g in I.gens]
     gens.append(ext.var(tname) - map_poly(f, ext))
     values = eliminate(Ideal(ext, gens), set(ring.vars))
@@ -507,12 +507,12 @@ def blowup_exceptional(P, g_tuple, seed=0):
     d1 = len(g_tuple)
     enames = _fresh_names(set(ring.vars), "e_", d1)
     (tname,) = _fresh_names(set(ring.vars) | set(enames), "_t", 1)
-    rees_ring = PolyRing(ring.vars + tuple(enames) + (tname,), (), ring.order)
+    rees_ring = PolyRing(ring.vars + tuple(enames) + (tname,))
     gens = [map_poly(h, rees_ring) for h in P.gens]
     t = rees_ring.var(tname)
     for name, g in zip(enames, g_tuple):
         gens.append(rees_ring.var(name) - t * map_poly(g, rees_ring))
-    ext_ring = PolyRing(ring.vars + tuple(enames), (), ring.order)
+    ext_ring = PolyRing(ring.vars + tuple(enames))
     blowup = _eliminate_to(Ideal(rees_ring, gens), {tname}, ext_ring)
     g_ext = [map_poly(g, ext_ring) for g in g_tuple]
     blowup = saturate_ideal(blowup, Ideal(ext_ring, g_ext))
@@ -528,9 +528,7 @@ def blowup_exceptional(P, g_tuple, seed=0):
             continue  # cone point only; empty projectively
         chart = next(j for j, e in enumerate(evars) if not W.contains(e))
         chart_ring = PolyRing(
-            ring.vars + tuple(n for j, n in enumerate(enames) if j != chart),
-            (),
-            ring.order,
+            ring.vars + tuple(n for j, n in enumerate(enames) if j != chart)
         )
         sub = {enames[chart]: Fraction(1)}
 

@@ -22,7 +22,6 @@ from .poly import (
     PolyRing,
     Polynomial,
     block_key,
-    grevlex_key,
     monomial_div,
     monomial_divides,
     monomial_lcm,
@@ -185,7 +184,7 @@ def _reduce_basis(basis, key):
 class Ideal:
     """A finitely generated ideal with cached reduced Groebner bases."""
 
-    __slots__ = ("ring", "gens", "_gb", "_gb_other", "_key", "_dim")
+    __slots__ = ("ring", "gens", "_gb", "_key", "_dim")
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -199,14 +198,13 @@ class Ideal:
                 clean.append(g)
         self.gens = tuple(clean)
         self._gb = None
-        self._gb_other = None
         self._key = None
         self._dim = None
 
     # -- Groebner ------------------------------------------------------------
 
     def groebner(self):
-        """The reduced Groebner basis under the ring's default order."""
+        """The reduced Groebner basis under the ring's order."""
         if self._gb is None:
             dicts = buchberger([g.terms for g in self.gens], self.ring.key())
             self._gb = tuple(
@@ -267,30 +265,6 @@ class Ideal:
 
     def plus(self, polys):
         return Ideal(self.ring, self.gens + tuple(polys))
-
-
-def groebner_basis(ideal, order="default"):
-    """Reduced basis, cached per order; `order` may be
-    "default"/"grevlex", "lex", or ("block", nlead) with the first nlead
-    ring variables dominating."""
-    if order in ("default", ideal.ring.order):
-        return list(ideal.groebner())
-    if order == "lex":
-        key = lambda e: e  # noqa: E731 - lex compares exponent tuples directly
-    elif isinstance(order, tuple) and order[0] == "block":
-        key = block_key(order[1])
-    elif order == "grevlex":
-        key = grevlex_key
-    else:
-        raise ValueError("unknown order %r" % (order,))
-    if ideal._gb_other is None:
-        ideal._gb_other = {}
-    if order not in ideal._gb_other:
-        dicts = buchberger([g.terms for g in ideal.gens], key)
-        ideal._gb_other[order] = tuple(
-            Polynomial(ideal.ring, t, _clean=False) for t in dicts
-        )
-    return list(ideal._gb_other[order])
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +397,15 @@ def _subring(ring, keep):
     keep_cot = tuple(v for v in ring.cotangent_vars if v in keep)
     if keep_cot and len(keep_cot) != len(keep_base):
         # pairing broken; flatten everything into base variables
-        return PolyRing(tuple(v for v in ring.vars if v in keep), (), ring.order)
-    return PolyRing(keep_base, keep_cot, ring.order)
+        return PolyRing(tuple(v for v in ring.vars if v in keep))
+    return PolyRing(keep_base, keep_cot)
 
 
 def _eliminate_to(ideal, drop, target):
     ring = ideal.ring
     dropped = [v for v in ring.vars if v in drop]
     kept = [v for v in ring.vars if v not in drop]
-    work = PolyRing(tuple(dropped + kept), (), ring.order)
+    work = PolyRing(tuple(dropped + kept))
     positions = [work.index(v) for v in ring.vars]
     gens = [_map_poly(g, work, positions) for g in ideal.gens]
     dicts = buchberger([g.terms for g in gens], block_key(len(dropped)))
@@ -451,7 +425,7 @@ def _with_tag_var(ring):
     """The ring with one fresh tag variable in front, its name, and the
     positions of the old variables in it."""
     (name,) = _fresh_names(set(ring.vars), "_t", 1)
-    ext = PolyRing((name,) + ring.vars, (), ring.order)
+    ext = PolyRing((name,) + ring.vars)
     return ext, name, [ext.index(v) for v in ring.vars]
 
 

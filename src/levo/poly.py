@@ -44,16 +44,6 @@ def block_key(nlead):
     return key
 
 
-def order_key(tag, nlead=0):
-    if tag == "grevlex":
-        return grevlex_key
-    if tag == "lex":
-        return lex_key
-    if tag == "block":
-        return block_key(nlead)
-    raise ValueError("unknown monomial order %r" % (tag,))
-
-
 def monomial_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
@@ -73,9 +63,9 @@ def monomial_lcm(a, b):
 class PolyRing:
     """An ordered list of variable names, split into base and cotangent."""
 
-    __slots__ = ("base_vars", "cotangent_vars", "vars", "order", "_index")
+    __slots__ = ("base_vars", "cotangent_vars", "vars", "_index")
 
-    def __init__(self, base_vars, cotangent_vars=(), order="grevlex"):
+    def __init__(self, base_vars, cotangent_vars=()):
         base_vars = tuple(base_vars)
         cotangent_vars = tuple(cotangent_vars)
         if cotangent_vars and len(cotangent_vars) != len(base_vars):
@@ -83,18 +73,15 @@ class PolyRing:
         allvars = base_vars + cotangent_vars
         if len(set(allvars)) != len(allvars):
             raise ValueError("variable names must be unique")
-        if order not in ("grevlex", "lex"):
-            raise ValueError("unsupported default order %r" % (order,))
         self.base_vars = base_vars
         self.cotangent_vars = cotangent_vars
         self.vars = allvars
-        self.order = order
         self._index = {name: i for i, name in enumerate(allvars)}
 
     # -- identity ----------------------------------------------------------
 
     def _key(self):
-        return (self.base_vars, self.cotangent_vars, self.order)
+        return (self.base_vars, self.cotangent_vars)
 
     def __eq__(self, other):
         return isinstance(other, PolyRing) and self._key() == other._key()
@@ -123,11 +110,12 @@ class PolyRing:
             raise KeyError("no variable %r in %r" % (name, self)) from None
 
     def key(self):
-        return order_key(self.order)
+        """Sort key of the ring's monomial order, grevlex."""
+        return grevlex_key
 
     def base_ring(self):
         """The ring on the base variables alone."""
-        return PolyRing(self.base_vars, (), self.order)
+        return PolyRing(self.base_vars)
 
     # -- element constructors ------------------------------------------------
 
