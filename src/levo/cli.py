@@ -13,6 +13,7 @@ Exit codes: 0 certified, 2 ran-but-uncertified, 3 genericity failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -39,7 +40,7 @@ from .errors import (
 from .gecc import SheafSpec, StratumSpec, build_gecc, critical_locus, support_of_gecc
 from .geom import conormal_ideal, row_reduce
 from .ideals import Ideal, eliminate
-from .poly import PolyRing
+from .poly import PolyRing, Polynomial
 from .vogel import decompose_all_degrees, polar_support_sets
 
 EXIT_CERTIFIED = 0
@@ -53,24 +54,21 @@ EXIT_INTERNAL = 5
 # configuration
 
 
+@dataclasses.dataclass(frozen=True)
 class JobConfig:
-    __slots__ = (
-        "variables",
-        "sheaf",
-        "function",
-        "point",
-        "matrix",
-        "seed",
-        "fmt",
-        "rank_only",
-        "expected_euler",
-        "af_partition",
-        "raw",
-    )
+    """A validated job document; `raw` is the document as given."""
 
-    def __init__(self, **kw):
-        for name in self.__slots__:
-            setattr(self, name, kw[name])
+    variables: tuple
+    sheaf: dict
+    function: str
+    point: tuple
+    matrix: list
+    seed: int
+    fmt: str
+    rank_only: bool
+    expected_euler: int | None
+    af_partition: list | None
+    raw: dict
 
 
 def _fail(path, message):
@@ -229,36 +227,24 @@ def randomize_coordinates(cfg, seed):
         R = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
         if _mat_inverse(R) is not None:
             break
-    return JobConfig(
-        variables=cfg.variables,
-        sheaf=cfg.sheaf,
-        function=cfg.function,
-        point=cfg.point,
-        matrix=_mat_mul(R, cfg.matrix),
-        seed=cfg.seed,
-        fmt=cfg.fmt,
-        rank_only=cfg.rank_only,
-        expected_euler=cfg.expected_euler,
-        af_partition=cfg.af_partition,
-        raw=cfg.raw,
-    )
+    return dataclasses.replace(cfg, matrix=_mat_mul(R, cfg.matrix))
 
 
 # ---------------------------------------------------------------------------
 # building the working job (after the coordinate change)
 
 
+@dataclasses.dataclass(frozen=True)
 class PreparedJob:
-    __slots__ = ("ring", "base", "spec", "f", "point", "strata_conormals", "cfg")
+    """A job in the working coordinates, ready for the pipeline."""
 
-    def __init__(self, ring, base, spec, f, point, strata_conormals, cfg):
-        self.ring = ring
-        self.base = base
-        self.spec = spec
-        self.f = f
-        self.point = point
-        self.strata_conormals = strata_conormals
-        self.cfg = cfg
+    ring: PolyRing
+    base: PolyRing
+    spec: SheafSpec
+    f: Polynomial
+    point: tuple
+    strata_conormals: list
+    cfg: JobConfig
 
 
 def _cotangent_names(variables):
@@ -268,42 +254,30 @@ def _cotangent_names(variables):
     return names
 
 
+def _coordinate_change(ring, matrix, inverse):
+    """The map rewriting a polynomial on `ring` in the new coordinates:
+    base variable i becomes row i of the inverse matrix applied to the
+    base variables, cotangent variable i becomes column i of the matrix
+    applied to the cotangent variables."""
+    n = len(ring.base_vars)
+    sub = {}
+    for i, name in enumerate(ring.base_vars):
+        sub[name] = ring.linear_form(list(inverse[i]) + [0] * (ring.nvars - n))
+    for i, name in enumerate(ring.cotangent_vars):
+        sub[name] = ring.linear_form([0] * n + [matrix[j][i] for j in range(n)])
+    return lambda p: p.subs(sub)
+
+
 def prepare_job(cfg):
     n = len(cfg.variables)
     ring = PolyRing(cfg.variables, _cotangent_names(cfg.variables))
     base = ring.base_ring()
-    Minv = _mat_inverse(cfg.matrix)
-    identity = cfg.matrix == _identity(n)
-
-    def transform_base(p):
-        if identity:
-            return p
-        sub = {}
-        for i, name in enumerate(base.vars):
-            acc = base.zero()
-            for j, other in enumerate(base.vars):
-                if Minv[i][j]:
-                    acc = acc + base.var(other) * Minv[i][j]
-            sub[name] = acc
-        return p.subs(sub)
-
-    def transform_full(p):
-        if identity:
-            return p
-        sub = {}
-        for i, name in enumerate(ring.base_vars):
-            acc = ring.zero()
-            for j, other in enumerate(ring.base_vars):
-                if Minv[i][j]:
-                    acc = acc + ring.var(other) * Minv[i][j]
-            sub[name] = acc
-        for i, name in enumerate(ring.cotangent_vars):
-            acc = ring.zero()
-            for j, other in enumerate(ring.cotangent_vars):
-                if cfg.matrix[j][i]:
-                    acc = acc + ring.var(other) * cfg.matrix[j][i]
-            sub[name] = acc
-        return p.subs(sub)
+    if cfg.matrix == _identity(n):
+        transform_base = transform_full = lambda p: p
+    else:
+        Minv = _mat_inverse(cfg.matrix)
+        transform_base = _coordinate_change(base, cfg.matrix, Minv)
+        transform_full = _coordinate_change(ring, cfg.matrix, Minv)
 
     def parse_base(text, path):
         try:
