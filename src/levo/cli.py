@@ -244,6 +244,7 @@ class PreparedJob:
     f: Polynomial
     point: tuple
     strata_conormals: list
+    af_partition: list | None
     cfg: JobConfig
 
 
@@ -365,7 +366,14 @@ def prepare_job(cfg):
             by_degree[k] = EnrichedCycle(ring, comps)
         spec = SheafSpec(ring, direct=GradedEnrichedCycle(ring, by_degree))
 
-    return PreparedJob(ring, base, spec, f, point, strata_conormals, cfg)
+    af_partition = None
+    if cfg.af_partition is not None:
+        af_partition = [
+            Ideal(base, [parse_base(g, "af_partition[%d][%d]" % (i, j))
+                         for j, g in enumerate(gens)])
+            for i, gens in enumerate(cfg.af_partition)
+        ]
+    return PreparedJob(ring, base, spec, f, point, strata_conormals, af_partition, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +496,11 @@ def _run_once(job):
         report["certificate"] = cert.to_json()
         return report, EXIT_GENERICITY
 
-    if cfg.af_partition is not None:
-        conormals = []
-        for i, gens in enumerate(cfg.af_partition):
-            closure = Ideal(job.base, [job.base.parse(g) for g in gens])
-            conormals.append(("stratum_%d" % i, conormal_ideal(closure, job.ring)))
+    if job.af_partition is not None:
+        conormals = [
+            ("stratum_%d" % i, conormal_ideal(closure, job.ring))
+            for i, closure in enumerate(job.af_partition)
+        ]
         upgraded, detail = upgrade_by_transversality(
             cert, conormals, job.point, job.ring
         )

@@ -103,6 +103,10 @@ def test_error_paths_name_fields():
     with pytest.raises(InputError) as excinfo3:
         prepare_job(parse_config(json.dumps(bad2)))
     assert "morse" in str(excinfo3.value)
+    bad3 = cusp_config(af_partition=[["x", "y +"]])
+    with pytest.raises(InputError) as excinfo4:
+        prepare_job(parse_config(json.dumps(bad3)))
+    assert "af_partition[0][1]" in str(excinfo4.value)
 
 
 def test_bad_json_reports_line():
@@ -325,12 +329,22 @@ def test_af_partition_route_upgrades_certificate():
         "seed": 2,
         "af_partition": [["u + x + y + z"]],
     }
-    report, code = run_pipeline(parse_config(json.dumps(doc)))
-    assert report["certificate"]["d"] == 3
-    assert report["certificate"]["status"] == "certified"
-    assert report["certificate_route"] == "essential-transversality"
-    assert report["levo_modules"] == {"4": {"3": {"rank": 1, "torsion": []}}}
-    assert code == EXIT_CERTIFIED
+    # af_partition generators are in input coordinates, like the function;
+    # read without the coordinate change, V(u + x + y) would contain the
+    # last working coordinate axis and fail the flag transversality
+    moved = dict(
+        doc,
+        function="(u + x + y)^2",
+        af_partition=[["u + x + y"]],
+        coordinate_order=[[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+    )
+    for job in (doc, moved):
+        report, code = run_pipeline(parse_config(json.dumps(job)))
+        assert report["certificate"]["d"] == 3
+        assert report["certificate"]["status"] == "certified"
+        assert report["certificate_route"] == "essential-transversality"
+        assert report["levo_modules"] == {"4": {"3": {"rank": 1, "torsion": []}}}
+        assert code == EXIT_CERTIFIED
 
 
 def test_support_assertions_present():

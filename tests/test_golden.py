@@ -22,7 +22,7 @@ JOBS = [
     ("two_plane", [], 0),
     ("isolated_milnor", [], 0),
     ("retry", ["--retry", "3"], 0),
-    ("polar_af_partition", [], 2),
+    ("polar_af_partition", [], 0),
     ("polar_gecc", [], 0),
 ]
 
