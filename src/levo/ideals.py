@@ -13,7 +13,7 @@ ideals hash alike and can key cycle component maps.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import sympy
 
@@ -482,12 +482,7 @@ def saturate_ideal(I, J):
     """I : J^infinity, the intersection of the saturations by the
     non-constant generators of J."""
     sats = [saturate(I, g) for g in J.gens if not g.is_constant()]
-    if not sats:
-        return I
-    acc = sats[0]
-    for S in sats[1:]:
-        acc = intersect(acc, S)
-    return acc
+    return reduce(intersect, sats) if sats else I
 
 
 def rational_point_of(I):

@@ -237,10 +237,7 @@ def _colon_by_division(I, g):
     for h in intersect(I, Ideal(I.ring, [g])).gens:
         q, r = sympy.div(to_sympy(h), to_sympy(g))
         assert r.is_zero
-        terms = {m: sympy.Rational(c) for m, c in q.terms()}
-        quotients.append(
-            Polynomial(I.ring, {m: Fraction(int(c.p), int(c.q)) for m, c in terms.items()})
-        )
+        quotients.append(Polynomial(I.ring, {m: Fraction(str(c)) for m, c in q.terms()}))
     return Ideal(I.ring, quotients)
 
 
