@@ -39,7 +39,7 @@ from .errors import (
 )
 from .gecc import SheafSpec, StratumSpec, build_gecc, critical_locus, support_of_gecc
 from .geom import conormal_ideal, row_reduce
-from .ideals import Ideal, eliminate
+from .ideals import Ideal, algebra_cache, eliminate
 from .poly import PolyRing, Polynomial
 from .vogel import decompose_all_degrees, polar_support_sets
 
@@ -427,22 +427,24 @@ def _support_assertions(job, G, support, crit):
 def run_pipeline(cfg, retries=0):
     """Full run: characteristic cycle, supports, critical locus, inductive
     decomposition, point modules, diagnostics.  On a genericity failure
-    with retries left, rerun under a seeded random coordinate change."""
-    job = prepare_job(cfg)
-    report, code = _run_once(job)
-    attempts = []
-    attempt_seed = cfg.seed
-    while code == EXIT_GENERICITY and retries > 0:
-        retries -= 1
-        attempt_seed = attempt_seed * 7919 + 1
-        attempts.append(attempt_seed)
-        retry_cfg = randomize_coordinates(cfg, attempt_seed)
-        job = prepare_job(retry_cfg)
+    with retries left, rerun under a seeded random coordinate change.
+    The attempts share one algebra cache, which ends with the run."""
+    with algebra_cache():
+        job = prepare_job(cfg)
         report, code = _run_once(job)
-        report["retry"] = {
-            "seeds": list(attempts),
-            "matrix": _matrix_json(retry_cfg.matrix),
-        }
+        attempts = []
+        attempt_seed = cfg.seed
+        while code == EXIT_GENERICITY and retries > 0:
+            retries -= 1
+            attempt_seed = attempt_seed * 7919 + 1
+            attempts.append(attempt_seed)
+            retry_cfg = randomize_coordinates(cfg, attempt_seed)
+            job = prepare_job(retry_cfg)
+            report, code = _run_once(job)
+            report["retry"] = {
+                "seeds": list(attempts),
+                "matrix": _matrix_json(retry_cfg.matrix),
+            }
     return report, code
 
 
@@ -657,7 +659,7 @@ def main(argv=None):
     p_compute.add_argument("--retry", type=int, default=0,
                            help="random coordinate retries on genericity failure")
     p_compute.add_argument("--timing", action="store_true",
-                           help="print elapsed time to stderr")
+                           help="print elapsed time and algebra cache hits to stderr")
 
     p_check = sub.add_parser("check", help="diagnostics only")
     common(p_check)
@@ -670,10 +672,12 @@ def main(argv=None):
         cfg = _load_config(args.input, args.seed, args.format)
         if args.command == "compute":
             t0 = time.monotonic()
-            report, code = run_pipeline(cfg, retries=args.retry)
+            with algebra_cache() as cache:
+                report, code = run_pipeline(cfg, retries=args.retry)
             _emit(report, cfg.fmt)
             if args.timing:
                 print("elapsed: %.3f s" % (time.monotonic() - t0), file=sys.stderr)
+                print(cache.summary(), file=sys.stderr)
             return code
         if args.command == "check":
             report, code = run_pipeline(cfg)

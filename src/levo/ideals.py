@@ -1,17 +1,28 @@
 """Ideal arithmetic over exact rationals.
 
-Reduced Groebner bases via Buchberger's algorithm (normal selection plus
-the product and chain criteria), full normal forms, block-order
-elimination, intersection, saturation, Krull dimension from the staircase,
-quotient vector-space dimension, radical membership, and decomposition
-into rational components by recursive factorization.
+Reduced Groebner bases via Buchberger's algorithm (heap-ordered normal
+selection plus the product and chain criteria), full normal forms,
+block-order elimination, intersection, saturation, Krull dimension from
+the staircase, quotient vector-space dimension, radical membership, and
+decomposition into rational components by recursive factorization.
 
 Ideals are identified by the unique reduced grevlex basis, so equal
 ideals hash alike and can key cycle component maps.
+
+Inside an `algebra_cache()` scope, `buchberger`, `split_components` and
+`factor_rational` remember their results by canonical input: the
+generator set and order, the reduced basis, the polynomial.  Their
+results are unique (a split up to the generators listed for each
+component), so a hit returns what a fresh call would.  Outside a scope
+nothing is cached.
 """
 
 from __future__ import annotations
 
+import contextvars
+import heapq
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -27,6 +38,64 @@ from .poly import (
     monomial_lcm,
     monomial_mul,
 )
+
+# ---------------------------------------------------------------------------
+# per-run algebra cache
+
+_CACHE = contextvars.ContextVar("levo_algebra_cache", default=None)
+
+_CACHE_KINDS = ("buchberger", "split_components", "factor_rational")
+
+
+class AlgebraCache:
+    """Results by (kind, canonical input), with hits and misses per kind."""
+
+    __slots__ = ("entries", "hits", "misses")
+
+    def __init__(self):
+        self.entries = {}
+        self.hits = Counter()
+        self.misses = Counter()
+
+    def summary(self):
+        """One line of hits and misses per kind."""
+        return "algebra cache: " + ", ".join(
+            "%s %d hits %d misses" % (kind, self.hits[kind], self.misses[kind])
+            for kind in _CACHE_KINDS
+        )
+
+
+@contextmanager
+def algebra_cache():
+    """Install a fresh algebra cache for the duration of the block and
+    yield it.  Inside a scope that already has one, yield that one."""
+    cache = _CACHE.get()
+    if cache is not None:
+        yield cache
+        return
+    cache = AlgebraCache()
+    token = _CACHE.set(cache)
+    try:
+        yield cache
+    finally:
+        _CACHE.reset(token)
+
+
+def _memo(kind, key, compute, copy):
+    """copy(compute()), where compute() runs at most once per kind and key
+    inside an algebra-cache scope.  Callers get a copy, so mutating a
+    result never reaches the cache."""
+    cache = _CACHE.get()
+    if cache is None:
+        return compute()
+    value = cache.entries.get((kind, key))
+    if value is None:
+        cache.misses[kind] += 1
+        value = cache.entries[(kind, key)] = compute()
+    else:
+        cache.hits[kind] += 1
+    return copy(value)
+
 
 # ---------------------------------------------------------------------------
 # low-level reduction on plain term dicts (faster than Polynomial inside loops)
@@ -93,11 +162,21 @@ def buchberger(generators, key):
 
     Returns a list of term dicts, monic, fully inter-reduced, sorted by
     ascending leading monomial.  The classical algorithm with normal
-    selection and the two classical criteria (product, chain).
+    selection from a heap of pairs and the two classical criteria
+    (product, chain).
     """
-    gens = [dict(g) for g in generators if g]
+    gens = [g for g in generators if g]
+    return _memo(
+        "buchberger",
+        (key, frozenset(frozenset(g.items()) for g in gens)),
+        lambda: _buchberger(gens, key),
+        lambda basis: [dict(t) for t in basis],
+    )
+
+
+def _buchberger(generators, key):
     # deterministic startup order
-    gens.sort(key=lambda t: sorted(t, key=key, reverse=True))
+    gens = sorted(generators, key=lambda t: sorted(t, key=key, reverse=True))
 
     basis = []
     for g in gens:
@@ -105,17 +184,22 @@ def buchberger(generators, key):
         if g:
             basis.append(_entry(g, key))
 
+    # Every pending pair is in `pairs` (for the chain criterion) and has
+    # one heap entry; popping the heap is normal selection, the smallest
+    # lcm under the order with ties broken by the pair.
     pairs = set()
+    heap = []
+
+    def add_pair(i, j):
+        lcm = monomial_lcm(basis[i][0], basis[j][0])
+        pairs.add((i, j))
+        heapq.heappush(heap, (key(lcm), (i, j), lcm))
+
     for i in range(len(basis)):
         for j in range(i):
-            pairs.add((j, i))
+            add_pair(j, i)
 
-    def product_criterion(i, j):
-        lmi, lmj = basis[i][0], basis[j][0]
-        return monomial_lcm(lmi, lmj) == monomial_mul(lmi, lmj)
-
-    def chain_criterion(i, j):
-        lcm = monomial_lcm(basis[i][0], basis[j][0])
+    def chain_criterion(i, j, lcm):
         for k in range(len(basis)):
             if k == i or k == j:
                 continue
@@ -127,18 +211,16 @@ def buchberger(generators, key):
                 return True
         return False
 
-    while pairs:
-        # normal selection: smallest lcm under the order
-        i, j = min(
-            pairs, key=lambda ij: (key(monomial_lcm(basis[ij[0]][0], basis[ij[1]][0])), ij)
-        )
+    while heap:
+        _, (i, j), lcm = heapq.heappop(heap)
         pairs.discard((i, j))
         # S-polynomials of two monomials vanish identically
         if _is_monomial(basis[i][2]) and _is_monomial(basis[j][2]):
             continue
-        if product_criterion(i, j):
+        # product criterion: coprime leading monomials
+        if lcm == monomial_mul(basis[i][0], basis[j][0]):
             continue
-        if chain_criterion(i, j):
+        if chain_criterion(i, j, lcm):
             continue
         s = _reduce_terms(_spoly(basis[i], basis[j], key), basis, key)
         if not s:
@@ -146,7 +228,7 @@ def buchberger(generators, key):
         basis.append(_entry(s, key))
         new = len(basis) - 1
         for k in range(new):
-            pairs.add((k, new))
+            add_pair(k, new)
 
     return _reduce_basis(basis, key)
 
@@ -549,6 +631,12 @@ def factor_rational(p):
     """
     if p.is_zero() or p.is_constant():
         return []
+    if p.total_degree() == 1:
+        return [(p.monic(), 1)]  # linear polynomials are irreducible
+    return _memo("factor_rational", (p.ring, p.canonical()), lambda: _factor(p), list)
+
+
+def _factor(p):
     _, factors = _to_sympy(p).factor_list()
     out = []
     for f, e in factors:
@@ -651,6 +739,15 @@ def split_components(I):
     """
     if I.is_unit():
         raise ValueError("the unit ideal has no components")
+    return _memo(
+        "split_components",
+        I.key(),
+        lambda: _split(I),
+        lambda comps: [Component(c.ideal, c.certified) for c in comps],
+    )
+
+
+def _split(I):
     found = {}
     work = [I]
     while work:

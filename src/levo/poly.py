@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import PolynomialParseError, RingMismatchError
 
@@ -30,12 +31,14 @@ def lex_key(exps):
     return exps
 
 
+@lru_cache(maxsize=None)
 def block_key(nlead):
     """Elimination order: the first `nlead` variables dominate.
 
     Any monomial involving a lead-block variable beats any monomial that
     does not, so basis elements free of the lead block generate the
-    elimination ideal.
+    elimination ideal.  One function per `nlead`, so the order can key a
+    cache.
     """
 
     def key(exps):

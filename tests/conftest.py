@@ -4,10 +4,27 @@ from fractions import Fraction
 
 import pytest
 
+from levo import ideals
 from levo.abgroups import AbGroup, Z
 from levo.gecc import SheafSpec, StratumSpec
 from levo.ideals import Ideal, quotient_dimension
 from levo.poly import PolyRing
+
+
+@pytest.fixture
+def cache_calls(monkeypatch):
+    """(installed algebra cache or None, its entry count) at every call
+    into the cached kernel, in call order."""
+    seen = []
+    memo = ideals._memo
+
+    def spy(kind, key, compute, copy):
+        cache = ideals._CACHE.get()
+        seen.append((cache, None if cache is None else len(cache.entries)))
+        return memo(kind, key, compute, copy)
+
+    monkeypatch.setattr(ideals, "_memo", spy)
+    return seen
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from levo import ideals
 from levo.cli import (
     EXIT_CERTIFIED,
     EXIT_GENERICITY,
@@ -261,11 +262,36 @@ def test_genericity_failure_exit_code_and_retry():
     assert report2["retry"]["seeds"]
 
 
-def test_determinism_byte_identical():
+def test_determinism_byte_identical(tmp_path, capsys):
     doc = json.dumps(two_plane_config())
     r1, _ = run_pipeline(parse_config(doc))
     r2, _ = run_pipeline(parse_config(doc))
     assert report_to_json(r1) == report_to_json(r2)
+    # --timing writes to stderr only
+    path = _write_config(tmp_path, two_plane_config())
+    main(["compute", "--input", path])
+    plain = capsys.readouterr()
+    main(["compute", "--input", path, "--timing"])
+    timed = capsys.readouterr()
+    assert plain.out == timed.out == report_to_json(r1)
+    assert plain.err == ""
+    assert "algebra cache: buchberger " in timed.err
+
+
+def test_run_pipeline_cache_ends_with_the_run(cache_calls):
+    # fails genericity first, so the run includes retries
+    cfg = parse_config(json.dumps(cusp_config(function="x^2*y^2", seed=3)))
+    caches = []
+    for _ in range(2):
+        report, _ = run_pipeline(cfg, retries=3)
+        assert report["retry"]["seeds"]
+        assert ideals._CACHE.get() is None
+        first, entries = cache_calls[0]
+        assert all(cache is first for cache, _ in cache_calls)
+        assert entries == 0  # every run starts empty
+        caches.append(first)
+        cache_calls.clear()
+    assert caches[0] is not None and caches[0] is not caches[1]
 
 
 def test_randomize_coordinates_deterministic():

@@ -9,11 +9,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_polynomial
+from levo import ideals
 from levo.ideals import (
     Ideal,
+    algebra_cache,
     buchberger,
     decomposition_covers,
     eliminate,
+    factor_rational,
     intersect,
     is_irreducible,
     map_poly,
@@ -26,6 +29,7 @@ from levo.poly import (
     PolyRing,
     Polynomial,
     block_key,
+    grevlex_key,
     lex_key,
     monomial_div,
     monomial_divides,
@@ -39,6 +43,52 @@ def section7_ring():
 
 # ---------------------------------------------------------------------------
 # Groebner bases
+
+
+def _to_sympy(p):
+    syms = sympy.symbols(p.ring.vars)
+    coeffs = {m: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()}
+    return sympy.Poly.from_dict(coeffs, *syms, domain="QQ")
+
+
+def _from_sympy(ring, q):
+    return Polynomial(ring, {tuple(m): Fraction(str(c)) for m, c in q.terms()})
+
+
+def _sympy_basis(gens, order, key):
+    """sympy's reduced basis of the polynomials gens, made monic under key."""
+    ring = gens[0].ring
+    G = sympy.groebner([_to_sympy(g) for g in gens], *sympy.symbols(ring.vars), order=order)
+    return [_from_sympy(ring, q).monic(key) for q in G.polys]
+
+
+def _term_sets(polys):
+    return {frozenset(p.terms.items()) for p in polys}
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(2, 3))
+def test_buchberger_matches_sympy_groebner(seed, nvars):
+    rng = random.Random(seed)
+    ring = PolyRing(("x", "y", "z")[:nvars])
+    gens = [
+        random_polynomial(ring, rng, max_degree=3, max_terms=4)
+        for _ in range(rng.randint(1, 4))
+    ]
+    gens = [g for g in gens if not g.is_zero()]
+    assume(gens)
+    terms = [g.terms for g in gens]
+    for key, order in ((grevlex_key, "grevlex"), (lex_key, "lex")):
+        ours = [Polynomial(ring, t) for t in buchberger(terms, key)]
+        assert _term_sets(ours) == _term_sets(_sympy_basis(gens, order, key))
+    # block_key(1) eliminates the first variable as lex does
+    ours = [Polynomial(ring, t) for t in buchberger(terms, block_key(1))]
+    theirs = _sympy_basis(gens, "lex", lex_key)
+    assert Ideal(ring, _free_of_first(ours)) == Ideal(ring, _free_of_first(theirs))
+
+
+def _free_of_first(polys):
+    return [p for p in polys if all(m[0] == 0 for m in p.terms)]
 
 
 def test_lex_basis_hand_example():
@@ -227,17 +277,11 @@ def test_saturate_examples():
 def _colon_by_division(I, g):
     """I : (g) from I intersected with (g), each generator divided by g with
     sympy; independent of the tag-variable elimination under test."""
-    syms = sympy.symbols(I.ring.vars)
-
-    def to_sympy(p):
-        coeffs = {m: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()}
-        return sympy.Poly.from_dict(coeffs, *syms, domain="QQ")
-
     quotients = []
     for h in intersect(I, Ideal(I.ring, [g])).gens:
-        q, r = sympy.div(to_sympy(h), to_sympy(g))
+        q, r = sympy.div(_to_sympy(h), _to_sympy(g))
         assert r.is_zero
-        quotients.append(Polynomial(I.ring, {m: Fraction(str(c)) for m, c in q.terms()}))
+        quotients.append(_from_sympy(I.ring, q))
     return Ideal(I.ring, quotients)
 
 
@@ -376,6 +420,88 @@ def test_irreducibility_bridge():
     ring = PolyRing(("x", "y"))
     assert is_irreducible(ring.parse("x^2 + y^2"))
     assert not is_irreducible(ring.parse("x^2 - y^2"))
+
+
+def _sympy_factors(p):
+    """factor_rational's contract computed by sympy's factor_list alone."""
+    _, factors = _to_sympy(p).factor_list()
+    out = [(_from_sympy(p.ring, f).monic(), e) for f, e in factors]
+    return sorted(((f, e) for f, e in out if not f.is_constant()),
+                  key=lambda fe: fe[0].canonical())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    coeffs=st.lists(st.fractions(-20, 20, max_denominator=7), min_size=3, max_size=3),
+    constant=st.fractions(-20, 20, max_denominator=7),
+)
+def test_linear_factor_fast_path_matches_sympy(coeffs, constant):
+    ring = PolyRing(("x", "y", "z"))
+    assume(any(coeffs))
+    p = ring.linear_form(coeffs, constant)
+    assert factor_rational(p) == _sympy_factors(p) == [(p.monic(), 1)]
+
+
+def _random_ideal(rng, ring):
+    return Ideal(ring, [random_polynomial(ring, rng) for _ in range(rng.randint(1, 3))])
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(2, 3))
+def test_cached_results_equal_uncached(seed, nvars):
+    rng = random.Random(seed)
+    ring = PolyRing(("x", "y", "z")[:nvars])
+    I = _random_ideal(rng, ring)
+    p = random_polynomial(ring, rng, max_degree=3) * random_polynomial(ring, rng)
+    terms = [g.terms for g in I.gens]
+    key = block_key(1)
+
+    def components(J):
+        return [(c.ideal.key(), c.certified) for c in split_components(J)]
+
+    basis = buchberger(terms, key)
+    factors = factor_rational(p)
+    comps = None if I.is_unit() else components(I)
+    with algebra_cache() as cache:
+        for _ in range(2):  # a miss, then a hit
+            assert buchberger(terms, key) == basis
+            assert buchberger(list(reversed(terms)) + terms, key) == basis
+            assert factor_rational(p) == factors
+            if comps is not None:
+                assert components(Ideal(ring, list(I.groebner()))) == comps
+        assert cache.hits["buchberger"] >= 3
+    assert ideals._CACHE.get() is None
+
+
+def test_cache_hits_are_fresh_copies():
+    ring = PolyRing(("x", "y"))
+    I = Ideal(ring, ["x^2 - y^2", "x*y - y"])
+    p = ring.parse("x^2 - y^2")
+    terms = [g.terms for g in I.gens]
+    with algebra_cache():
+        basis = buchberger(terms, grevlex_key)
+        expected = [dict(t) for t in basis]
+        basis[0].clear()
+        basis.append({})
+        assert buchberger(terms, grevlex_key) == expected
+        comps = split_components(I)
+        expected = [(c.ideal, c.certified) for c in comps]
+        comps[0].certified = not comps[0].certified
+        comps.pop()
+        assert [(c.ideal, c.certified) for c in split_components(I)] == expected
+        factors = factor_rational(p)
+        expected = list(factors)
+        factors.clear()
+        assert factor_rational(p) == expected
+
+
+def test_algebra_cache_scope_nests_and_ends():
+    assert ideals._CACHE.get() is None
+    with algebra_cache() as outer:
+        with algebra_cache() as inner:
+            assert inner is outer
+        assert ideals._CACHE.get() is outer
+    assert ideals._CACHE.get() is None
 
 
 def test_groebner_basis_order_argument():

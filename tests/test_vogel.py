@@ -422,6 +422,14 @@ def test_iterative_oracle_matches_polar_package_line():
             assert oracle == direct.get((k, j), ZERO_GROUP)
 
 
+def test_iterative_oracle_runs_without_algebra_cache(cache_calls):
+    ring = PolyRing(("y", "x"), ("w_0", "w_1"))
+    base = ring.base_ring()
+    spec = SheafSpec(ring, strata=[StratumSpec(Ideal(base, ["x"]), {1: Z(1)})])
+    assert polar_modules_iterative(spec, (0, 0), 1, 1, seed=5) == Z(1)
+    assert cache_calls and all(cache is None for cache, _ in cache_calls)
+
+
 def test_iterative_oracle_point_sheaf():
     ring = plane()
     base = ring.base_ring()
