@@ -20,6 +20,7 @@ GOLDEN = Path(__file__).parent / "golden"
 # (job name, extra `levo compute` arguments, expected exit code)
 JOBS = [
     ("two_plane", [], 0),
+    ("two_plane_split", [], 0),
     ("isolated_milnor", [], 0),
     ("retry", ["--retry", "3"], 0),
     ("polar_af_partition", [], 0),

@@ -1,5 +1,6 @@
 """Groebner bases, ideal operations, and component splitting."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -19,6 +20,7 @@ from levo.ideals import (
     factor_rational,
     intersect,
     is_irreducible,
+    krull_dimension,
     map_poly,
     quotient_dimension,
     radical_member,
@@ -361,6 +363,65 @@ def test_quotient_dimension():
     assert quotient_dimension(Ideal(ring, ["1"])) == 0
 
 
+def _sympy_standard_monomials(gens):
+    """Number of monomials outside sympy's grevlex leading-monomial ideal,
+    or None when that number is infinite."""
+    ring = gens[0].ring
+    G = sympy.groebner([_to_sympy(g) for g in gens], *sympy.symbols(ring.vars), order="grevlex")
+    lms = [q.LM(order="grevlex").exponents for q in G.polys]
+    bounds = []
+    for i in range(ring.nvars):
+        pure = [m[i] for m in lms if sum(m) == m[i] > 0]
+        if not pure and any(sum(m) for m in lms):
+            return None
+        bounds.append(min(pure) if pure else 1)
+    return sum(
+        1
+        for m in itertools.product(*(range(b) for b in bounds))
+        if not any(monomial_divides(lm, m) for lm in lms)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(2, 3))
+def test_quotient_dimension_matches_sympy_standard_monomials(seed, nvars):
+    rng = random.Random(seed)
+    ring = PolyRing(("x", "y", "z")[:nvars])
+    gens = [
+        random_polynomial(ring, rng, max_degree=3, max_terms=3) for _ in range(nvars)
+    ]
+    gens = [g for g in gens if not g.is_zero()]
+    assume(gens)
+    assert quotient_dimension(Ideal(ring, gens)) == _sympy_standard_monomials(gens)
+
+
+def _sympy_krull_dimension(gens):
+    """The largest |S| for a variable subset S with I meeting Q[S] only in
+    0, each intersection read off a sympy lex basis that puts the other
+    variables first; -1 when no subset qualifies (the unit ideal)."""
+    ring = gens[0].ring
+    best = -1
+    for size in range(ring.nvars + 1):
+        for S in itertools.combinations(ring.vars, size):
+            order = [v for v in ring.vars if v not in S] + list(S)
+            G = sympy.groebner([_to_sympy(g) for g in gens], *sympy.symbols(order), order="lex")
+            outside = sympy.symbols([v for v in ring.vars if v not in S])
+            if all(q.free_symbols & set(outside) for q in G.exprs):
+                best = size
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(2, 3))
+def test_krull_dimension_matches_sympy_elimination(seed, nvars):
+    rng = random.Random(seed)
+    ring = PolyRing(("x", "y", "z")[:nvars])
+    gens = [random_polynomial(ring, rng) for _ in range(rng.randint(1, nvars))]
+    gens = [g for g in gens if not g.is_zero()]
+    assume(gens)
+    assert krull_dimension(Ideal(ring, gens)) == _sympy_krull_dimension(gens)
+
+
 # ---------------------------------------------------------------------------
 # component splitting
 
@@ -393,21 +454,41 @@ def test_split_section7_partial_product(a, b, tau):
     assert all(c.certified for c in comps)
 
 
-def test_split_components_cover_and_incomparable():
-    rng = random.Random(99)
-    ring = PolyRing(("x", "y"))
-    for _ in range(8):
-        gens = [random_polynomial(ring, rng) for _ in range(2)]
-        I = Ideal(ring, gens)
-        if I.is_unit() or I.is_zero():
-            continue
-        comps = split_components(I)
-        assert comps
-        assert decomposition_covers(I, comps)
-        for c in comps:
-            for d in comps:
-                if c is not d:
-                    assert not c.ideal.contains_ideal(d.ideal)
+def _irrational_points_ideal(rng, ring):
+    """Generators (v_i^2 - a_i) * (v_{i+1} - b_i), some without their
+    linear factor: mostly finite loci whose points need square roots."""
+    gens = []
+    for i, v in enumerate(ring.vars):
+        g = ring.parse("%s^2 - %d" % (v, rng.choice((-1, 2, 3, 4, 5))))
+        if rng.random() < 0.6:
+            w = ring.vars[(i + 1) % ring.nvars]
+            g = g * ring.parse("%s - %d" % (w, rng.randint(-2, 2)))
+        gens.append(g)
+    return gens
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    nvars=st.integers(2, 3),
+    irrational=st.booleans(),
+)
+def test_split_components_cover_and_incomparable(seed, nvars, irrational):
+    rng = random.Random(seed)
+    ring = PolyRing(("x", "y", "z")[:nvars])
+    if irrational:
+        gens = _irrational_points_ideal(rng, ring)
+    else:
+        gens = [random_polynomial(ring, rng) for _ in range(rng.randint(1, nvars))]
+    I = Ideal(ring, gens)
+    assume(not I.is_unit() and not I.is_zero())
+    comps = split_components(I)
+    assert comps
+    assert decomposition_covers(I, comps)
+    for c in comps:
+        for d in comps:
+            if c is not d:
+                assert not c.ideal.contains_ideal(d.ideal)
 
 
 def test_split_rejects_unit():
