@@ -102,21 +102,20 @@ def _memo(kind, key, compute, copy):
 
 
 def _reduce_terms(terms, basis, key):
-    """Full normal form of a term dict against basis entries (lm, lc, terms)."""
+    """Full normal form of a term dict against monic basis entries (lm, terms)."""
     work = dict(terms)
     remainder = {}
     while work:
         m = max(work, key=key)
         c = work.pop(m)
-        for blm, blc, bterms in basis:
+        for blm, bterms in basis:
             if monomial_divides(blm, m):
                 q = monomial_div(m, blm)
-                factor = c / blc
                 for bm, bc in bterms.items():
                     if bm == blm:
                         continue
                     mm = monomial_mul(bm, q)
-                    s = work.get(mm, _ZERO) - factor * bc
+                    s = work.get(mm, _ZERO) - c * bc
                     if s:
                         work[mm] = s
                     else:
@@ -131,21 +130,24 @@ _ZERO = Fraction(0)
 
 
 def _entry(terms, key):
+    """The basis entry (lm, terms) of a nonzero term dict, scaled to
+    leading coefficient 1."""
     lm = max(terms, key=key)
-    return (lm, terms[lm], terms)
+    lc = terms[lm]
+    if lc != 1:
+        terms = {m: c / lc for m, c in terms.items()}
+    return lm, terms
 
 
-def _spoly(e1, e2, key):
-    lm1, lc1, t1 = e1
-    lm2, lc2, t2 = e2
+def _spoly(e1, e2):
+    lm1, t1 = e1
+    lm2, t2 = e2
     lcm = monomial_lcm(lm1, lm2)
     q1, q2 = monomial_div(lcm, lm1), monomial_div(lcm, lm2)
-    res = {}
-    for m, c in t1.items():
-        res[monomial_mul(m, q1)] = c / lc1
+    res = {monomial_mul(m, q1): c for m, c in t1.items()}
     for m, c in t2.items():
         mm = monomial_mul(m, q2)
-        s = res.get(mm, _ZERO) - c / lc2
+        s = res.get(mm, _ZERO) - c
         if s:
             res[mm] = s
         else:
@@ -215,14 +217,14 @@ def _buchberger(generators, key):
         _, (i, j), lcm = heapq.heappop(heap)
         pairs.discard((i, j))
         # S-polynomials of two monomials vanish identically
-        if _is_monomial(basis[i][2]) and _is_monomial(basis[j][2]):
+        if _is_monomial(basis[i][1]) and _is_monomial(basis[j][1]):
             continue
         # product criterion: coprime leading monomials
         if lcm == monomial_mul(basis[i][0], basis[j][0]):
             continue
         if chain_criterion(i, j, lcm):
             continue
-        s = _reduce_terms(_spoly(basis[i], basis[j], key), basis, key)
+        s = _reduce_terms(_spoly(basis[i], basis[j]), basis, key)
         if not s:
             continue
         basis.append(_entry(s, key))
@@ -234,29 +236,19 @@ def _buchberger(generators, key):
 
 
 def _reduce_basis(basis, key):
-    # minimal: drop entries whose lm is divisible by another lm
+    """The reduced basis of the ideal a Groebner basis of monic entries
+    generates, as term dicts in ascending leading-monomial order.
+
+    In that order an entry whose lm a kept lm divides is redundant, and
+    every other entry is reduced against the kept ones alone: its terms
+    lie below its lm, and a monomial divisible by lm(g) is never smaller
+    than lm(g), so no later entry can divide them.
+    """
     kept = []
-    lms = [e[0] for e in basis]
-    for i, e in enumerate(basis):
-        if any(
-            j != i
-            and monomial_divides(lms[j], lms[i])
-            and (lms[j] != lms[i] or j < i)
-            for j in range(len(basis))
-        ):
-            continue
-        kept.append(e)
-    # inter-reduce tails and normalize to monic
-    reduced = []
-    for idx, e in enumerate(kept):
-        others = [kept[j] for j in range(len(kept)) if j != idx]
-        t = _reduce_terms(e[2], others, key)
-        if t:
-            lm = max(t, key=key)
-            lc = t[lm]
-            reduced.append({m: c / lc for m, c in t.items()})
-    reduced.sort(key=lambda t: key(max(t, key=key)))
-    return reduced
+    for lm, terms in sorted(basis, key=lambda e: key(e[0])):
+        if not any(monomial_divides(k, lm) for k, _ in kept):
+            kept.append((lm, _reduce_terms(terms, kept, key)))
+    return [terms for _, terms in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -298,6 +290,7 @@ class Ideal:
         if p.ring != self.ring:
             raise RingMismatchError("polynomial not in the ideal's ring")
         key = self.ring.key()
+        # the basis is monic, so _entry copies nothing
         basis = [_entry(g.terms, key) for g in self.groebner()]
         return Polynomial(self.ring, _reduce_terms(p.terms, basis, key), _clean=False)
 
