@@ -25,6 +25,7 @@ from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import chain
 
 import sympy
 
@@ -434,8 +435,9 @@ def _fresh_names(taken, prefix, count):
     return out
 
 
-def _map_poly(p, target, positions):
-    """Reinterpret p in `target`, variable i of p going to positions[i]."""
+def map_poly(p, target):
+    """Reinterpret a polynomial in another ring containing its variables."""
+    positions = [target._index.get(v) for v in p.ring.vars]
     res = {}
     tn = target.nvars
     for m, c in p.terms.items():
@@ -479,29 +481,20 @@ def _subring(ring, keep):
 def _eliminate_to(ideal, drop, target):
     ring = ideal.ring
     dropped = [v for v in ring.vars if v in drop]
-    kept = [v for v in ring.vars if v not in drop]
-    work = PolyRing(tuple(dropped + kept))
-    positions = [work.index(v) for v in ring.vars]
-    gens = [_map_poly(g, work, positions) for g in ideal.gens]
-    dicts = buchberger([g.terms for g in gens], block_key(len(dropped)))
     ndrop = len(dropped)
-    out = []
-    kept_positions = {}
-    for i, v in enumerate(work.vars):
-        kept_positions[i] = target.index(v) if v in set(kept) else None
-    for t in dicts:
-        if all(all(e == 0 for e in m[:ndrop]) for m in t):
-            p = Polynomial(work, t, _clean=False)
-            out.append(_map_poly(p, target, [kept_positions[i] for i in range(work.nvars)]))
-    return Ideal(target, out)
+    work = PolyRing(tuple(dropped + [v for v in ring.vars if v not in drop]))
+    dicts = buchberger([map_poly(g, work).terms for g in ideal.gens], block_key(ndrop))
+    return Ideal(target, [
+        map_poly(Polynomial(work, t, _clean=False), target)
+        for t in dicts
+        if not any(any(m[:ndrop]) for m in t)
+    ])
 
 
 def _with_tag_var(ring):
-    """The ring with one fresh tag variable in front, its name, and the
-    positions of the old variables in it."""
+    """The ring with one fresh tag variable in front, and its name."""
     (name,) = _fresh_names(set(ring.vars), "_t", 1)
-    ext = PolyRing((name,) + ring.vars)
-    return ext, name, [ext.index(v) for v in ring.vars]
+    return PolyRing((name,) + ring.vars), name
 
 
 def _rabinowitsch(I, g):
@@ -511,18 +504,10 @@ def _rabinowitsch(I, g):
     and it is the unit ideal exactly when g lies in rad(I) (Cox, Little and
     O'Shea, Ideals, Varieties, and Algorithms, ch. 4 sec. 4, Thm. 14).
     """
-    ext, t, positions = _with_tag_var(I.ring)
-    gens = [_map_poly(h, ext, positions) for h in I.gens]
-    gens.append(ext.one() - ext.var(t) * _map_poly(g, ext, positions))
+    ext, t = _with_tag_var(I.ring)
+    gens = [map_poly(h, ext) for h in I.gens]
+    gens.append(ext.one() - ext.var(t) * map_poly(g, ext))
     return Ideal(ext, gens), t
-
-
-def map_poly(p, target):
-    """Reinterpret a polynomial in another ring containing its variables."""
-    positions = []
-    for v in p.ring.vars:
-        positions.append(target._index.get(v))
-    return _map_poly(p, target, positions)
 
 
 def map_ideal(I, target):
@@ -534,10 +519,10 @@ def intersect(I, J):
     """Ideal intersection via the single-tag trick."""
     if I.ring != J.ring:
         raise RingMismatchError("ideals in different rings")
-    ext, t, positions = _with_tag_var(I.ring)
+    ext, t = _with_tag_var(I.ring)
     tv = ext.var(t)
-    gens = [tv * _map_poly(g, ext, positions) for g in I.gens]
-    gens += [(ext.one() - tv) * _map_poly(g, ext, positions) for g in J.gens]
+    gens = [tv * map_poly(g, ext) for g in I.gens]
+    gens += [(ext.one() - tv) * map_poly(g, ext) for g in J.gens]
     return _eliminate_to(Ideal(ext, gens), {t}, I.ring)
 
 
@@ -705,17 +690,13 @@ def _branch_on_element(J, g):
     return None
 
 
-def _eliminant_elements(J):
-    """Nonzero univariate eliminants of J, mapped back into J's ring."""
+def _eliminant_bases(J):
+    """Lazily, per variable v in ring order: the reduced basis of J
+    meet Q[v] (empty or one polynomial), mapped into J's ring."""
     ring = J.ring
-    out = []
     for name in ring.vars:
-        others = [v for v in ring.vars if v != name]
-        E = eliminate(J, others)
-        gb = E.groebner()
-        if gb:
-            out.append(map_poly(gb[0], ring))
-    return out
+        E = eliminate(J, [v for v in ring.vars if v != name])
+        yield [map_poly(g, ring) for g in E.groebner()]
 
 
 def split_components(I):
@@ -745,19 +726,11 @@ def _split(I):
     work = [I]
     while work:
         J = work.pop()
-        gb = J.groebner()
         if J.is_unit():
             continue
-        branches = None
-        for g in gb:
-            branches = _branch_on_element(J, g)
-            if branches:
-                break
-        if branches is None:
-            for g in _eliminant_elements(J):
-                branches = _branch_on_element(J, g)
-                if branches:
-                    break
+        # basis elements first, then the eliminants, which also lie in J
+        candidates = chain(J.groebner(), (g for basis in _eliminant_bases(J) for g in basis))
+        branches = next(filter(None, (_branch_on_element(J, g) for g in candidates)), None)
         if branches:
             work.extend(branches)
         else:
@@ -778,21 +751,8 @@ def _certify_prime(J):
         # variables, so it is irreducible in the residue polynomial ring
         return True
     if J.dimension() == 0:
-        return _certify_zero_dimensional(J)
+        return all(len(basis) == 1 and is_irreducible(basis[0]) for basis in _eliminant_bases(J))
     return False
-
-
-def _certify_zero_dimensional(J):
-    ring = J.ring
-    for name in ring.vars:
-        others = [v for v in ring.vars if v != name]
-        E = eliminate(J, others)
-        gb = E.groebner()
-        if len(gb) != 1:
-            return False
-        if not is_irreducible(gb[0]):
-            return False
-    return True
 
 
 def decomposition_covers(I, components):
