@@ -709,7 +709,10 @@ def split_components(I):
     irreducible.  Output ideals are pairwise incomparable and carry
     certification per the known-prime classes: linear ideals, linear
     ideals plus one irreducible polynomial in the leftover variables, and
-    zero-dimensional ideals with irreducible eliminants in every variable.
+    zero-dimensional ideals J with an irreducible eliminant in some
+    variable whose degree is dim_Q ring/J (then ring/J is a field).  The
+    last rule is sound but incomplete: (x^2 - 2, y^2 - 3) is prime, and
+    no eliminant has degree 4, so it stays uncertified.
     """
     if I.is_unit():
         raise ValueError("the unit ideal has no components")
@@ -751,7 +754,14 @@ def _certify_prime(J):
         # variables, so it is irreducible in the residue polynomial ring
         return True
     if J.dimension() == 0:
-        return all(len(basis) == 1 and is_irreducible(basis[0]) for basis in _eliminant_bases(J))
+        # J meet Q[v] = (p) embeds Q[v]/(p) in ring/J; equal dimensions
+        # make it onto, and p irreducible makes it a field
+        n = quotient_dimension(J)
+        return any(
+            p.total_degree() == n and is_irreducible(p)
+            for basis in _eliminant_bases(J)
+            for p in basis
+        )
     return False
 
 

@@ -441,6 +441,22 @@ def test_split_nilpotent_line():
     assert comps[0].certified
 
 
+@pytest.mark.parametrize(
+    "gens, certified",
+    [
+        # (x - y)(x + y) lies in the ideal and neither factor does
+        (["x^2 - 2", "y^2 - 2"], False),
+        # the y-eliminant y^6 - 2 is irreducible of degree dim_Q ring/I = 6
+        (["x^3 - 2", "y^2 - x"], True),
+    ],
+)
+def test_zero_dimensional_certification(gens, certified):
+    ring = PolyRing(("x", "y"))
+    (comp,) = split_components(Ideal(ring, gens))
+    assert comp.ideal == Ideal(ring, gens)
+    assert comp.certified is certified
+
+
 @pytest.mark.parametrize("a,b,tau", [(2, 3, 2), (3, 2, 2)])
 def test_split_section7_partial_product(a, b, tau):
     ring = section7_ring()
