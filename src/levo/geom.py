@@ -165,12 +165,11 @@ class IntersectionRecord:
 
 
 class IntersectionResult:
-    __slots__ = ("cycle", "records", "proper")
+    __slots__ = ("cycle", "records")
 
     def __init__(self, cycle, records):
         self.cycle = cycle
         self.records = records
-        self.proper = True
 
 
 def intersect_hypersurface(E, g, seed=0):

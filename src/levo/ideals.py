@@ -392,13 +392,12 @@ def krull_dimension(ideal):
 
 def quotient_dimension(ideal):
     """dim_Q of ring/ideal as a vector space; None if not finite."""
-    gb = ideal.groebner()
     if ideal.is_unit():
         return 0
-    if krull_dimension(ideal) > 0:
+    if ideal.dimension() > 0:
         return None
     key = ideal.ring.key()
-    lms = [g.lead(key)[0] for g in gb]
+    lms = [g.lead(key)[0] for g in ideal.groebner()]
     n = ideal.ring.nvars
     origin = (0,) * n
     seen = {origin}

@@ -108,7 +108,7 @@ def vogel_decompose(G_k, f, seed=0, degree=0):
                 "input component V(%s) is not purely %d-dimensional"
                 % (", ".join(P.generator_strings()), nbase)
             )
-        if all(P.contains(g) for g in graph.gens):
+        if P.contains_ideal(graph):
             dropped.append(P)
             warnings.add(
                 "component inside the gradient graph dropped: V(%s)"
@@ -143,7 +143,7 @@ def vogel_decompose(G_k, f, seed=0, degree=0):
             records.append((j, record))
         inside, outside = {}, {}
         for W, coeff in result.cycle.items():
-            if all(W.contains(g) for g in graph.gens):
+            if W.contains_ideal(graph):
                 inside[W] = coeff
             elif W.plus(graph.gens).is_unit():
                 disjoint.append(W)
@@ -197,7 +197,7 @@ def _check_set_identity(start, graph, distinguished):
                     % ", ".join(W.generator_strings())
                 )
     for D in deltas:
-        if not all(D.contains(g) for g in graph.gens):
+        if not D.contains_ideal(graph):
             raise InternalError("distinguished component escapes the graph")
 
 
