@@ -7,7 +7,11 @@ the staircase, quotient vector-space dimension, radical membership, and
 decomposition into rational components by recursive factorization.
 
 Ideals are identified by the unique reduced grevlex basis, so equal
-ideals hash alike and can key cycle component maps.
+ideals hash alike and can key cycle component maps.  Inside the kernel
+a basis entry is a pair (leading monomial, term dict) with leading
+coefficient 1, and Buchberger's output is reduced in one sweep in
+ascending leading-monomial order.  `split_components` certifies a
+component prime only in the classes its docstring lists.
 
 Inside an `algebra_cache()` scope, `buchberger`, `split_components` and
 `factor_rational` remember their results by canonical input: the
