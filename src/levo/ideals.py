@@ -707,9 +707,11 @@ def split_components(I):
     with saturation between branches.
 
     Basis elements are factored first; if none splits, the univariate
-    eliminants are factored (they also lie in the ideal), which resolves
-    zero-dimensional loci whose basis elements are individually
-    irreducible.  Output ideals are pairwise incomparable and carry
+    eliminants are factored (they also lie in the ideal), which splits
+    some zero-dimensional loci whose basis elements are individually
+    irreducible.  Not all: every eliminant of (x^2 - 2, y^2 - 2) is
+    irreducible, so that non-prime ideal stays one uncertified
+    component.  Output ideals are pairwise incomparable and carry
     certification per the known-prime classes: linear ideals, linear
     ideals plus one irreducible polynomial in the leftover variables, and
     zero-dimensional ideals J with an irreducible eliminant in some
