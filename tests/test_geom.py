@@ -4,6 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levo.abgroups import Z, Zmod
 from levo.cycles import EnrichedCycle, empty_cycle
@@ -273,6 +276,39 @@ def test_conormal_dimension_invariant():
         out = conormal_ideal(I, ring)
         assert out.dimension() == n1
         assert out.contains_ideal(Ideal(ring, [map_poly(g, ring) for g in I.gens]))
+
+
+def _linear_closure(rows, point, base):
+    return Ideal(base, [base.linear_form(r, -sum(a * c for a, c in zip(r, point)))
+                        for r in rows])
+
+
+def _nullspace_conormal(closure, rows, ring):
+    """Conormal of the linear subspace {A (z - p) = 0}: its equations plus
+    one cotangent form per vector of the null space of A."""
+    n = len(ring.base_vars)
+    gens = [map_poly(g, ring) for g in closure.gens]
+    for v in sympy.Matrix(rows or [[0] * n]).nullspace():
+        gens.append(ring.linear_form([0] * n + [Fraction(str(c)) for c in v]))
+    return Ideal(ring, gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(2, 4))
+def test_conormal_of_linear_ideal_matches_null_space(seed, nvars):
+    # the bordered-Jacobian route against the tangent null space, on
+    # subspaces through a rational point, with redundant generators and
+    # the zero ideal among the inputs
+    rng = random.Random(seed)
+    names = ("x", "y", "z", "u")[:nvars]
+    ring = PolyRing(names, tuple("w_%d" % i for i in range(nvars)))
+    point = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in names]
+    rows = [[rng.randint(-3, 3) for _ in names] for _ in range(rng.randint(0, nvars))]
+    for _ in range(rng.randint(0, 2) if rows else 0):
+        a, b = rng.choice(rows), rng.choice(rows)
+        rows.append([rng.randint(-2, 2) * p + rng.randint(-2, 2) * q for p, q in zip(a, b)])
+    closure = _linear_closure(rows, point, ring.base_ring())
+    assert conormal_ideal(closure, ring) == _nullspace_conormal(closure, rows, ring)
 
 
 def test_relative_conormal_examples():

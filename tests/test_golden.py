@@ -25,6 +25,7 @@ JOBS = [
     ("retry", ["--retry", "3"], 0),
     ("polar_af_partition", [], 0),
     ("polar_gecc", [], 0),
+    ("polar_curve", [], 0),
 ]
 
 
