@@ -542,10 +542,12 @@ def saturate(I, g):
 
 
 def saturate_ideal(I, J):
-    """I : J^infinity, the intersection of the saturations by the
-    non-constant generators of J."""
-    sats = [saturate(I, g) for g in J.gens if not g.is_constant()]
-    return reduce(intersect, sats) if sats else I
+    """I : J^infinity for a nonzero J: the intersection of the
+    saturations by the generators of J, and I itself when some generator
+    is a nonzero constant, since J is then the unit ideal."""
+    if any(g.is_constant() for g in J.gens):
+        return I
+    return reduce(intersect, [saturate(I, g) for g in J.gens])
 
 
 def rational_point_of(I):

@@ -417,6 +417,20 @@ def test_cli_compute_retry_flag(tmp_path, capsys):
     assert main(["compute", "--input", path, "--retry", "3"]) == EXIT_CERTIFIED
 
 
+def test_redundant_closure_generators_give_the_same_report(tmp_path, capsys):
+    def report(origin):
+        doc = cusp_config()
+        doc["sheaf"]["strata"].append(
+            {"closure": origin, "morse": {"1": {"rank": 1, "torsion": []}}, "label": "origin"}
+        )
+        code = main(["compute", "--input", _write_config(tmp_path, doc)])
+        payload = json.loads(capsys.readouterr().out)
+        del payload["config"]
+        return code, payload
+
+    assert report(["x", "y", "x*y"]) == report(["x", "y"])
+
+
 def test_cli_check(tmp_path, capsys):
     path = _write_config(tmp_path, two_plane_config())
     code = main(["check", "--input", path])

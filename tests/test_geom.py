@@ -267,6 +267,13 @@ def test_conormal_singular_curve():
     assert not gens_at.is_unit()
 
 
+@pytest.mark.parametrize("gens", [["x", "y", "x*y"], ["x", "y", "x^2"]])
+def test_conormal_of_a_point_ignores_redundant_generators(gens):
+    ring = plane()
+    out = conormal_ideal(Ideal(ring.base_ring(), gens), ring)
+    assert out == Ideal(ring, ["x", "y"])
+
+
 def test_conormal_dimension_invariant():
     ring = space()
     base = ring.base_ring()

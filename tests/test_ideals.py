@@ -25,6 +25,7 @@ from levo.ideals import (
     quotient_dimension,
     radical_member,
     saturate,
+    saturate_ideal,
     split_components,
 )
 from levo.poly import (
@@ -274,6 +275,14 @@ def test_saturate_examples():
     assert saturate(I, "x") == I
     with pytest.raises(ValueError):
         saturate(I, "0")
+
+
+def test_saturate_ideal_by_the_unit_ideal_is_the_identity():
+    # a constant generator makes J the unit ideal, and I : (1)^infinity = I
+    ring = PolyRing(("x", "y"))
+    I = Ideal(ring, ["x*y"])
+    assert saturate_ideal(I, Ideal(ring, ["1", "x"])) == I
+    assert saturate_ideal(I, Ideal(ring, ["x", "y"])) == I
 
 
 def _colon_by_division(I, g):
