@@ -266,19 +266,6 @@ def graph_ideal(f, full_ring):
     return Ideal(full_ring, gens)
 
 
-def _linear_coefficient_rows(gens, ring, columns):
-    rows = []
-    for g in gens:
-        row = []
-        for name in columns:
-            i = ring.index(name)
-            e = [0] * ring.nvars
-            e[i] = 1
-            row.append(g.terms.get(tuple(e), Fraction(0)))
-        rows.append(row)
-    return rows
-
-
 def row_reduce(rows, ncols):
     """Exact Gauss-Jordan elimination over the rationals, pivoting only in
     the first `ncols` columns; returns (reduced rows, pivot columns)."""
@@ -300,19 +287,6 @@ def row_reduce(rows, ncols):
                 m[i] = [a - f * b for a, b in zip(m[i], m[r])]
         pivots.append(c)
     return m, pivots
-
-
-def _nullspace(rows, ncols):
-    """Basis of the rational null space of the given coefficient rows."""
-    m, pivots = row_reduce(rows, ncols)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(v)
-    return basis
 
 
 def _is_linear_ideal(I):
@@ -350,42 +324,43 @@ def _det(m):
     return total
 
 
+def _bordered_conormal(I, extra_rows, full_ring):
+    """Conormal-type ideal of V(I) bordered by extra covector rows.
+
+    The generators of I lifted to the full ring plus the
+    (codim + 1 + len(extra_rows))-minors of the Jacobian of I stacked on
+    the extra rows and the row of cotangent variables; then, for each
+    r = 0..len(extra_rows), saturated by the nonzero (codim + r)-minors
+    of the Jacobian stacked on the first r extra rows.
+    """
+    lifted = map_ideal(I, full_ring)
+    base = full_ring.base_vars
+    codim = len(base) - I.dimension()
+    jac = [[g.diff(z) for z in base] for g in lifted.gens]
+    w_row = [full_ring.var(w) for w in full_ring.cotangent_vars]
+    size = codim + 1 + len(extra_rows)
+    cone = Ideal(full_ring, list(lifted.gens) + _minor_dets(jac + extra_rows + [w_row], size))
+    for r in range(len(extra_rows) + 1):
+        sing = [p for p in _minor_dets(jac + extra_rows[:r], codim + r) if not p.is_zero()]
+        if sing:
+            cone = saturate_ideal(cone, Ideal(full_ring, sing))
+    return cone
+
+
 def conormal_ideal(I, full_ring):
     """Ideal of the closure of the conormal to the smooth part of V(I).
 
-    For the zero ideal this is the zero section; for linear ideals the
-    fibre conditions come from the tangent null space; otherwise the
-    bordered-Jacobian minors saturated by the singular-locus minors.
+    Covectors at a smooth point of the top-dimensional part of V(I)
+    that vanish on its tangent space: the bordered-Jacobian minors,
+    saturated by the singular-locus minors.  The zero ideal gives the
+    zero section and a linear ideal the subspace times its annihilator,
+    both without special handling.
     """
     if not full_ring.cotangent_vars:
         raise InputError("ring carries no cotangent block")
     if I.is_unit():
         raise InputError("conormal of the empty locus")
-    lifted = map_ideal(I, full_ring)
-    base = full_ring.base_vars
-    cot = full_ring.cotangent_vars
-    if I.is_zero():
-        return Ideal(full_ring, [full_ring.var(w) for w in cot])
-    if _is_linear_ideal(I):
-        rows = _linear_coefficient_rows(lifted.gens, full_ring, base)
-        gens = list(lifted.gens)
-        for v in _nullspace(rows, len(base)):
-            form = full_ring.zero()
-            for coeff, w in zip(v, cot):
-                if coeff:
-                    form = form + full_ring.var(w) * coeff
-            if not form.is_zero():
-                gens.append(form)
-        return Ideal(full_ring, gens)
-    codim = len(base) - I.dimension()
-    jac = [[g.diff(z) for z in base] for g in lifted.gens]
-    bordered = jac + [[full_ring.var(w) for w in cot]]
-    gens = list(lifted.gens) + _minor_dets(bordered, codim + 1)
-    cone = Ideal(full_ring, gens)
-    sing = [p for p in _minor_dets(jac, codim) if not p.is_zero()]
-    if not sing:
-        return cone
-    return saturate_ideal(cone, Ideal(full_ring, sing))
+    return _bordered_conormal(I, [], full_ring)
 
 
 def function_values_on(I, f):
@@ -420,8 +395,9 @@ def relative_conormal_ideal(I, f, full_ring):
     """Closure of the covectors annihilating ker(df) within the tangent
     spaces of the smooth part of V(I).
 
-    Rejects f constant on the locus.  Bordered-Jacobian construction
-    saturated by the singular minors and the locus where df is tangent.
+    Rejects f constant on the locus.  The bordered-Jacobian construction
+    of `conormal_ideal` with the row df added, saturated by the singular
+    minors and by the locus where df vanishes on the tangent space.
     """
     if not full_ring.cotangent_vars:
         raise InputError("ring carries no cotangent block")
@@ -432,21 +408,9 @@ def relative_conormal_ideal(I, f, full_ring):
     constant, _ = constant_value_on(base_I, f_base)
     if constant:
         raise InputError("function is constant on the locus; no relative conormal")
-    lifted = map_ideal(base_I, full_ring)
     flift = map_poly(f, full_ring)
-    base = full_ring.base_vars
-    cot = full_ring.cotangent_vars
-    codim = len(base) - base_I.dimension()
-    jac = [[g.diff(z) for z in base] for g in lifted.gens]
-    df_row = [flift.diff(z) for z in base]
-    w_row = [full_ring.var(w) for w in cot]
-    gens = list(lifted.gens) + _minor_dets(jac + [df_row, w_row], codim + 2)
-    cone = Ideal(full_ring, gens)
-    for minor_set in (_minor_dets(jac, codim), _minor_dets(jac + [df_row], codim + 1)):
-        nonzero = [p for p in minor_set if not p.is_zero()]
-        if nonzero:
-            cone = saturate_ideal(cone, Ideal(full_ring, nonzero))
-    return cone
+    df_row = [flift.diff(z) for z in full_ring.base_vars]
+    return _bordered_conormal(base_I, [df_row], full_ring)
 
 
 def graph_pushforward(E, f):
