@@ -243,7 +243,6 @@ class PreparedJob:
     spec: SheafSpec
     f: Polynomial
     point: tuple
-    strata_conormals: list
     af_partition: list | None
     cfg: JobConfig
 
@@ -291,7 +290,6 @@ def prepare_job(cfg):
         sum(cfg.matrix[i][j] * cfg.point[j] for j in range(n)) for i in range(n)
     )
 
-    strata_conormals = []
     if "strata" in cfg.sheaf:
         strata = []
         for idx, s in enumerate(cfg.sheaf["strata"]):
@@ -330,12 +328,6 @@ def prepare_job(cfg):
                 raise InputError("%s: %s" % (path, exc))
             strata.append(stratum)
         spec = SheafSpec(ring, strata=strata)
-        for s in strata:
-            if s.is_visible():
-                con = s.conormal if s.conormal is not None else conormal_ideal(
-                    s.closure, ring
-                )
-                strata_conormals.append((s.label, con))
     else:
         gecc_raw = cfg.sheaf["gecc"]
         if not isinstance(gecc_raw, dict):
@@ -373,7 +365,7 @@ def prepare_job(cfg):
                          for j, g in enumerate(gens)])
             for i, gens in enumerate(cfg.af_partition)
         ]
-    return PreparedJob(ring, base, spec, f, point, strata_conormals, af_partition, cfg)
+    return PreparedJob(ring, base, spec, f, point, af_partition, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +455,9 @@ def _run_once(job):
         gamma[str(m)] = [I.generator_strings() for I in gms]
 
     transversality = {}
-    for label, con in job.strata_conormals:
+    for stratum, con in job.spec.conormals:
         per_i, verdict = essential_transversality(con, job.point, job.ring)
-        transversality[label] = {"per_index": per_i, "verdict": verdict}
+        transversality[stratum.label] = {"per_index": per_i, "verdict": verdict}
 
     assertions = _support_assertions(job, G, support, crit)
 

@@ -50,9 +50,15 @@ class StratumSpec:
 
 
 class SheafSpec:
-    """Either a list of strata or a directly supplied graded cycle."""
+    """Either a list of strata or a directly supplied graded cycle.
 
-    __slots__ = ("strata", "direct", "ring")
+    In strata mode `conormals` pairs each visible stratum, in input
+    order, with its conormal ideal: the explicit one, or the conormal of
+    the closure, which must have the dimension of the base.  It is the
+    one place a stratum's conormal is resolved; direct mode has none.
+    """
+
+    __slots__ = ("strata", "direct", "ring", "conormals")
 
     def __init__(self, ring, strata=None, direct=None):
         if (strata is None) == (direct is None):
@@ -60,13 +66,28 @@ class SheafSpec:
         self.ring = ring
         self.strata = list(strata) if strata is not None else None
         self.direct = direct
-        if self.strata is not None:
-            seen = set()
-            for s in self.strata:
-                c = s.conormal.key() if s.conormal is not None else ("closure", s.closure.key())
-                if c in seen:
-                    raise InputError("strata must have pairwise distinct conormals")
-                seen.add(c)
+        self.conormals = []
+        if self.strata is None:
+            return
+        seen = set()
+        for s in self.strata:
+            c = s.conormal.key() if s.conormal is not None else ("closure", s.closure.key())
+            if c in seen:
+                raise InputError("strata must have pairwise distinct conormals")
+            seen.add(c)
+        for s in self.strata:
+            if not s.is_visible():
+                continue
+            con = s.conormal
+            if con is None:
+                con = conormal_ideal(s.closure, ring)
+                if con.dimension() != len(ring.base_vars):
+                    raise InputError(
+                        "conormal computation failed for %s: got dimension %d; "
+                        "supply the conormal ideal explicitly"
+                        % (s.label, con.dimension())
+                    )
+            self.conormals.append((s, con))
 
     def in_strata_mode(self):
         return self.strata is not None
@@ -81,20 +102,8 @@ def build_gecc(spec):
     if not spec.in_strata_mode():
         return spec.direct
     ring = spec.ring
-    nbase = len(ring.base_vars)
     by_degree = {}
-    for stratum in spec.strata:
-        if not stratum.is_visible():
-            continue
-        con = stratum.conormal
-        if con is None:
-            con = conormal_ideal(stratum.closure, ring)
-            if con.dimension() != nbase:
-                raise InputError(
-                    "conormal computation failed for %s: got dimension %d; "
-                    "supply the conormal ideal explicitly"
-                    % (stratum.label, con.dimension())
-                )
+    for stratum, con in spec.conormals:
         for k, module in stratum.morse.items():
             piece = by_degree.setdefault(k, {})
             piece[con] = piece[con].dsum(module) if con in piece else module

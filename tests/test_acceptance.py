@@ -284,8 +284,9 @@ def test_criterion_5_two_route_equivalence():
                     continue
                 cert = isolating_certificate(packages, trial.point, n + 1)
                 if cert.status == "proper-uncertified":
+                    conormals = [(s.label, con) for s, con in trial.spec.conormals]
                     cert, _ = upgrade_by_transversality(
-                        cert, trial.strata_conormals, trial.point, trial.ring
+                        cert, conormals, trial.point, trial.ring
                     )
                 if cert.status == "certified":
                     job = (trial, packages)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from levo import ideals
+from levo import cli, gecc, ideals
 from levo.cli import (
     EXIT_CERTIFIED,
     EXIT_GENERICITY,
@@ -294,6 +294,19 @@ def test_run_pipeline_cache_ends_with_the_run(cache_calls):
     assert caches[0] is not None and caches[0] is not caches[1]
 
 
+def test_each_visible_stratum_conormal_is_computed_once(monkeypatch):
+    closures = []
+
+    def spy(I, full_ring, _original=gecc.conormal_ideal):
+        closures.append(I)
+        return _original(I, full_ring)
+
+    for module in (cli, gecc):
+        monkeypatch.setattr(module, "conormal_ideal", spy)
+    run_pipeline(parse_config(json.dumps(two_plane_config())))
+    assert len(closures) == 3 and len(set(closures)) == 3
+
+
 def test_randomize_coordinates_deterministic():
     cfg = parse_config(json.dumps(cusp_config()))
     a = randomize_coordinates(cfg, 42)
@@ -429,6 +442,16 @@ def test_redundant_closure_generators_give_the_same_report(tmp_path, capsys):
         return code, payload
 
     assert report(["x", "y", "x*y"]) == report(["x", "y"])
+
+
+def test_failed_conormal_is_an_input_error(tmp_path, capsys):
+    # the conormal of the non-reduced closure V(x^2) comes out empty
+    doc = cusp_config()
+    doc["sheaf"]["strata"].append(
+        {"closure": ["x^2"], "morse": {"1": {"rank": 1, "torsion": []}}, "label": "line"}
+    )
+    assert main(["compute", "--input", _write_config(tmp_path, doc)]) == EXIT_INPUT
+    assert "conormal computation failed for line" in capsys.readouterr().err
 
 
 def test_cli_check(tmp_path, capsys):
