@@ -485,7 +485,7 @@ def _run_once(job):
         report["failure"] = str(exc)
         return report, EXIT_GENERICITY
 
-    cert = isolating_certificate(packages, job.point, n + 1)
+    cert = isolating_certificate(packages, job.point)
     if cert.status == "failed":
         report["certificate"] = cert.to_json()
         return report, EXIT_GENERICITY

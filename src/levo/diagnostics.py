@@ -55,7 +55,7 @@ def failed_certificate(stage, d=None):
     return GenericityCertificate("failed", d, _stage_json(stage), [])
 
 
-def isolating_certificate(packages, point, nvars):
+def isolating_certificate(packages, point):
     """Certificate from a completed run.
 
     d is the largest dimension at the point among the base images of the

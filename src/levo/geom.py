@@ -363,26 +363,20 @@ def conormal_ideal(I, full_ring):
     return _bordered_conormal(I, [], full_ring)
 
 
-def function_values_on(I, f):
-    """None when f is dominant (non-constant) on V(I); otherwise the monic
-    univariate eliminant whose roots are the values of f."""
+def constant_value_on(I, f):
+    """(is_constant, rational value or None) for f restricted to V(I).
+
+    f is constant on V(I) exactly when I + (t - f) has a nonzero
+    eliminant in t; its roots are the values of f."""
     ring = I.ring
     (tname,) = _fresh_names(set(ring.vars), "_v", 1)
     ext = PolyRing(ring.vars + (tname,))
     gens = [map_poly(g, ext) for g in I.gens]
     gens.append(ext.var(tname) - map_poly(f, ext))
-    values = eliminate(Ideal(ext, gens), set(ring.vars))
-    gb = values.groebner()
-    if not gb:
-        return None
-    return gb[0]
-
-
-def constant_value_on(I, f):
-    """(is_constant, rational value or None) for f restricted to V(I)."""
-    eliminant = function_values_on(I, f)
-    if eliminant is None:
+    values = eliminate(Ideal(ext, gens), set(ring.vars)).groebner()
+    if not values:
         return False, None
+    eliminant = values[0]
     if eliminant.total_degree() == 1:
         # monic t - c
         const = -eliminant.terms.get((0,) * eliminant.ring.nvars, Fraction(0))

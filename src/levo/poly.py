@@ -202,15 +202,6 @@ class Polynomial:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def variables(self):
-        """Names of variables that actually occur."""
-        seen = set()
-        for m in self.terms:
-            for i, e in enumerate(m):
-                if e:
-                    seen.add(i)
-        return tuple(self.ring.vars[i] for i in sorted(seen))
-
     # -- arithmetic ------------------------------------------------------------
 
     def _check(self, other):

@@ -282,7 +282,7 @@ def test_criterion_5_two_route_equivalence():
                     packages = polar_package(G, trial.point, seed=13)
                 except GenericityError:
                     continue
-                cert = isolating_certificate(packages, trial.point, n + 1)
+                cert = isolating_certificate(packages, trial.point)
                 if cert.status == "proper-uncertified":
                     conormals = [(s.label, con) for s, con in trial.spec.conormals]
                     cert, _ = upgrade_by_transversality(

@@ -42,7 +42,7 @@ def _two_plane_packages(a=2, b=2, gm=2, dl=2, tau=2, seed=11):
 
 def test_certificate_two_planes_certified_dimension_one():
     packages = _two_plane_packages()
-    cert = isolating_certificate(packages, (0, 0, 0, 0), 4)
+    cert = isolating_certificate(packages, (0, 0, 0, 0))
     assert cert.status == "certified"
     assert cert.d == 1
     assert cert.failing_stage is None
@@ -53,7 +53,7 @@ def test_certificate_cusp_certified_dimension_zero():
     base = ring.base_ring()
     G = build_gecc(constant_sheaf_spec(ring))
     packages = decompose_all_degrees(G, base.parse("x^2 + y^3"), (0, 0), seed=5)
-    cert = isolating_certificate(packages, (0, 0), 2)
+    cert = isolating_certificate(packages, (0, 0))
     assert cert.status == "certified" and cert.d == 0
 
 
