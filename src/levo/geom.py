@@ -353,8 +353,7 @@ def conormal_ideal(I, full_ring):
     Covectors at a smooth point of the top-dimensional part of V(I)
     that vanish on its tangent space: the bordered-Jacobian minors,
     saturated by the singular-locus minors.  The zero ideal gives the
-    zero section and a linear ideal the subspace times its annihilator,
-    both without special handling.
+    zero section, a linear ideal the subspace times its annihilator.
     """
     if not full_ring.cotangent_vars:
         raise InputError("ring carries no cotangent block")

@@ -445,7 +445,8 @@ def test_redundant_closure_generators_give_the_same_report(tmp_path, capsys):
 
 
 def test_failed_conormal_is_an_input_error(tmp_path, capsys):
-    # the conormal of the non-reduced closure V(x^2) comes out empty
+    # the construction needs reduced closure generators: for x^2 the
+    # conormal comes out empty
     doc = cusp_config()
     doc["sheaf"]["strata"].append(
         {"closure": ["x^2"], "morse": {"1": {"rank": 1, "torsion": []}}, "label": "line"}
