@@ -29,7 +29,6 @@ from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import chain
 
 import sympy
 
@@ -695,31 +694,27 @@ def _branch_on_element(J, g):
     return None
 
 
-def _eliminant_bases(J):
-    """Lazily, per variable v in ring order: the reduced basis of J
-    meet Q[v] (empty or one polynomial), mapped into J's ring."""
-    ring = J.ring
-    for name in ring.vars:
-        E = eliminate(J, [v for v in ring.vars if v != name])
-        yield [map_poly(g, ring) for g in E.groebner()]
-
-
 def split_components(I):
     """Minimal rational components of V(I) by recursive factorization
     with saturation between branches.
 
-    Basis elements are factored first; if none splits, the univariate
-    eliminants are factored (they also lie in the ideal), which splits
-    some zero-dimensional loci whose basis elements are individually
-    irreducible.  Not all: every eliminant of (x^2 - 2, y^2 - 2) is
-    irreducible, so that non-prime ideal stays one uncertified
-    component.  Output ideals are pairwise incomparable and carry
-    certification per the known-prime classes: linear ideals, linear
-    ideals plus one irreducible polynomial in the leftover variables, and
-    zero-dimensional ideals J with an irreducible eliminant in some
-    variable whose degree is dim_Q ring/J (then ring/J is a field).  The
-    last rule is sound but incomplete: (x^2 - 2, y^2 - 3) is prime, and
-    no eliminant has degree 4, so it stays uncertified.
+    Each branch J is decided by one scan that stops at the first branch
+    point or the first certificate.  These are the certified (prime)
+    classes:
+    - the zero ideal and linear ideals;
+    - a linear ideal plus one irreducible polynomial, which the reduced
+      basis keeps free of the linear leading variables;
+    - a zero-dimensional J whose eliminant p, the generator of J meet
+      Q[v] for some v, is irreducible of degree dim_Q ring/J: the field
+      Q[v]/(p) embeds in ring/J, and equal dimensions make it onto.
+    The scan tries these basis rules first, then the basis elements as
+    branch points, then per variable in ring order the eliminant, first
+    as a branch point and then by the last rule.  A certificate ends the
+    scan, which hides no branch: a prime J has none.
+    Splitting is incomplete: every eliminant of the non-prime
+    (x^2 - 2, y^2 - 2) is irreducible, so it stays one uncertified
+    component.  So is certification: (x^2 - 2, y^2 - 3) is prime, but no
+    eliminant has degree 4.  Output ideals are pairwise incomparable.
     """
     if I.is_unit():
         raise ValueError("the unit ideal has no components")
@@ -738,37 +733,36 @@ def _split(I):
         J = work.pop()
         if J.is_unit():
             continue
-        # basis elements first, then the eliminants, which also lie in J
-        candidates = chain(J.groebner(), (g for basis in _eliminant_bases(J) for g in basis))
-        branches = next(filter(None, (_branch_on_element(J, g) for g in candidates)), None)
-        if branches:
-            work.extend(branches)
+        branches = _branch_or_certify(J)
+        if isinstance(branches, bool):
+            found.setdefault(J.key(), Component(J, branches))
         else:
-            found.setdefault(J.key(), J)
+            work.extend(branches)
+    return [found[J.key()] for J in maximal_loci(c.ideal for c in found.values())]
 
-    return [Component(J, _certify_prime(J)) for J in maximal_loci(found.values())]
 
-
-def _certify_prime(J):
+def _branch_or_certify(J):
+    """Branches covering V(J), or whether J is certified prime, by the
+    scan `split_components` describes."""
     gb = J.groebner()
-    if not gb:
-        return True  # the zero ideal of an integral ring
     nonlinear = [g for g in gb if g.total_degree() > 1]
-    if not nonlinear:
-        return True  # linear ideals are prime
-    if len(nonlinear) == 1 and is_irreducible(nonlinear[0]):
-        # reduced basis: the nonlinear element avoids the linear leading
-        # variables, so it is irreducible in the residue polynomial ring
+    if not nonlinear or (len(nonlinear) == 1 and is_irreducible(nonlinear[0])):
         return True
-    if J.dimension() == 0:
-        # J meet Q[v] = (p) embeds Q[v]/(p) in ring/J; equal dimensions
-        # make it onto, and p irreducible makes it a field
-        n = quotient_dimension(J)
-        return any(
-            p.total_degree() == n and is_irreducible(p)
-            for basis in _eliminant_bases(J)
-            for p in basis
-        )
+    for g in gb:
+        branches = _branch_on_element(J, g)
+        if branches:
+            return branches
+    n = quotient_dimension(J)  # None unless J is zero-dimensional
+    ring = J.ring
+    for name in ring.vars:
+        # the reduced basis of J meet Q[name]: empty or one polynomial
+        for p in eliminate(J, [v for v in ring.vars if v != name]).groebner():
+            p = map_poly(p, ring)
+            branches = _branch_on_element(J, p)
+            if branches:
+                return branches
+            if p.total_degree() == n and is_irreducible(p):
+                return True
     return False
 
 

@@ -492,13 +492,7 @@ def _irrational_points_ideal(rng, ring):
     return gens
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10**6),
-    nvars=st.integers(2, 3),
-    irrational=st.booleans(),
-)
-def test_split_components_cover_and_incomparable(seed, nvars, irrational):
+def _split_input(seed, nvars, irrational):
     rng = random.Random(seed)
     ring = PolyRing(("x", "y", "z")[:nvars])
     if irrational:
@@ -507,6 +501,20 @@ def test_split_components_cover_and_incomparable(seed, nvars, irrational):
         gens = [random_polynomial(ring, rng) for _ in range(rng.randint(1, nvars))]
     I = Ideal(ring, gens)
     assume(not I.is_unit() and not I.is_zero())
+    return I
+
+
+SPLIT_INPUTS = dict(
+    seed=st.integers(min_value=0, max_value=10**6),
+    nvars=st.integers(2, 3),
+    irrational=st.booleans(),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(**SPLIT_INPUTS)
+def test_split_components_cover_and_incomparable(seed, nvars, irrational):
+    I = _split_input(seed, nvars, irrational)
     comps = split_components(I)
     assert comps
     assert decomposition_covers(I, comps)
@@ -514,6 +522,78 @@ def test_split_components_cover_and_incomparable(seed, nvars, irrational):
         for d in comps:
             if c is not d:
                 assert not c.ideal.contains_ideal(d.ideal)
+
+
+def _two_pass_split(I):
+    """Reference: every branch that will not split is a leaf, found after
+    trying all basis elements and eliminants, and the maximal leaves are
+    certified in a second walk over the same eliminants."""
+
+    def eliminant_bases(J):
+        ring = J.ring
+        for name in ring.vars:
+            E = eliminate(J, [v for v in ring.vars if v != name])
+            yield [map_poly(g, ring) for g in E.groebner()]
+
+    def certify(J):
+        gb = J.groebner()
+        nonlinear = [g for g in gb if g.total_degree() > 1]
+        if not nonlinear or (len(nonlinear) == 1 and is_irreducible(nonlinear[0])):
+            return True
+        if J.dimension() == 0:
+            n = quotient_dimension(J)
+            return any(
+                p.total_degree() == n and is_irreducible(p)
+                for basis in eliminant_bases(J)
+                for p in basis
+            )
+        return False
+
+    found = {}
+    work = [I]
+    while work:
+        J = work.pop()
+        if J.is_unit():
+            continue
+        candidates = itertools.chain(
+            J.groebner(), (g for basis in eliminant_bases(J) for g in basis)
+        )
+        branches = next(
+            filter(None, (ideals._branch_on_element(J, g) for g in candidates)), None
+        )
+        if branches:
+            work.extend(branches)
+        else:
+            found.setdefault(J.key(), J)
+    return [(J, certify(J)) for J in ideals.maximal_loci(found.values())]
+
+
+@settings(max_examples=30, deadline=None)
+@given(**SPLIT_INPUTS)
+def test_one_scan_split_matches_two_pass_reference(seed, nvars, irrational):
+    I = _split_input(seed, nvars, irrational)
+    got = [(c.ideal, c.certified) for c in split_components(I)]
+    assert got == _two_pass_split(I)
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        ["x - 2*y", "z + w_0", "w_1", "w_2"],
+        ["x - y - 1", "w_0 - x", "w_1", "w_2"],
+        ["x - 2*y", "z^3 - y*z + 1", "w_0", "w_1", "w_2"],
+    ],
+)
+def test_certified_basis_splits_without_eliminants(monkeypatch, gens):
+    ring = PolyRing(("x", "y", "z"), ("w_0", "w_1", "w_2"))
+    calls = []
+    real = ideals.eliminate
+    monkeypatch.setattr(
+        ideals, "eliminate", lambda *args: calls.append(args) or real(*args)
+    )
+    I = Ideal(ring, gens)
+    assert [(c.ideal, c.certified) for c in split_components(I)] == [(I, True)]
+    assert calls == []
 
 
 def test_split_rejects_unit():
