@@ -40,6 +40,7 @@ from .ideals import (
 from .poly import PolyRing, Polynomial
 
 SLICE_COEFF_BOUND = 50
+SLICE_ROUNDS = 12
 
 
 def _child_seed(seed, *branch):
@@ -75,16 +76,17 @@ def _witnesses(W, others):
 
 
 def _sliced_length(P, g, W, witnesses, forms):
-    """Length ratio for one slice; None signals a bad slice, "nonintegral"
-    a ratio that failed to divide."""
+    """Length ratio for one slice; "miss" when the slice misses W (W plus
+    the slice is empty or not finite), None for another bad slice,
+    "nonintegral" for a ratio that failed to divide."""
+    den = quotient_dimension(W.plus(forms))
+    if not den:
+        return "miss"
     Q = P.plus((g,) + forms)
     for h in witnesses:
         Q = saturate(Q, h)
     num = quotient_dimension(Q)
-    if num is None or num == 0:
-        return None
-    den = quotient_dimension(W.plus(forms))
-    if den is None or den == 0:
+    if not num:
         return None
     if num % den:
         return "nonintegral"
@@ -98,8 +100,9 @@ def multiplicity_along(P, g, W, seed=0, others=None):
     Cuts W down to points with random affine-linear slices, removes the
     other components by saturation against witness polynomials, and
     divides the sliced length by the degree of W.  Two independent slices
-    must agree; three rounds of retries are allowed before the slice
-    choice is declared non-generic.
+    must agree.  A round in which either slice misses W is drawn again
+    without counting; after three counted rounds, or SLICE_ROUNDS rounds
+    in all, the slice choice is declared non-generic.
     """
     if isinstance(g, str):
         g = P.ring.parse(g)
@@ -115,13 +118,13 @@ def multiplicity_along(P, g, W, seed=0, others=None):
         m = _sliced_length(P, g, W, witnesses, ())
         if m == "nonintegral":
             raise InternalError("non-integral multiplicity on a point component")
-        if m is None:
+        if not isinstance(m, int):
             raise InternalError("zero-dimensional slice degenerated")
         return m, []
 
-    nonintegral_everywhere = True
+    counted = []  # the (m1, m2) of each round whose slices both meet W
     seeds_used = []
-    for attempt in range(3):
+    for attempt in range(SLICE_ROUNDS):
         s1 = _child_seed(seed, attempt, 0)
         s2 = _child_seed(seed, attempt, 1)
         rng1, rng2 = random.Random(s1), random.Random(s2)
@@ -130,11 +133,13 @@ def multiplicity_along(P, g, W, seed=0, others=None):
         m1 = _sliced_length(P, g, W, witnesses, f1)
         m2 = _sliced_length(P, g, W, witnesses, f2)
         seeds_used.extend([s1, s2])
-        if not (m1 == "nonintegral" and m2 == "nonintegral"):
-            nonintegral_everywhere = False
         if m1 == m2 and isinstance(m1, int):
             return m1, seeds_used
-    if nonintegral_everywhere:
+        if "miss" not in (m1, m2):
+            counted.append((m1, m2))
+            if len(counted) == 3:
+                break
+    if counted and all(r == ("nonintegral", "nonintegral") for r in counted):
         raise InternalError(
             "persistent non-integral multiplicity along %r" % (W,)
         )

@@ -455,6 +455,29 @@ def test_failed_conormal_is_an_input_error(tmp_path, capsys):
     assert "conormal computation failed for line" in capsys.readouterr().err
 
 
+def test_slices_missing_the_component_are_drawn_again(tmp_path, capsys):
+    # three of the first six slices along the critical line x - 1/2*y are
+    # parallel to it; they must not use up the slice rounds
+    doc = {
+        "variables": ["x", "y"],
+        "sheaf": {
+            "strata": [
+                {"closure": ["x"], "morse": {"0": {"rank": 2, "torsion": [4]}}},
+                {"closure": ["x", "y"], "morse": {"2": {"rank": 2, "torsion": []}}},
+            ]
+        },
+        "point": [0, 0],
+        "coordinate_order": [[3, -1], [1, -2]],
+        "seed": 505183007,
+    }
+    assert main(["compute", "--input", _write_config(tmp_path, doc)]) == EXIT_CERTIFIED
+    report = json.loads(capsys.readouterr().out)
+    assert report["polar_modules"] == {
+        "0": {"1": {"rank": 2, "torsion": [4]}},
+        "2": {"0": {"rank": 2, "torsion": []}},
+    }
+
+
 def test_cli_check(tmp_path, capsys):
     path = _write_config(tmp_path, two_plane_config())
     code = main(["check", "--input", path])
