@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -75,11 +76,16 @@ def _fail(path, message):
     raise InputError("%s: %s" % (path, message))
 
 
+def _is_int(value):
+    """A JSON integer; JSON true and false are Python ints but not these."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _as_fraction(value, path):
     try:
         if isinstance(value, str):
             return Fraction(value)
-        if isinstance(value, int):
+        if _is_int(value):
             return Fraction(value)
     except (ValueError, ZeroDivisionError):
         pass
@@ -91,13 +97,21 @@ def _as_group(obj, path, rank_only=False):
         _fail(path, "expected {rank, torsion[]}")
     rank = obj.get("rank", 0)
     torsion = obj.get("torsion", [])
-    if not isinstance(rank, int) or rank < 0:
+    if not _is_int(rank) or rank < 0:
         _fail(path + ".rank", "expected a non-negative integer")
     if not isinstance(torsion, list) or not all(
-        isinstance(d, int) and d >= 2 for d in torsion
+        _is_int(d) and d >= 2 for d in torsion
     ):
         _fail(path + ".torsion", "expected a list of integers >= 2")
     return AbGroup(rank, () if rank_only else tuple(torsion))
+
+
+def _as_degree(key, path):
+    """A degree key: an optionally signed run of ASCII digits, which int()
+    alone would widen to "1_0", " 1" and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", str(key)):
+        _fail(path, "degree keys must be integers")
+    return int(key)
 
 
 def _identity(n):
@@ -147,7 +161,9 @@ def parse_config(text_or_dict):
     if not isinstance(sheaf, dict) or ("strata" in sheaf) == ("gecc" in sheaf):
         _fail("sheaf", "expected exactly one of {strata: [...]} or {gecc: {...}}")
 
-    rank_only = bool(doc.get("rank_only", False))
+    rank_only = doc.get("rank_only", False)
+    if not isinstance(rank_only, bool):
+        _fail("rank_only", "expected true or false")
 
     function = doc.get("function")
     if function is None:
@@ -184,7 +200,7 @@ def parse_config(text_or_dict):
             _fail("coordinate_order", "expected a permutation or a matrix")
 
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int):
+    if not _is_int(seed):
         _fail("seed", "expected an integer")
 
     fmt = doc.get("format", "json")
@@ -192,7 +208,7 @@ def parse_config(text_or_dict):
         _fail("format", "expected 'json' or 'text'")
 
     expected_euler = doc.get("expected_euler")
-    if expected_euler is not None and not isinstance(expected_euler, int):
+    if expected_euler is not None and not _is_int(expected_euler):
         _fail("expected_euler", "expected an integer")
 
     af_partition = doc.get("af_partition")
@@ -292,6 +308,9 @@ def prepare_job(cfg):
 
     if "strata" in cfg.sheaf:
         strata = []
+        labelled = {}
+        if not isinstance(cfg.sheaf["strata"], list):
+            _fail("sheaf.strata", "expected a list of strata")
         for idx, s in enumerate(cfg.sheaf["strata"]):
             path = "sheaf.strata[%d]" % idx
             if not isinstance(s, dict):
@@ -304,6 +323,8 @@ def prepare_job(cfg):
             )
             conormal = None
             if s.get("conormal") is not None:
+                if not isinstance(s["conormal"], list):
+                    _fail(path + ".conormal", "expected a list of generator strings")
                 try:
                     conormal = Ideal(
                         ring, [transform_full(ring.parse(g)) for g in s["conormal"]]
@@ -313,19 +334,26 @@ def prepare_job(cfg):
             morse_raw = s.get("morse", {})
             if not isinstance(morse_raw, dict):
                 _fail(path + ".morse", "expected {degree: module}")
-            morse = {}
-            for key, mod in morse_raw.items():
-                try:
-                    k = int(key)
-                except ValueError:
-                    _fail(path + ".morse", "degree keys must be integers")
-                morse[k] = _as_group(mod, path + ".morse[%s]" % key, cfg.rank_only)
+            morse = {
+                _as_degree(key, path + ".morse"):
+                    _as_group(mod, path + ".morse[%s]" % key, cfg.rank_only)
+                for key, mod in morse_raw.items()
+            }
             dim = s.get("dimension")
+            if dim is not None and not _is_int(dim):
+                _fail(path + ".dimension", "expected an integer")
+            label = s.get("label")
+            if label is not None and not isinstance(label, str):
+                _fail(path + ".label", "expected a string")
             try:
                 stratum = StratumSpec(closure, morse, conormal=conormal, dim=dim,
-                                      label=s.get("label"))
+                                      label=label)
             except InputError as exc:
                 raise InputError("%s: %s" % (path, exc))
+            if stratum.label in labelled:
+                _fail(path + ".label", "%r is also the label of sheaf.strata[%d]"
+                      % (stratum.label, labelled[stratum.label]))
+            labelled[stratum.label] = idx
             strata.append(stratum)
         spec = SheafSpec(ring, strata=strata)
     else:
@@ -335,10 +363,7 @@ def prepare_job(cfg):
         by_degree = {}
         for key, comp_list in gecc_raw.items():
             path = "sheaf.gecc[%s]" % key
-            try:
-                k = int(key)
-            except ValueError:
-                _fail("sheaf.gecc", "degree keys must be integers")
+            k = _as_degree(key, "sheaf.gecc")
             if not isinstance(comp_list, list):
                 _fail(path, "expected a list of components")
             comps = {}

@@ -455,6 +455,52 @@ def test_failed_conormal_is_an_input_error(tmp_path, capsys):
     assert "conormal computation failed for line" in capsys.readouterr().err
 
 
+def _stratum(doc, **fields):
+    doc["sheaf"]["strata"][0].update(fields)
+    return doc
+
+
+def _second_stratum_labelled_s(doc):
+    _stratum(doc, label="s")
+    doc["sheaf"]["strata"].append(
+        {"closure": ["x", "y"], "morse": {"1": {"rank": 1, "torsion": []}}, "label": "s"}
+    )
+    return doc
+
+
+def _direct_gecc(doc):
+    doc["sheaf"] = {"gecc": {"1_0": [{"ideal": ["w_0", "w_1"], "module": {"rank": 1}}]}}
+    return doc
+
+
+# (case, change to the cusp job, path the message must start with)
+BAD_FIELDS = [
+    ("rank_only-string", lambda d: dict(d, rank_only="false"), "rank_only"),
+    ("label-number", lambda d: _stratum(d, label=5), "sheaf.strata[0].label"),
+    ("label-list", lambda d: _stratum(d, label=["a"]), "sheaf.strata[0].label"),
+    ("label-repeated", _second_stratum_labelled_s, "sheaf.strata[1].label"),
+    ("seed-true", lambda d: dict(d, seed=True), "seed"),
+    ("expected_euler-true", lambda d: dict(d, expected_euler=True), "expected_euler"),
+    ("point-true", lambda d: dict(d, point=[True, 0]), "point[0]"),
+    ("morse-rank-true", lambda d: _stratum(d, morse={"2": {"rank": True}}),
+     "sheaf.strata[0].morse[2].rank"),
+    ("morse-degree-underscore", lambda d: _stratum(d, morse={"1_0": {"rank": 1}}),
+     "sheaf.strata[0].morse"),
+    ("gecc-degree-underscore", _direct_gecc, "sheaf.gecc"),
+    ("dimension-string", lambda d: _stratum(d, dimension="2"), "sheaf.strata[0].dimension"),
+    ("strata-number", lambda d: dict(d, sheaf={"strata": 5}), "sheaf.strata"),
+    ("conormal-number", lambda d: _stratum(d, conormal=5), "sheaf.strata[0].conormal"),
+]
+
+
+@pytest.mark.parametrize("change, path", [c[1:] for c in BAD_FIELDS],
+                         ids=[c[0] for c in BAD_FIELDS])
+def test_malformed_field_is_an_input_error_naming_its_path(tmp_path, capsys, change, path):
+    doc = change(cusp_config())
+    assert main(["compute", "--input", _write_config(tmp_path, doc)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error: %s: " % path)
+
+
 def test_slices_missing_the_component_are_drawn_again(tmp_path, capsys):
     # three of the first six slices along the critical line x - 1/2*y are
     # parallel to it; they must not use up the slice rounds
