@@ -590,13 +590,18 @@ def _group_str(mod):
     return str(g)
 
 
+def _gecc_lines(gecc):
+    out = ["gecc:"]
+    for k in sorted(gecc, key=int):
+        for line in _cycle_lines(gecc[k]):
+            out.append("  degree %s: %s" % (k, line))
+    return out
+
+
 def report_to_text(report):
     out = []
     out.append("mode: %s" % report["mode"])
-    out.append("gecc:")
-    for k in sorted(report["gecc"], key=int):
-        for line in _cycle_lines(report["gecc"][k]):
-            out.append("  degree %s: %s" % (k, line))
+    out.extend(_gecc_lines(report["gecc"]))
     if "critical_locus" in report:
         out.append("critical locus:")
         for c in report["critical_locus"]:
@@ -715,11 +720,7 @@ def main(argv=None):
                 "warnings": sorted(G.warnings()),
             }
             if cfg.fmt == "text":
-                lines = ["gecc:"]
-                for k in sorted(subset["gecc"], key=int):
-                    for line in _cycle_lines(subset["gecc"][k]):
-                        lines.append("  degree %s: %s" % (k, line))
-                sys.stdout.write("\n".join(lines) + "\n")
+                sys.stdout.write("\n".join(_gecc_lines(subset["gecc"])) + "\n")
             else:
                 sys.stdout.write(json.dumps(subset, sort_keys=True, indent=2) + "\n")
             return EXIT_CERTIFIED

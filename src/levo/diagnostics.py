@@ -69,14 +69,10 @@ def isolating_certificate(packages, point):
     for k, pkg in sorted(packages.items()):
         for j, lam in sorted(pkg.cycles.items()):
             for W in lam.support():
-                if W.vanishes_at(point):
-                    wd = W.dimension()
-                    d = wd if d is None else max(d, wd)
-    for k, pkg in sorted(packages.items()):
-        for j, lam in sorted(pkg.cycles.items()):
-            for W in lam.support():
                 if not W.vanishes_at(point):
                     continue
+                wd = W.dimension()
+                d = wd if d is None else max(d, wd)
                 ok = _isolated_after_slicing(W, point, j)
                 checks.append(
                     {
