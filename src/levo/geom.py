@@ -118,7 +118,7 @@ def multiplicity_along(P, g, W, seed=0, others=None):
         m = _sliced_length(P, g, W, witnesses, ())
         if m == "nonintegral":
             raise InternalError("non-integral multiplicity on a point component")
-        if not isinstance(m, int):
+        if m is None:
             raise InternalError("zero-dimensional slice degenerated")
         return m, []
 
