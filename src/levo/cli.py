@@ -503,7 +503,7 @@ def _run_once(job):
     }
 
     try:
-        packages = decompose_all_degrees(G, job.f, job.point, seed=cfg.seed)
+        packages = decompose_all_degrees(G, job.f, job.point)
     except GenericityError as exc:
         cert = failed_certificate(exc.stage)
         report["certificate"] = cert.to_json()

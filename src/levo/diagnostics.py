@@ -146,7 +146,7 @@ def upgrade_by_transversality(certificate, conormals, point, full_ring):
     return upgraded, detail
 
 
-def af_exceptional_containment(Y_ideal, N_ideal, f, x, seed=0):
+def af_exceptional_containment(Y_ideal, N_ideal, f, x):
     """Thom-condition diagnostic at a point of a smooth subspace N.
 
     Checks (i) the limiting conormals of Y at x sit inside the conormal
@@ -179,7 +179,7 @@ def af_exceptional_containment(Y_ideal, N_ideal, f, x, seed=0):
     detail = []
     if cond_i and cond_ii:
         graph = graph_ideal(f, full)
-        blowup, comps = blowup_exceptional(conY, list(graph.gens), seed=seed)
+        blowup, comps = blowup_exceptional(conY, list(graph.gens))
         for comp in comps:
             ext_ring = comp.ideal.ring
             fiber = comp.ideal.plus(

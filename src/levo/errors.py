@@ -30,7 +30,7 @@ class GenericityError(EngineError):
     """Coordinates or slices failed a genericity requirement.
 
     `stage` records where: ("vogel", j, component), ("slice", j, component)
-    or ("slice", "multiplicity", component).
+    or ("oracle", i, component).
     """
 
     def __init__(self, message, stage=None):

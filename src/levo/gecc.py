@@ -165,7 +165,7 @@ def base_images(ideals, extra, skip_zero_section=False):
     return _dedupe(images)
 
 
-def nearby_gecc(spec, f, seed=0):
+def nearby_gecc(spec, f):
     """Characteristic cycle of the nearby cycles along f.
 
     Per visible stratum on which f is non-constant, the relative conormal
@@ -201,7 +201,7 @@ def nearby_gecc(spec, f, seed=0):
     f_full = map_poly(f, ring)
     for k, comps in by_degree.items():
         cyc = EnrichedCycle(ring, comps, warnings)
-        out[k] = intersect_hypersurface(cyc, f_full, seed=seed).cycle
+        out[k] = intersect_hypersurface(cyc, f_full).cycle
     result = GradedEnrichedCycle(ring, out)
     return result, sorted(skipped)
 

@@ -1,25 +1,20 @@
 """Intersection theory on the cotangent ring.
 
-Hypersurface intersections with exact multiplicities (generic linear
-slicing with cross-checked independent slices), point-local
-multiplicities by localization at the point, conormal and
-relative-conormal ideals, push-forward along the gradient graph, and an
-experimental Rees-style blow-up used as an independent cross-check.
-
-All randomness is drawn from seeded generators and the seeds are
-recorded in the results.
+Hypersurface intersections with exact multiplicities (degree ratios
+after removing the other components), point-local multiplicities by
+localization at the point, conormal and relative-conormal ideals,
+push-forward along the gradient graph, and an experimental Rees-style
+blow-up used as an independent cross-check.  Nothing here is random.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
 
 from .abgroups import AbGroup
 from .cycles import EnrichedCycle
 from .errors import (
-    GenericityError,
     ImproperIntersectionError,
     InputError,
     InternalError,
@@ -29,6 +24,7 @@ from .ideals import (
     Ideal,
     _eliminate_to,
     _fresh_names,
+    degree,
     eliminate,
     map_ideal,
     map_poly,
@@ -39,27 +35,8 @@ from .ideals import (
 )
 from .poly import PolyRing, Polynomial
 
-SLICE_COEFF_BOUND = 50
-SLICE_ROUNDS = 12
-
-
-def _child_seed(seed, *branch):
-    s = seed & 0x7FFFFFFF
-    for b in branch:
-        s = (s * 1000003 + b + 1) & 0x7FFFFFFF
-    return s
-
-
 # ---------------------------------------------------------------------------
 # multiplicities
-
-
-def _random_affine_form(ring, rng):
-    while True:
-        coeffs = [rng.randint(-SLICE_COEFF_BOUND, SLICE_COEFF_BOUND) for _ in ring.vars]
-        if any(coeffs):
-            const = rng.randint(-SLICE_COEFF_BOUND, SLICE_COEFF_BOUND)
-            return ring.linear_form(coeffs, const)
 
 
 def _witnesses(W, others):
@@ -75,34 +52,13 @@ def _witnesses(W, others):
     return out
 
 
-def _sliced_length(P, g, W, witnesses, forms):
-    """Length ratio for one slice; "miss" when the slice misses W (W plus
-    the slice is empty or not finite), None for another bad slice,
-    "nonintegral" for a ratio that failed to divide."""
-    den = quotient_dimension(W.plus(forms))
-    if not den:
-        return "miss"
-    Q = P.plus((g,) + forms)
-    for h in witnesses:
-        Q = saturate(Q, h)
-    num = quotient_dimension(Q)
-    if not num:
-        return None
-    if num % den:
-        return "nonintegral"
-    return num // den
-
-
-def multiplicity_along(P, g, W, seed=0, others=None):
+def multiplicity_along(P, g, W, others=None):
     """Intersection multiplicity of the hypersurface V(g) with V(P) along
     the component W of V(P + (g)).
 
-    Cuts W down to points with random affine-linear slices, removes the
-    other components by saturation against witness polynomials, and
-    divides the sliced length by the degree of W.  Two independent slices
-    must agree.  A round in which either slice misses W is drawn again
-    without counting; after three counted rounds, or SLICE_ROUNDS rounds
-    in all, the slice choice is declared non-generic.
+    Saturating Q = P + (g) by one witness polynomial per other component
+    leaves W as the only top-dimensional associated prime of Q, so the
+    degree of Q is the multiplicity times the degree of W.
     """
     if isinstance(g, str):
         g = P.ring.parse(g)
@@ -110,54 +66,30 @@ def multiplicity_along(P, g, W, seed=0, others=None):
         raise ImproperIntersectionError(P, g)
     if others is None:
         others = [c.ideal for c in split_components(P.plus([g])) if c.ideal != W]
-    witnesses = _witnesses(W, others)
-    dim_w = W.dimension()
-    if dim_w < 0:
+    if W.dimension() < 0:
         raise InputError("component is empty")
-    if dim_w == 0:
-        m = _sliced_length(P, g, W, witnesses, ())
-        if m == "nonintegral":
-            raise InternalError("non-integral multiplicity on a point component")
-        if m is None:
-            raise InternalError("zero-dimensional slice degenerated")
-        return m, []
-
-    counted = []  # the (m1, m2) of each round whose slices both meet W
-    seeds_used = []
-    for attempt in range(SLICE_ROUNDS):
-        s1 = _child_seed(seed, attempt, 0)
-        s2 = _child_seed(seed, attempt, 1)
-        rng1, rng2 = random.Random(s1), random.Random(s2)
-        f1 = tuple(_random_affine_form(P.ring, rng1) for _ in range(dim_w))
-        f2 = tuple(_random_affine_form(P.ring, rng2) for _ in range(dim_w))
-        m1 = _sliced_length(P, g, W, witnesses, f1)
-        m2 = _sliced_length(P, g, W, witnesses, f2)
-        seeds_used.extend([s1, s2])
-        if m1 == m2 and isinstance(m1, int):
-            return m1, seeds_used
-        if "miss" not in (m1, m2):
-            counted.append((m1, m2))
-            if len(counted) == 3:
-                break
-    if counted and all(r == ("nonintegral", "nonintegral") for r in counted):
+    Q = P.plus([g])
+    for h in _witnesses(W, others):
+        Q = saturate(Q, h)
+    if Q.dimension() != W.dimension():
         raise InternalError(
-            "persistent non-integral multiplicity along %r" % (W,)
+            "saturated intersection has dimension %d, its component %d"
+            % (Q.dimension(), W.dimension())
         )
-    raise GenericityError(
-        "non-generic slice while computing a multiplicity",
-        stage=("slice", "multiplicity", W),
-    )
+    num, den = degree(Q), degree(W)
+    if num % den:
+        raise InternalError("non-integral multiplicity along %r" % (W,))
+    return num // den
 
 
 class IntersectionRecord:
-    __slots__ = ("parent", "component", "multiplicity", "certified", "seeds")
+    __slots__ = ("parent", "component", "multiplicity", "certified")
 
-    def __init__(self, parent, component, multiplicity, certified, seeds):
+    def __init__(self, parent, component, multiplicity, certified):
         self.parent = parent
         self.component = component
         self.multiplicity = multiplicity
         self.certified = certified
-        self.seeds = seeds
 
     def to_json(self):
         return {
@@ -165,7 +97,6 @@ class IntersectionRecord:
             "component": self.component.generator_strings(),
             "multiplicity": self.multiplicity,
             "certified": self.certified,
-            "slice_seeds": list(self.seeds),
         }
 
 
@@ -177,7 +108,7 @@ class IntersectionResult:
         self.records = records
 
 
-def intersect_hypersurface(E, g, seed=0):
+def intersect_hypersurface(E, g):
     """Proper intersection of an enriched cycle with the hypersurface V(g).
 
     Every component must avoid containing g; each component splits into
@@ -191,22 +122,19 @@ def intersect_hypersurface(E, g, seed=0):
     acc = {}
     warnings = set(E.warnings)
     records = []
-    for idx, (P, coeff) in enumerate(E.items()):
+    for P, coeff in E.items():
         if P.contains(g):
             raise ImproperIntersectionError(P, g)
         comps = split_components(P.plus([g]))
         ideals = [c.ideal for c in comps]
-        for jdx, comp in enumerate(comps):
+        for comp in comps:
             W = comp.ideal
-            others = [J for J in ideals if J != W]
-            m, seeds = multiplicity_along(
-                P, g, W, seed=_child_seed(seed, idx, jdx), others=others
-            )
+            m = multiplicity_along(P, g, W, others=[J for J in ideals if J != W])
             group = coeff.tensor(AbGroup(m))
             acc[W] = acc[W].dsum(group) if W in acc else group
             if not comp.certified:
                 warnings.add("uncertified component: V(%s)" % ", ".join(W.generator_strings()))
-            records.append(IntersectionRecord(P, W, m, comp.certified, seeds))
+            records.append(IntersectionRecord(P, W, m, comp.certified))
     return IntersectionResult(EnrichedCycle(E.ring, acc, warnings), records)
 
 
@@ -452,7 +380,7 @@ class ExceptionalComponent:
         )
 
 
-def blowup_exceptional(P, g_tuple, seed=0):
+def blowup_exceptional(P, g_tuple):
     """Blow up V(P) along the tuple g and decompose the exceptional
     divisor with multiplicities.
 
@@ -482,7 +410,7 @@ def blowup_exceptional(P, g_tuple, seed=0):
     if total.is_unit():
         return blowup, []
     out = []
-    for idx, comp in enumerate(split_components(total)):
+    for comp in split_components(total):
         W = comp.ideal
         evars = [ext_ring.var(n) for n in enames]
         if all(W.contains(e) for e in evars):
@@ -499,8 +427,6 @@ def blowup_exceptional(P, g_tuple, seed=0):
         B_chart = Ideal(chart_ring, [to_chart(h) for h in blowup.gens])
         W_chart = Ideal(chart_ring, [to_chart(h) for h in W.gens])
         g_chart = to_chart(g_ext[chart])
-        m, _seeds = multiplicity_along(
-            B_chart, g_chart, W_chart, seed=_child_seed(seed, idx)
-        )
+        m = multiplicity_along(B_chart, g_chart, W_chart)
         out.append(ExceptionalComponent(W, m, chart, comp.certified))
     return blowup, out

@@ -2,9 +2,10 @@
 
 Reduced Groebner bases via Buchberger's algorithm (heap-ordered normal
 selection plus the product and chain criteria), full normal forms,
-block-order elimination, intersection, saturation, Krull dimension from
-the staircase, quotient vector-space dimension, radical membership, and
-decomposition into rational components by recursive factorization.
+block-order elimination, intersection, saturation, Krull dimension,
+degree and quotient vector-space dimension from the staircase, radical
+membership, and decomposition into rational components by recursive
+factorization.
 
 Ideals are identified by the unique reduced grevlex basis, so equal
 ideals hash alike and can key cycle component maps.  Inside the kernel
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import contextvars
 import heapq
+import itertools
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
@@ -393,15 +395,34 @@ def krull_dimension(ideal):
     return best
 
 
-def quotient_dimension(ideal):
-    """dim_Q of ring/ideal as a vector space; None if not finite."""
-    if ideal.is_unit():
+def degree(ideal):
+    """Degree of V(ideal): (dim)! times the leading coefficient of the
+    affine Hilbert polynomial of ring/ideal; 0 for the unit ideal.
+
+    A graded order keeps the affine Hilbert function, so this is the
+    degree of the ideal of leading monomials: the sum, over the sets S
+    of dim variables that carry no leading monomial, of the number of
+    standard monomials in the other variables once those in S are set
+    to 1.
+    """
+    d = ideal.dimension()
+    if d < 0:
         return 0
-    if ideal.dimension() > 0:
-        return None
     key = ideal.ring.key()
     lms = [g.lead(key)[0] for g in ideal.groebner()]
     n = ideal.ring.nvars
+    total = 0
+    for free in itertools.combinations(range(n), d):
+        rest = [i for i in range(n) if i not in free]
+        if any(all(lm[i] == 0 for i in rest) for lm in lms):
+            continue
+        total += _standard_count([tuple(lm[i] for i in rest) for lm in lms], len(rest))
+    return total
+
+
+def _standard_count(lms, n):
+    """Number of monomials in n variables that no monomial of lms
+    divides; finite here."""
     origin = (0,) * n
     seen = {origin}
     stack = [origin]
@@ -420,6 +441,13 @@ def quotient_dimension(ideal):
             seen.add(mm)
             stack.append(mm)
     return count
+
+
+def quotient_dimension(ideal):
+    """dim_Q of ring/ideal as a vector space; None if not finite."""
+    if ideal.dimension() > 0:
+        return None
+    return degree(ideal)
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ from .gecc import (
     nearby_gecc,
 )
 from .geom import (
-    _child_seed,
     _is_linear_ideal,
     conormal_ideal,
     graph_ideal,
@@ -55,18 +54,16 @@ class VogelDecomposition:
         "distinguished",
         "dropped",
         "disjoint",
-        "seed",
         "warnings",
         "records",
     )
 
-    def __init__(self, degree, residual, distinguished, dropped, disjoint, seed, warnings, records):
+    def __init__(self, degree, residual, distinguished, dropped, disjoint, warnings, records):
         self.degree = degree
         self.residual = residual
         self.distinguished = distinguished
         self.dropped = dropped
         self.disjoint = disjoint
-        self.seed = seed
         self.warnings = warnings
         self.records = records
 
@@ -79,7 +76,6 @@ class VogelDecomposition:
             },
             "dropped": [I.generator_strings() for I in self.dropped],
             "disjoint_from_graph": [I.generator_strings() for I in self.disjoint],
-            "seed": self.seed,
             "warnings": sorted(self.warnings),
             "properness_log": [
                 dict(stage=j, **record.to_json()) for j, record in self.records
@@ -87,7 +83,7 @@ class VogelDecomposition:
         }
 
 
-def vogel_decompose(G_k, f, seed=0, degree=0):
+def vogel_decompose(G_k, f, degree=0):
     """Run the inductive graph-hypersurface process on one degree slice.
 
     Components contained in the graph are dropped with a warning;
@@ -132,7 +128,7 @@ def vogel_decompose(G_k, f, seed=0, degree=0):
         w = ring.var(ring.cotangent_vars[j])
         hyp = w - f_full.diff(ring.base_vars[j])
         try:
-            result = intersect_hypersurface(cur, hyp, seed=_child_seed(seed, degree, j))
+            result = intersect_hypersurface(cur, hyp)
         except ImproperIntersectionError as exc:
             raise GenericityError(
                 "improper intersection at stage %d on component V(%s)"
@@ -162,7 +158,6 @@ def vogel_decompose(G_k, f, seed=0, degree=0):
         distinguished,
         dropped,
         disjoint,
-        seed,
         frozenset(acc_warnings),
         records,
     )
@@ -211,7 +206,7 @@ def levo_cycles(decomposition, f):
     return out
 
 
-def levo_modules(cycles_by_j, point, seed=0):
+def levo_modules(cycles_by_j, point):
     """Point modules: slice the degree-j cycle by the first j coordinate
     hyperplanes through the point, keeping only components through the
     point; what is left sits at the point with length one, so the
@@ -229,9 +224,7 @@ def levo_modules(cycles_by_j, point, seed=0):
                 break
             hyp = base.var(base.vars[i]) - pt[i]
             try:
-                cur = intersect_hypersurface(
-                    cur, hyp, seed=_child_seed(seed, j, i)
-                ).cycle
+                cur = intersect_hypersurface(cur, hyp).cycle
             except ImproperIntersectionError as exc:
                 raise GenericityError(
                     "coordinate slice %d is improper on V(%s) for the "
@@ -282,23 +275,23 @@ class DegreePackage:
         self.modules = modules
 
 
-def decompose_all_degrees(G, f, point, seed=0):
+def decompose_all_degrees(G, f, point):
     """VogelDecomposition, base cycles, and point modules per degree."""
     out = {}
     for k in G.degrees():
-        decomposition = vogel_decompose(G.piece(k), f, seed=seed, degree=k)
+        decomposition = vogel_decompose(G.piece(k), f, degree=k)
         cycles = levo_cycles(decomposition, f)
-        modules = levo_modules(cycles, point, seed=_child_seed(seed, k))
+        modules = levo_modules(cycles, point)
         out[k] = DegreePackage(decomposition, cycles, modules)
     return out
 
 
-def polar_package(G, point, seed=0):
+def polar_package(G, point):
     """Absolute mode: the same process with f identically zero, so the
     graph is the zero section and the outputs are the characteristic
     polar cycles and modules."""
     base = G.ring.base_ring()
-    return decompose_all_degrees(G, base.zero(), point, seed=seed)
+    return decompose_all_degrees(G, base.zero(), point)
 
 
 # ---------------------------------------------------------------------------
@@ -361,6 +354,7 @@ def polar_modules_iterative(spec, point, j, k, seed=0):
 
     Requires smooth-closure strata and an isolated stalk at every stage;
     failures surface as "coordinates not isolating for the oracle".
+    The route is deterministic; `seed` is accepted and ignored.
     """
     if not spec.in_strata_mode():
         raise InputError("the oracle requires strata input")
@@ -383,7 +377,7 @@ def polar_modules_iterative(spec, point, j, k, seed=0):
             return ZERO_GROUP
         zi = base.var(base.vars[i]) - pt[i]
         try:
-            G, _skipped = nearby_gecc(current, zi, seed=_child_seed(seed, i))
+            G, _skipped = nearby_gecc(current, zi)
         except ImproperIntersectionError as exc:
             raise GenericityError(
                 "coordinates not isolating for the oracle",

@@ -7,7 +7,7 @@ import pytest
 from levo import ideals
 from levo.abgroups import AbGroup, Z
 from levo.gecc import SheafSpec, StratumSpec
-from levo.ideals import Ideal, quotient_dimension
+from levo.ideals import Ideal, quotient_dimension, saturate, split_components
 from levo.poly import PolyRing
 
 
@@ -71,6 +71,41 @@ def milnor_number(f):
     base = f.ring
     jacobian = Ideal(base, [f.diff(v) for v in base.vars])
     return quotient_dimension(jacobian)
+
+
+def sliced_multiplicity(P, g, W, rng, rounds=12):
+    """Independent reference for `geom.multiplicity_along`: cut V(P + (g))
+    down by dim W random affine slices, saturate away the other
+    components, and divide the length by the number of points the slices
+    leave on W.  Two independent slicings must agree; a round in which
+    either fails is drawn again.  None when no round agrees."""
+    others = [c.ideal for c in split_components(P.plus([g])) if c.ideal != W]
+    witnesses = [next(h for h in C.groebner() if not W.contains(h)) for C in others]
+
+    def length(forms):
+        den = quotient_dimension(W.plus(forms))
+        if not den:
+            return None
+        Q = P.plus((g,) + forms)
+        for h in witnesses:
+            Q = saturate(Q, h)
+        num = quotient_dimension(Q)
+        if not num or num % den:
+            return None
+        return num // den
+
+    def affine_form():
+        while True:
+            coeffs = [rng.randint(-50, 50) for _ in P.ring.vars]
+            if any(coeffs):
+                return P.ring.linear_form(coeffs, rng.randint(-50, 50))
+
+    for _ in range(rounds):
+        m1 = length(tuple(affine_form() for _ in range(W.dimension())))
+        m2 = length(tuple(affine_form() for _ in range(W.dimension())))
+        if m1 is not None and m1 == m2:
+            return m1
+    return None
 
 
 def random_polynomial(ring, rng, max_degree=2, max_terms=3, bound=5):

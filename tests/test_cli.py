@@ -502,8 +502,8 @@ def test_malformed_field_is_an_input_error_naming_its_path(tmp_path, capsys, cha
 
 
 def test_slices_missing_the_component_are_drawn_again(tmp_path, capsys):
-    # three of the first six slices along the critical line x - 1/2*y are
-    # parallel to it; they must not use up the slice rounds
+    # random slices parallel to the critical line x - 1/2*y once missed it
+    # and ended this job as a genericity failure; degrees have no slices
     doc = {
         "variables": ["x", "y"],
         "sheaf": {

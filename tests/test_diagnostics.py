@@ -28,12 +28,12 @@ def space():
     return PolyRing(("u", "x", "y", "z"), ("w_0", "w_1", "w_2", "w_3"))
 
 
-def _two_plane_packages(a=2, b=2, gm=2, dl=2, tau=2, seed=11):
+def _two_plane_packages(a=2, b=2, gm=2, dl=2, tau=2):
     ring = space()
     base = ring.base_ring()
     G = build_gecc(two_plane_spec(ring))
     f = base.parse("(u^%d + x^%d)^%d + y^%d + z^%d" % (a, b, tau, gm, dl))
-    return decompose_all_degrees(G, f, (0, 0, 0, 0), seed=seed)
+    return decompose_all_degrees(G, f, (0, 0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +52,7 @@ def test_certificate_cusp_certified_dimension_zero():
     ring = plane()
     base = ring.base_ring()
     G = build_gecc(constant_sheaf_spec(ring))
-    packages = decompose_all_degrees(G, base.parse("x^2 + y^3"), (0, 0), seed=5)
+    packages = decompose_all_degrees(G, base.parse("x^2 + y^3"), (0, 0))
     cert = isolating_certificate(packages, (0, 0))
     assert cert.status == "certified" and cert.d == 0
 
@@ -62,7 +62,7 @@ def test_certificate_failure_signaled_during_run():
     base = ring.base_ring()
     G = build_gecc(constant_sheaf_spec(ring))
     with pytest.raises(GenericityError) as excinfo:
-        decompose_all_degrees(G, base.parse("x^2*y^2"), (0, 0), seed=5)
+        decompose_all_degrees(G, base.parse("x^2*y^2"), (0, 0))
     kind, j, component = excinfo.value.stage
     assert kind == "slice" and j == 1
     assert component.generator_strings() == ["x"]
@@ -188,7 +188,7 @@ def test_euler_cusp_signed_sum():
     ring = plane()
     base = ring.base_ring()
     G = build_gecc(constant_sheaf_spec(ring))
-    packages = decompose_all_degrees(G, base.parse("x^2 + y^3"), (0, 0), seed=5)
+    packages = decompose_all_degrees(G, base.parse("x^2 + y^3"), (0, 0))
     flat = {
         (k, j): grp for k, pkg in packages.items() for j, grp in pkg.modules.items()
     }
@@ -210,6 +210,6 @@ def test_perverse_style_input_concentrates_in_degree_zero():
     G = GradedEnrichedCycle(
         ring, {0: EnrichedCycle(ring, {Ideal(ring, ["w_0", "w_1"]): Z(1)})}
     )
-    packages = decompose_all_degrees(G, base.parse("x^2 + y^2"), (0, 0), seed=5)
+    packages = decompose_all_degrees(G, base.parse("x^2 + y^2"), (0, 0))
     assert set(packages) == {0}
     assert packages[0].modules == {0: Z(1)}

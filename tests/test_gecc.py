@@ -169,7 +169,7 @@ def test_stalk_on_cuspidal_curve_sheaf(plane_ring):
     assert isolated_vanishing_stalk(G, f, (0, 0)) == {1: Z(2)}
     from levo.vogel import decompose_all_degrees
 
-    packages = decompose_all_degrees(G, f, (0, 0), seed=3)
+    packages = decompose_all_degrees(G, f, (0, 0))
     assert packages[1].modules == {0: Z(2)}
 
 

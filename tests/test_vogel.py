@@ -63,12 +63,12 @@ def test_graph_ideal_zero_function_is_zero_section():
 # the decomposition on the worked two-plane example
 
 
-def _two_plane_run(a, b, gm, dl, tau, seed=11):
+def _two_plane_run(a, b, gm, dl, tau):
     ring = space()
     base = ring.base_ring()
     G = build_gecc(two_plane_spec(ring))
     f = base.parse("(u^%d + x^%d)^%d + y^%d + z^%d" % (a, b, tau, gm, dl))
-    return ring, base, decompose_all_degrees(G, f, (0, 0, 0, 0), seed=seed)
+    return ring, base, decompose_all_degrees(G, f, (0, 0, 0, 0))
 
 
 @pytest.mark.parametrize("params", [(2, 2, 2, 2, 2), (2, 3, 2, 2, 3)])
@@ -145,7 +145,7 @@ def test_nonisolated_square():
     base = ring.base_ring()
     G = build_gecc(constant_sheaf_spec(ring))
     f = base.parse("y^2")
-    packages = decompose_all_degrees(G, f, (0, 0), seed=3)
+    packages = decompose_all_degrees(G, f, (0, 0))
     pkg = packages[2]
     line = Ideal(ring, ["w_0", "w_1", "y"])
     assert pkg.decomposition.distinguished[1].components == {line: Z(1)}
@@ -159,7 +159,7 @@ def test_submersion_has_no_cycles():
     ring = plane()
     base = ring.base_ring()
     G = build_gecc(constant_sheaf_spec(ring))
-    packages = decompose_all_degrees(G, base.parse("x"), (0, 0), seed=3)
+    packages = decompose_all_degrees(G, base.parse("x"), (0, 0))
     pkg = packages[2]
     assert all(c.is_zero() for c in pkg.decomposition.distinguished.values())
     assert pkg.modules == {}
@@ -176,7 +176,7 @@ def test_isolated_points_match_milnor_numbers(f_text, mu):
     f = base.parse(f_text)
     assert milnor_number(f) == mu
     G = build_gecc(constant_sheaf_spec(ring))
-    packages = decompose_all_degrees(G, f, (0, 0), seed=5)
+    packages = decompose_all_degrees(G, f, (0, 0))
     assert packages[2].modules == {0: Z(mu)}
 
 
@@ -186,7 +186,7 @@ def test_components_inside_graph_are_dropped_with_warning():
     f = base.parse("x^2 + y^3")
     graph = graph_ideal(f, ring)
     G_k = EnrichedCycle(ring, {graph: Z(1)})
-    D = vogel_decompose(G_k, f, seed=1, degree=2)
+    D = vogel_decompose(G_k, f, degree=2)
     assert D.dropped == [graph]
     assert all(c.is_zero() for c in D.distinguished.values())
     assert any("dropped" in w for w in D.warnings)
@@ -208,7 +208,7 @@ def test_improper_stage_is_a_genericity_failure():
     G = build_gecc(constant_sheaf_spec(ring))
     f = base.parse("x^2*y^2")
     with pytest.raises(GenericityError) as excinfo:
-        decompose_all_degrees(G, f, (0, 0), seed=9)
+        decompose_all_degrees(G, f, (0, 0))
     kind, j, _comp = excinfo.value.stage
     assert (kind, j) == ("slice", 1)
 
@@ -220,7 +220,7 @@ def test_torsion_coefficients_flow_through():
         ring, {0: EnrichedCycle(ring, {Ideal(ring, ["w_0", "w_1"]): Zmod(4)})}
     )
     G = direct
-    packages = decompose_all_degrees(G, base.parse("x^2 + y^3"), (0, 0), seed=5)
+    packages = decompose_all_degrees(G, base.parse("x^2 + y^3"), (0, 0))
     assert packages[0].modules == {0: Zmod(4, 4)}
 
 
@@ -230,7 +230,7 @@ def test_point_modules_at_translated_point():
     base = ring.base_ring()
     G = build_gecc(constant_sheaf_spec(ring))
     f = base.parse("(x - 1)^2 + y^3")
-    packages = decompose_all_degrees(G, f, (1, 0), seed=5)
+    packages = decompose_all_degrees(G, f, (1, 0))
     assert packages[2].modules == {0: Z(2)}
 
 
@@ -238,7 +238,7 @@ def test_point_off_critical_locus_gives_nothing():
     ring = plane()
     base = ring.base_ring()
     G = build_gecc(constant_sheaf_spec(ring))
-    packages = decompose_all_degrees(G, base.parse("x^2 + y^3"), (1, 1), seed=5)
+    packages = decompose_all_degrees(G, base.parse("x^2 + y^3"), (1, 1))
     assert packages[2].modules == {}
 
 
@@ -254,7 +254,7 @@ def test_two_plane_with_torsion_coefficients():
     spec = SheafSpec(ring, strata=strata)
     G = build_gecc(spec)
     f = base.parse("(u^2 + x^2)^2 + y^2 + z^2")
-    packages = decompose_all_degrees(G, f, (0, 0, 0, 0), seed=11)
+    packages = decompose_all_degrees(G, f, (0, 0, 0, 0))
     # tau - 1 = 1 copy of the curve coefficient, then sliced by beta = 2
     assert packages[2].modules[1] == (Z(1) + Zmod(2)).tensor(Z(2))
     # the point module mixes the torsion branch with the free branch
@@ -272,7 +272,7 @@ def test_polar_line_with_generic_leading_coordinate():
     base = ring.base_ring()
     spec = SheafSpec(ring, strata=[StratumSpec(Ideal(base, ["x"]), {1: Z(1)})])
     G = build_gecc(spec)
-    packages = polar_package(G, (0, 0), seed=5)
+    packages = polar_package(G, (0, 0))
     pkg = packages[1]
     assert pkg.cycles == {1: pkg.cycles[1]}
     assert pkg.cycles[1].components == {Ideal(base, ["x"]): Z(1)}
@@ -284,7 +284,7 @@ def test_polar_point_conormal():
     base = ring.base_ring()
     point = Ideal(ring, ["x", "y"])
     G = GradedEnrichedCycle(ring, {0: EnrichedCycle(ring, {point: Z(1)})})
-    packages = polar_package(G, (0, 0), seed=5)
+    packages = polar_package(G, (0, 0))
     pkg = packages[0]
     assert pkg.cycles[0].components == {Ideal(base, ["x", "y"]): Z(1)}
     assert pkg.modules == {0: Z(1)}
@@ -298,11 +298,11 @@ def test_polar_of_directly_supplied_vanishing_data_matches_point_modules():
     base = ring.base_ring()
     G = build_gecc(constant_sheaf_spec(ring))
     f = base.parse("x^2 + y^3")
-    levo = decompose_all_degrees(G, f, (0, 0), seed=5)
+    levo = decompose_all_degrees(G, f, (0, 0))
     vanishing_data = GradedEnrichedCycle(
         ring, {2: EnrichedCycle(ring, {Ideal(ring, ["x", "y"]): Z(2)})}
     )
-    polar = polar_package(vanishing_data, (0, 0), seed=5)
+    polar = polar_package(vanishing_data, (0, 0))
     assert polar[2].modules == levo[2].modules == {0: Z(2)}
 
 
@@ -310,7 +310,7 @@ def test_polar_constant_sheaf_is_empty():
     # the zero section is the whole graph of the zero function: dropped
     ring = plane()
     G = build_gecc(constant_sheaf_spec(ring))
-    packages = polar_package(G, (0, 0), seed=5)
+    packages = polar_package(G, (0, 0))
     pkg = packages[2]
     assert all(c.is_zero() for c in pkg.decomposition.distinguished.values())
     assert pkg.modules == {}
@@ -412,13 +412,13 @@ def test_iterative_oracle_matches_polar_package_line():
     base = ring.base_ring()
     spec = SheafSpec(ring, strata=[StratumSpec(Ideal(base, ["x"]), {1: Z(1)})])
     G = build_gecc(spec)
-    packages = polar_package(G, (0, 0), seed=5)
+    packages = polar_package(G, (0, 0))
     direct = {
         (k, j): grp for k, pkg in packages.items() for j, grp in pkg.modules.items()
     }
     for j in range(2):
         for k in (0, 1, 2):
-            oracle = polar_modules_iterative(spec, (0, 0), j, k, seed=5)
+            oracle = polar_modules_iterative(spec, (0, 0), j, k)
             assert oracle == direct.get((k, j), ZERO_GROUP)
 
 
@@ -426,7 +426,7 @@ def test_iterative_oracle_runs_without_algebra_cache(cache_calls):
     ring = PolyRing(("y", "x"), ("w_0", "w_1"))
     base = ring.base_ring()
     spec = SheafSpec(ring, strata=[StratumSpec(Ideal(base, ["x"]), {1: Z(1)})])
-    assert polar_modules_iterative(spec, (0, 0), 1, 1, seed=5) == Z(1)
+    assert polar_modules_iterative(spec, (0, 0), 1, 1) == Z(1)
     assert cache_calls and all(cache is None for cache, _ in cache_calls)
 
 
@@ -437,9 +437,9 @@ def test_iterative_oracle_point_sheaf():
         ring, strata=[StratumSpec(Ideal(base, ["x", "y"]), {0: Z(2)})]
     )
     # j = 0 reads the stalk coefficient itself
-    assert polar_modules_iterative(spec, (0, 0), 0, 0, seed=1) == Z(2)
+    assert polar_modules_iterative(spec, (0, 0), 0, 0) == Z(2)
     # beyond the support dimension everything vanishes
-    assert polar_modules_iterative(spec, (0, 0), 1, 0, seed=1) == ZERO_GROUP
+    assert polar_modules_iterative(spec, (0, 0), 1, 0) == ZERO_GROUP
 
 
 def test_iterative_oracle_needs_linear_closures():
@@ -449,4 +449,4 @@ def test_iterative_oracle_needs_linear_closures():
         ring, strata=[StratumSpec(Ideal(base, ["x^2 - y^3"]), {1: Z(1)})]
     )
     with pytest.raises(InputError):
-        polar_modules_iterative(spec, (0, 0), 1, 1, seed=1)
+        polar_modules_iterative(spec, (0, 0), 1, 1)
