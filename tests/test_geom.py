@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from conftest import random_polynomial, sliced_multiplicity
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from levo.abgroups import Z, Zmod
@@ -23,7 +24,7 @@ from levo.geom import (
     multiplicity_along,
     relative_conormal_ideal,
 )
-from levo.ideals import Ideal, eliminate, map_poly, quotient_dimension
+from levo.ideals import Ideal, eliminate, map_poly, quotient_dimension, split_components
 from levo.poly import PolyRing
 
 
@@ -76,6 +77,32 @@ def test_multiplicity_slice_independent(e):
     W = Ideal(ring, ["w_0", "w_1", "y"])
     m = multiplicity_along(P, ring.parse("w_1 - 5*y^%d" % e), W)
     assert m == e
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_multiplicity_matches_sliced_lengths(seed):
+    # the degree ratio against the two-slice reference, on the conormal of
+    # a curve y^a - c*x^b, the point or the plane cut by a gradient
+    # hypersurface w_i - df/dz_i of a random f
+    rng = random.Random(seed)
+    ring = plane()
+    base = ring.base_ring()
+    closure = rng.choice(
+        [
+            "y^%d - %d*x^%d" % (rng.randint(1, 3), rng.choice((1, 2, 3)), rng.randint(1, 3)),
+            "x, y",
+            "",
+        ]
+    )
+    P = conormal_ideal(Ideal(base, [s for s in closure.split(", ") if s]), ring)
+    f = map_poly(random_polynomial(base, rng, max_degree=3), ring)
+    i = rng.randrange(2)
+    g = ring.var(ring.cotangent_vars[i]) - f.diff(ring.base_vars[i])
+    assume(not P.contains(g) and not P.plus([g]).is_unit())
+    for comp in split_components(P.plus([g])):
+        W = comp.ideal
+        assert multiplicity_along(P, g, W) == sliced_multiplicity(P, g, W, rng)
 
 
 def test_multiplicity_rejects_improper():

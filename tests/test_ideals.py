@@ -16,6 +16,7 @@ from levo.ideals import (
     algebra_cache,
     buchberger,
     decomposition_covers,
+    degree,
     eliminate,
     factor_rational,
     intersect,
@@ -402,6 +403,54 @@ def test_quotient_dimension_matches_sympy_standard_monomials(seed, nvars):
     gens = [g for g in gens if not g.is_zero()]
     assume(gens)
     assert quotient_dimension(Ideal(ring, gens)) == _sympy_standard_monomials(gens)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(2, 3))
+def test_degree_of_a_hypersurface_is_its_total_degree(seed, nvars):
+    rng = random.Random(seed)
+    ring = PolyRing(("x", "y", "z")[:nvars])
+    f = random_polynomial(ring, rng, max_degree=4, max_terms=4)
+    assume(f.total_degree() > 0)
+    assert degree(Ideal(ring, [f])) == f.total_degree()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(2, 3))
+def test_degree_of_a_finite_locus_is_the_quotient_dimension(seed, nvars):
+    rng = random.Random(seed)
+    ring = PolyRing(("x", "y", "z")[:nvars])
+    gens = [
+        random_polynomial(ring, rng, max_degree=3, max_terms=3) for _ in range(nvars)
+    ]
+    gens = [g for g in gens if not g.is_zero()]
+    assume(gens)
+    I = Ideal(ring, gens)
+    assume(I.dimension() == 0)
+    assert degree(I) == quotient_dimension(I) == _sympy_standard_monomials(gens)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    sizes=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+)
+def test_degrees_multiply_over_disjoint_variable_blocks(seed, sizes):
+    # V(I + J) is V(I) x V(J) when I and J use disjoint variables
+    rng = random.Random(seed)
+    names = ("x", "y", "z", "u")
+    ring = PolyRing(names[:sizes[0]] + names[2:2 + sizes[1]])
+    blocks = [PolyRing(names[:sizes[0]]), PolyRing(names[2:2 + sizes[1]])]
+    parts = []
+    for block in blocks:
+        gens = [
+            map_poly(random_polynomial(block, rng, max_degree=3, max_terms=3), ring)
+            for _ in range(rng.randint(1, len(block.vars)))
+        ]
+        parts.append(Ideal(ring, gens))
+    assume(not any(J.is_unit() for J in parts))
+    I, J = parts
+    assert degree(I.plus(J.gens)) == degree(I) * degree(J)
 
 
 def _sympy_krull_dimension(gens):
