@@ -106,12 +106,17 @@ def _as_group(obj, path, rank_only=False):
     return AbGroup(rank, () if rank_only else tuple(torsion))
 
 
-def _as_degree(key, path):
+def _as_degree(key, path, seen):
     """A degree key: an optionally signed run of ASCII digits, which int()
-    alone would widen to "1_0", " 1" and non-ASCII digits."""
+    alone would widen to "1_0", " 1" and non-ASCII digits.  The degree
+    joins `seen`; one already there, as "02" after "2", is rejected."""
     if not re.fullmatch(r"-?[0-9]+", str(key)):
         _fail(path, "degree keys must be integers")
-    return int(key)
+    k = int(key)
+    if k in seen:
+        _fail(path, "degree %d is named by two keys" % k)
+    seen.add(k)
+    return k
 
 
 def _identity(n):
@@ -334,8 +339,9 @@ def prepare_job(cfg):
             morse_raw = s.get("morse", {})
             if not isinstance(morse_raw, dict):
                 _fail(path + ".morse", "expected {degree: module}")
+            degrees = set()
             morse = {
-                _as_degree(key, path + ".morse"):
+                _as_degree(key, path + ".morse", degrees):
                     _as_group(mod, path + ".morse[%s]" % key, cfg.rank_only)
                 for key, mod in morse_raw.items()
             }
@@ -360,10 +366,10 @@ def prepare_job(cfg):
         gecc_raw = cfg.sheaf["gecc"]
         if not isinstance(gecc_raw, dict):
             _fail("sheaf.gecc", "expected {degree: [components]}")
-        by_degree = {}
+        by_degree, degrees = {}, set()
         for key, comp_list in gecc_raw.items():
             path = "sheaf.gecc[%s]" % key
-            k = _as_degree(key, "sheaf.gecc")
+            k = _as_degree(key, "sheaf.gecc", degrees)
             if not isinstance(comp_list, list):
                 _fail(path, "expected a list of components")
             comps = {}

@@ -473,6 +473,12 @@ def _direct_gecc(doc):
     return doc
 
 
+def _direct_gecc_repeating_a_degree(doc):
+    comp = [{"ideal": ["w_0", "w_1"], "module": {"rank": 1}}]
+    doc["sheaf"] = {"gecc": {"0": comp, "-0": comp}}
+    return doc
+
+
 # (case, change to the cusp job, path the message must start with)
 BAD_FIELDS = [
     ("rank_only-string", lambda d: dict(d, rank_only="false"), "rank_only"),
@@ -487,6 +493,9 @@ BAD_FIELDS = [
     ("morse-degree-underscore", lambda d: _stratum(d, morse={"1_0": {"rank": 1}}),
      "sheaf.strata[0].morse"),
     ("gecc-degree-underscore", _direct_gecc, "sheaf.gecc"),
+    ("morse-degree-repeated", lambda d: _stratum(d, morse={"2": {"rank": 1}, "02": {"rank": 5}}),
+     "sheaf.strata[0].morse"),
+    ("gecc-degree-repeated", _direct_gecc_repeating_a_degree, "sheaf.gecc"),
     ("dimension-string", lambda d: _stratum(d, dimension="2"), "sheaf.strata[0].dimension"),
     ("strata-number", lambda d: dict(d, sheaf={"strata": 5}), "sheaf.strata"),
     ("conormal-number", lambda d: _stratum(d, conormal=5), "sheaf.strata[0].conormal"),
@@ -553,3 +562,4 @@ def test_cli_seed_override(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_CERTIFIED
     assert json.loads(out)["seed"] == 99
+
