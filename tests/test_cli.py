@@ -1,6 +1,7 @@
 """Configuration parsing, pipeline orchestration, and the command line."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -563,3 +564,14 @@ def test_cli_seed_override(tmp_path, capsys):
     assert code == EXIT_CERTIFIED
     assert json.loads(out)["seed"] == 99
 
+
+def test_job_seed_reaches_the_report_only_through_retry(capsys):
+    # without --retry the seed is only echoed: nothing it could drive is random
+    golden = str(Path(__file__).parent / "golden" / "two_plane.json")
+    reports = []
+    for seed in ("1", "2"):
+        assert main(["compute", "--input", golden, "--seed", seed]) == EXIT_CERTIFIED
+        report = json.loads(capsys.readouterr().out)
+        del report["seed"], report["config"]["seed"]
+        reports.append(report)
+    assert reports[0] == reports[1]
