@@ -40,7 +40,7 @@ from .errors import (
 )
 from .gecc import SheafSpec, StratumSpec, build_gecc, critical_locus, support_of_gecc
 from .geom import conormal_ideal, row_reduce
-from .ideals import Ideal, algebra_cache, eliminate
+from .ideals import Ideal, algebra_cache, eliminate, radical_member, rational_point_of
 from .poly import PolyRing, Polynomial
 from .vogel import decompose_all_degrees, polar_support_sets
 
@@ -411,8 +411,6 @@ def _support_assertions(job, G, support, crit):
     """Report-level support facts: the critical locus sits inside the
     support, and a rational point whose full cotangent space carries a
     summand, with critical value, shows up in the critical locus."""
-    from .ideals import radical_member, rational_point_of
-
     crit_inside = all(
         any(all(radical_member(g, c.ideal) for g in S.gens) for S in support.total)
         for c in crit

@@ -20,7 +20,7 @@ from .geom import (
     local_multiplicity_at_point,
     relative_conormal_ideal,
 )
-from .ideals import _dedupe, eliminate, maximal_loci, split_components
+from .ideals import _dedupe, eliminate, map_poly, maximal_loci, split_components
 
 
 class StratumSpec:
@@ -196,8 +196,6 @@ def nearby_gecc(spec, f):
     if skipped:
         warnings.add("skipped constant strata: %s" % ", ".join(sorted(skipped)))
     out = {}
-    from .ideals import map_poly
-
     f_full = map_poly(f, ring)
     for k, comps in by_degree.items():
         cyc = EnrichedCycle(ring, comps, warnings)
