@@ -5,10 +5,10 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from conftest import random_polynomial, sliced_multiplicity
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_polynomial, sliced_multiplicity
 from levo.abgroups import Z, Zmod
 from levo.cycles import EnrichedCycle, empty_cycle
 from levo.errors import ImproperIntersectionError, InputError
@@ -88,14 +88,9 @@ def test_multiplicity_matches_sliced_lengths(seed):
     rng = random.Random(seed)
     ring = plane()
     base = ring.base_ring()
-    closure = rng.choice(
-        [
-            "y^%d - %d*x^%d" % (rng.randint(1, 3), rng.choice((1, 2, 3)), rng.randint(1, 3)),
-            "x, y",
-            "",
-        ]
-    )
-    P = conormal_ideal(Ideal(base, [s for s in closure.split(", ") if s]), ring)
+    curve = "y^%d - %d*x^%d" % (rng.randint(1, 3), rng.choice((1, 2, 3)), rng.randint(1, 3))
+    closure = rng.choice([[curve], ["x", "y"], []])
+    P = conormal_ideal(Ideal(base, closure), ring)
     f = map_poly(random_polynomial(base, rng, max_degree=3), ring)
     i = rng.randrange(2)
     g = ring.var(ring.cotangent_vars[i]) - f.diff(ring.base_vars[i])
