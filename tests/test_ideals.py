@@ -677,6 +677,57 @@ def test_linear_factor_fast_path_matches_sympy(coeffs, constant):
     assert factor_rational(p) == _sympy_factors(p) == [(p.monic(), 1)]
 
 
+def _random_product(rng, ring, variables, max_factor_degree, max_degree):
+    """A rational multiple of a product of random factors in `variables`,
+    with multiplicities, of total degree at most `max_degree`."""
+    p = ring.const(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5)))
+    degree = 0
+    for _ in range(rng.randint(1, 4)):
+        d, e = rng.randint(1, max_factor_degree), rng.randint(1, 3)
+        if degree + d * e > max_degree:
+            continue
+        lead = [0] * ring.nvars
+        lead[rng.choice(variables)] = d
+        terms = {tuple(lead): Fraction(rng.randint(1, 6), rng.randint(1, 4))}
+        for _ in range(rng.randint(1, 3)):
+            exps = [0] * ring.nvars
+            for _ in range(rng.randint(0, d)):
+                exps[rng.choice(variables)] += 1
+            terms[tuple(exps)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        f = Polynomial(ring, terms)
+        p = p * f ** e
+        degree += f.total_degree() * e
+    return p
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(1, 2))
+def test_factor_rational_matches_sympy_on_products(seed, nvars):
+    # univariate up to degree 12 and bivariate up to degree 8, in C^3
+    rng = random.Random(seed)
+    ring = PolyRing(("x", "y", "z"))
+    variables = rng.sample(range(ring.nvars), nvars)
+    bounds = (4, 12) if nvars == 1 else (3, 8)
+    p = _random_product(rng, ring, variables, *bounds)
+    assume(not p.is_constant())
+    assert factor_rational(p) == _sympy_factors(p)
+
+
+@pytest.mark.parametrize("text", [
+    "x^4 - 10*x^2 + 1",  # irreducible, yet it splits modulo every prime
+    "x^4 + 1",
+    "x^12 - 1",
+    "(x^2 - 2)^3*(x^2 + x + 1)*x^2",
+    "6*x^6 + 5*x^5 - 37*x^4 - 25*x^3 + 41*x^2 + 20*x - 12",
+    "2/3*y^5 - 1/2",
+    "(3*z - 1)^4*(z^3 + 2)^2",
+    "x^8 - 6*x^6 + 11*x^4 - 6*x^2",
+])
+def test_factor_rational_matches_sympy_on_chosen_polynomials(text):
+    p = PolyRing(("x", "y", "z")).parse(text)
+    assert factor_rational(p) == _sympy_factors(p)
+
+
 def _random_ideal(rng, ring):
     return Ideal(ring, [random_polynomial(ring, rng) for _ in range(rng.randint(1, 3))])
 
