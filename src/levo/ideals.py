@@ -32,8 +32,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache, reduce
 
-import sympy
-
 from .errors import InternalError, RingMismatchError
 from .poly import (
     PolyRing,
@@ -612,21 +610,28 @@ def radical_member(g, I):
 
 
 # ---------------------------------------------------------------------------
-# factorization bridge (sympy does the actual factoring over Q)
+# factorization bridge (sympy does the actual factoring over Q; it is
+# imported at the first nonlinear factorization)
 
 
 @lru_cache(maxsize=None)
 def _symbols(names):
+    import sympy
+
     return tuple(sympy.Symbol(n) for n in names)
 
 
 def _to_sympy(p):
+    import sympy
+
     syms = _symbols(p.ring.vars)
     coeffs = {m: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()}
     return sympy.Poly.from_dict(coeffs, *syms, domain="QQ")
 
 
 def _from_sympy(spoly, ring):
+    import sympy
+
     terms = {}
     for m, c in spoly.terms():
         r = sympy.Rational(c)

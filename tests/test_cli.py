@@ -1,10 +1,14 @@
 """Configuration parsing, pipeline orchestration, and the command line."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import levo
 from levo import cli, gecc, ideals
 from levo.cli import (
     EXIT_CERTIFIED,
@@ -575,3 +579,37 @@ def test_job_seed_reaches_the_report_only_through_retry(capsys):
         del report["seed"], report["config"]["seed"]
         reports.append(report)
     assert reports[0] == reports[1]
+
+
+# ---------------------------------------------------------------------------
+# import boundary
+
+SYMPY_LOADED = "print(any(m.split('.')[0] == 'sympy' for m in sys.modules))"
+
+
+def _fresh_interpreter(code):
+    """Standard output of `code` run by a new interpreter that imports
+    this checkout's levo."""
+    src = str(Path(levo.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=120, check=True)
+    return proc.stdout
+
+
+def test_import_leaves_sympy_unloaded():
+    assert _fresh_interpreter("import sys, levo, levo.cli\n" + SYMPY_LOADED) == "False\n"
+
+
+def test_polar_job_with_only_linear_factorizations_runs_without_sympy():
+    # coordinate-subspace strata under an integer matrix
+    job = Path(__file__).parent / "golden" / "polar_af_partition.json"
+    code = (
+        "import contextlib, io, sys\n"
+        "from levo.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['compute', '--input', %r])\n"
+        "print(code)\n" % str(job)
+        + SYMPY_LOADED
+    )
+    assert _fresh_interpreter(code) == "0\nFalse\n"
