@@ -728,6 +728,14 @@ def test_factor_rational_matches_sympy_on_chosen_polynomials(text):
     assert factor_rational(p) == _sympy_factors(p)
 
 
+def test_univariate_polynomials_are_factored_without_sympy(monkeypatch):
+    ring = PolyRing(("x", "y", "z"))
+    polys = [ring.parse(t) for t in ("y^4 - 1", "1/3*z^6 - 1/3*z^2", "(2*x + 1)^3")]
+    expected = [_sympy_factors(p) for p in polys]
+    monkeypatch.setattr(ideals, "_factor_sympy", None)
+    assert [factor_rational(p) for p in polys] == expected
+
+
 def _random_ideal(rng, ring):
     return Ideal(ring, [random_polynomial(ring, rng) for _ in range(rng.randint(1, 3))])
 
