@@ -139,13 +139,55 @@ def _mat_inverse(M):
     return [row[n:] for row in reduced]
 
 
+def _load_json(text):
+    """The document in `text`; an object naming a key twice is an input
+    error at that object's path, since json.loads would keep only the
+    last value."""
+    repeated = []
+
+    def build(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs) and not repeated:
+            seen = set()
+            repeated.append((obj, next(k for k, _ in pairs if k in seen or seen.add(k))))
+        return obj
+
+    try:
+        doc = json.loads(text, object_pairs_hook=build)
+    except json.JSONDecodeError as exc:
+        raise InputError("invalid JSON at line %d: %s" % (exc.lineno, exc.msg))
+    if repeated:
+        obj, key = repeated[0]
+        _fail(_path_of(obj, doc, "") or "$", "repeated key %r" % key)
+    return doc
+
+
+def _path_of(target, value, path):
+    """The path of the object `target` inside `value`, or None."""
+    if value is target:
+        return path
+    if isinstance(value, dict):
+        children = (
+            (key if not path else "%s.%s" % (path, key)) if key.isidentifier()
+            else "%s[%s]" % (path, key)
+            for key in value
+        )
+        items = zip(children, value.values())
+    elif isinstance(value, list):
+        items = (("%s[%d]" % (path, i), v) for i, v in enumerate(value))
+    else:
+        return None
+    for child_path, child in items:
+        found = _path_of(target, child, child_path)
+        if found is not None:
+            return found
+    return None
+
+
 def parse_config(text_or_dict):
     """Validate a job document; error messages carry the offending field."""
     if isinstance(text_or_dict, str):
-        try:
-            doc = json.loads(text_or_dict)
-        except json.JSONDecodeError as exc:
-            raise InputError("invalid JSON at line %d: %s" % (exc.lineno, exc.msg))
+        doc = _load_json(text_or_dict)
     else:
         doc = text_or_dict
     if not isinstance(doc, dict):

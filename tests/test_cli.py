@@ -515,6 +515,28 @@ def test_malformed_field_is_an_input_error_naming_its_path(tmp_path, capsys, cha
     assert capsys.readouterr().err.startswith("input error: %s: " % path)
 
 
+# (case, text of the cusp job, its replacement naming a key twice, path
+# of the object that names it)
+REPEATED_KEYS = [
+    ("morse-degree", '"morse": {"2": {"rank": 1, "torsion": []}}',
+     '"morse": {"2": {"rank": 1}, "2": {"rank": 5}}', "sheaf.strata[0].morse"),
+    ("module-rank", '{"rank": 1, "torsion": []}', '{"rank": 1, "rank": 5}',
+     "sheaf.strata[0].morse[2]"),
+    ("top-level-seed", '"seed": 5', '"seed": 5, "seed": 6', "$"),
+]
+
+
+@pytest.mark.parametrize("old, new, path", [c[1:] for c in REPEATED_KEYS],
+                         ids=[c[0] for c in REPEATED_KEYS])
+def test_repeated_key_is_an_input_error_naming_its_path(tmp_path, capsys, old, new, path):
+    text = json.dumps(cusp_config())
+    assert old in text
+    job = tmp_path / "job.json"
+    job.write_text(text.replace(old, new), encoding="utf-8")
+    assert main(["compute", "--input", str(job)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error: %s: repeated key" % path)
+
+
 def test_slices_missing_the_component_are_drawn_again(tmp_path, capsys):
     # random slices parallel to the critical line x - 1/2*y once missed it
     # and ended this job as a genericity failure; degrees have no slices
