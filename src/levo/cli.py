@@ -158,30 +158,27 @@ def _load_json(text):
         raise InputError("invalid JSON at line %d: %s" % (exc.lineno, exc.msg))
     if repeated:
         obj, key = repeated[0]
-        _fail(_path_of(obj, doc, "") or "$", "repeated key %r" % key)
+        _fail(_path_of(obj, doc), "repeated key %r" % key)
     return doc
 
 
-def _path_of(target, value, path):
-    """The path of the object `target` inside `value`, or None."""
-    if value is target:
-        return path
-    if isinstance(value, dict):
-        children = (
-            (key if not path else "%s.%s" % (path, key)) if key.isidentifier()
-            else "%s[%s]" % (path, key)
-            for key in value
-        )
-        items = zip(children, value.values())
-    elif isinstance(value, list):
-        items = (("%s[%d]" % (path, i), v) for i, v in enumerate(value))
-    else:
-        return None
-    for child_path, child in items:
-        found = _path_of(target, child, child_path)
-        if found is not None:
-            return found
-    return None
+def _path_of(target, doc):
+    """The path of the object `target` inside the document `doc`."""
+    stack = [("$", doc)]
+    while stack:
+        path, value = stack.pop()
+        if value is target:
+            return path
+        prefix = "" if path == "$" else path
+        if isinstance(value, dict):
+            for key, child in value.items():
+                if not key.isidentifier():
+                    key = "%s[%s]" % (prefix, key)
+                elif prefix:
+                    key = "%s.%s" % (prefix, key)
+                stack.append((key, child))
+        elif isinstance(value, list):
+            stack.extend(("%s[%d]" % (prefix, i), child) for i, child in enumerate(value))
 
 
 def parse_config(text_or_dict):
