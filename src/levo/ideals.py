@@ -5,9 +5,8 @@ selection plus the product and chain criteria), full normal forms,
 block-order elimination, intersection, saturation, Krull dimension,
 degree and quotient vector-space dimension from the staircase, radical
 membership, and decomposition into rational components by recursive
-factorization.  `factor_rational` factors a polynomial in one variable
-with the native factorizer of `levo.univariate`; a polynomial in
-several variables goes to sympy, which is imported only then.
+factorization.  `factor_rational` hands nonlinear polynomials to sympy,
+which is imported only at the first such call, not with levo.
 
 Ideals are identified by the unique reduced grevlex basis, so equal
 ideals hash alike and can key cycle component maps.  Inside the kernel
@@ -33,9 +32,7 @@ from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache, reduce
-from math import lcm
 
-from . import univariate
 from .errors import InternalError, RingMismatchError
 from .poly import (
     PolyRing,
@@ -614,8 +611,8 @@ def radical_member(g, I):
 
 
 # ---------------------------------------------------------------------------
-# factorization over Q: univariate polynomials natively, the rest through
-# sympy, which is imported at the first multivariate factorization
+# factorization bridge (sympy does the actual factoring over Q; it is
+# imported at the first nonlinear factorization)
 
 
 @lru_cache(maxsize=None)
@@ -656,37 +653,6 @@ def factor_rational(p):
 
 
 def _factor(p):
-    occurring = {i for m in p.terms for i, e in enumerate(m) if e}
-    if len(occurring) == 1:
-        out = _factor_univariate(p, occurring.pop())
-    else:
-        out = _factor_sympy(p)
-    out.sort(key=lambda fe: fe[0].canonical())
-    return out
-
-
-def _factor_univariate(p, v):
-    """The factors of a p in which only variable v occurs, by the native
-    factorizer over Z.  Each factor lists its terms in descending degree,
-    the order sympy gives them, so code iterating over terms sees them in
-    the same order on either route."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    coeffs = [0] * (max(m[v] for m in p.terms) + 1)
-    for m, c in p.terms.items():
-        coeffs[m[v]] = c.numerator * (den // c.denominator)
-    zero = (0,) * p.ring.nvars
-    out = []
-    for f, e in univariate.factor(coeffs):
-        lc = f[-1]
-        terms = {
-            zero[:v] + (i,) + zero[v + 1:]: Fraction(f[i], lc)
-            for i in range(len(f) - 1, -1, -1) if f[i]
-        }
-        out.append((Polynomial(p.ring, terms, _clean=False), e))
-    return out
-
-
-def _factor_sympy(p):
     _, factors = _to_sympy(p).factor_list()
     out = []
     for f, e in factors:
@@ -694,6 +660,7 @@ def _factor_sympy(p):
         if q.is_constant():
             continue
         out.append((q.monic(), int(e)))
+    out.sort(key=lambda fe: fe[0].canonical())
     return out
 
 

@@ -713,29 +713,6 @@ def test_factor_rational_matches_sympy_on_products(seed, nvars):
     assert factor_rational(p) == _sympy_factors(p)
 
 
-@pytest.mark.parametrize("text", [
-    "x^4 - 10*x^2 + 1",  # irreducible, yet it splits modulo every prime
-    "x^4 + 1",
-    "x^12 - 1",
-    "(x^2 - 2)^3*(x^2 + x + 1)*x^2",
-    "6*x^6 + 5*x^5 - 37*x^4 - 25*x^3 + 41*x^2 + 20*x - 12",
-    "2/3*y^5 - 1/2",
-    "(3*z - 1)^4*(z^3 + 2)^2",
-    "x^8 - 6*x^6 + 11*x^4 - 6*x^2",
-])
-def test_factor_rational_matches_sympy_on_chosen_polynomials(text):
-    p = PolyRing(("x", "y", "z")).parse(text)
-    assert factor_rational(p) == _sympy_factors(p)
-
-
-def test_univariate_polynomials_are_factored_without_sympy(monkeypatch):
-    ring = PolyRing(("x", "y", "z"))
-    polys = [ring.parse(t) for t in ("y^4 - 1", "1/3*z^6 - 1/3*z^2", "(2*x + 1)^3")]
-    expected = [_sympy_factors(p) for p in polys]
-    monkeypatch.setattr(ideals, "_factor_sympy", None)
-    assert [factor_rational(p) for p in polys] == expected
-
-
 def _random_ideal(rng, ring):
     return Ideal(ring, [random_polynomial(ring, rng) for _ in range(rng.randint(1, 3))])
 
