@@ -142,12 +142,14 @@ def _mat_inverse(M):
 def _load_json(text):
     """The document in `text`; an object naming a key twice is an input
     error at that object's path, since json.loads would keep only the
-    last value."""
+    last value.  Objects are built inner first, so the last one recorded
+    is still in the document: an object that a repeated key dropped was
+    built before the object that dropped it."""
     repeated = []
 
     def build(pairs):
         obj = dict(pairs)
-        if len(obj) < len(pairs) and not repeated:
+        if len(obj) < len(pairs):
             seen = set()
             repeated.append((obj, next(k for k, _ in pairs if k in seen or seen.add(k))))
         return obj
@@ -157,7 +159,7 @@ def _load_json(text):
     except json.JSONDecodeError as exc:
         raise InputError("invalid JSON at line %d: %s" % (exc.lineno, exc.msg))
     if repeated:
-        obj, key = repeated[0]
+        obj, key = repeated[-1]
         _fail(_path_of(obj, doc), "repeated key %r" % key)
     return doc
 

@@ -523,6 +523,9 @@ REPEATED_KEYS = [
     ("module-rank", '{"rank": 1, "torsion": []}', '{"rank": 1, "rank": 5}',
      "sheaf.strata[0].morse[2]"),
     ("top-level-seed", '"seed": 5', '"seed": 5, "seed": 6', "$"),
+    # the inner object naming "rank" twice is dropped by the outer repeat
+    ("nested-under-repeat", '"morse": {"2": {"rank": 1, "torsion": []}}',
+     '"morse": {"2": {"rank": 1, "rank": 5}, "2": {"rank": 1}}', "sheaf.strata[0].morse"),
 ]
 
 
