@@ -700,16 +700,36 @@ def _random_product(rng, ring, variables, max_factor_degree, max_degree):
     return p
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(1, 2))
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(1, 4))
 def test_factor_rational_matches_sympy_on_products(seed, nvars):
-    # univariate up to degree 12 and bivariate up to degree 8, in C^3
+    # univariate up to degree 12, in two to four variables up to degree 8
     rng = random.Random(seed)
-    ring = PolyRing(("x", "y", "z"))
+    ring = PolyRing(("u", "x", "y", "z"))
     variables = rng.sample(range(ring.nvars), nvars)
     bounds = (4, 12) if nvars == 1 else (3, 8)
     p = _random_product(rng, ring, variables, *bounds)
     assume(not p.is_constant())
+    assert factor_rational(p) == _sympy_factors(p)
+
+
+@pytest.mark.parametrize("text", [
+    "x^48 - 1",
+    "x^60 - 1",
+    # Swinnerton-Dyer polynomials of sqrt2 + sqrt3 and sqrt2 + sqrt3 + sqrt5:
+    # irreducible, yet they split modulo every prime
+    "x^4 - 10*x^2 + 1",
+    "x^8 - 40*x^6 + 352*x^4 - 960*x^2 + 576",
+    "x^4 + 1",
+    "u^3 + x^3",
+    "x^2*y*(x + y)^3*(x*y - 1)^2",
+    "(2/3*u^2 - 1/2*x*y)*(3/5*x*z + 7)^2*(1/4*y - 2/9)",
+    "6*x^6 + 5*x^5 - 37*x^4 - 25*x^3 + 41*x^2 + 20*x - 12",
+    "(x^2 - 2)^3*(x^2 + x + 1)*x^2",
+    "(u + x + y + z)*(u*x - y*z + 1)*(u^2 + y^2 - 3)",
+])
+def test_factor_rational_matches_sympy_on_hard_inputs(text):
+    p = PolyRing(("u", "x", "y", "z")).parse(text)
     assert factor_rational(p) == _sympy_factors(p)
 
 
