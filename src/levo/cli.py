@@ -142,7 +142,7 @@ def _mat_inverse(M):
 def _load_json(text):
     """The document in `text`; an object naming a key twice is an input
     error at that object's path, since json.loads would keep only the
-    last value.  Objects are built inner first, so the last one recorded
+    last value.  So is nesting deeper than json.loads can recurse.  Objects are built inner first, so the last one recorded
     is still in the document: an object that a repeated key dropped was
     built before the object that dropped it."""
     repeated = []
@@ -158,6 +158,8 @@ def _load_json(text):
         doc = json.loads(text, object_pairs_hook=build)
     except json.JSONDecodeError as exc:
         raise InputError("invalid JSON at line %d: %s" % (exc.lineno, exc.msg))
+    except RecursionError:
+        raise InputError("invalid JSON: nested too deeply")
     if repeated:
         obj, key = repeated[-1]
         _fail(_path_of(obj, doc), "repeated key %r" % key)

@@ -5,8 +5,9 @@ selection plus the product and chain criteria), full normal forms,
 block-order elimination, intersection, saturation, Krull dimension,
 degree and quotient vector-space dimension from the staircase, radical
 membership, and decomposition into rational components by recursive
-factorization.  `factor_rational` hands nonlinear polynomials to sympy,
-which is imported only at the first such call, not with levo.
+factorization.  `factor_rational` factors over Q with the native
+factorizer over Z of `levo.zfactor`; levo has no third-party runtime
+dependency.
 
 Ideals are identified by the unique reduced grevlex basis, so equal
 ideals hash alike and can key cycle component maps.  Inside the kernel
@@ -31,8 +32,10 @@ import itertools
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
+from math import lcm
 
+from . import zfactor
 from .errors import InternalError, RingMismatchError
 from .poly import (
     PolyRing,
@@ -611,33 +614,7 @@ def radical_member(g, I):
 
 
 # ---------------------------------------------------------------------------
-# factorization bridge (sympy does the actual factoring over Q; it is
-# imported at the first nonlinear factorization)
-
-
-@lru_cache(maxsize=None)
-def _symbols(names):
-    import sympy
-
-    return tuple(sympy.Symbol(n) for n in names)
-
-
-def _to_sympy(p):
-    import sympy
-
-    syms = _symbols(p.ring.vars)
-    coeffs = {m: sympy.Rational(c.numerator, c.denominator) for m, c in p.terms.items()}
-    return sympy.Poly.from_dict(coeffs, *syms, domain="QQ")
-
-
-def _from_sympy(spoly, ring):
-    import sympy
-
-    terms = {}
-    for m, c in spoly.terms():
-        r = sympy.Rational(c)
-        terms[tuple(int(e) for e in m)] = Fraction(int(r.p), int(r.q))
-    return Polynomial(ring, terms)
+# factorization over Q, by the native factorizer over Z of `levo.zfactor`
 
 
 def factor_rational(p):
@@ -653,13 +630,14 @@ def factor_rational(p):
 
 
 def _factor(p):
-    _, factors = _to_sympy(p).factor_list()
+    """Each factor lists its terms in descending lex order, so code that
+    iterates over its terms sees one fixed order."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    f = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
     out = []
-    for f, e in factors:
-        q = _from_sympy(f, p.ring)
-        if q.is_constant():
-            continue
-        out.append((q.monic(), int(e)))
+    for g, e in zfactor.factor(f):
+        q = Polynomial(p.ring, {m: Fraction(g[m]) for m in sorted(g, reverse=True)}, _clean=False)
+        out.append((q.monic(), e))
     out.sort(key=lambda fe: fe[0].canonical())
     return out
 

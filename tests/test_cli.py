@@ -121,6 +121,13 @@ def test_bad_json_reports_line():
     assert "line" in str(excinfo.value)
 
 
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
+    job = tmp_path / "job.json"
+    job.write_text('{"a":' * 100000 + "1" + "}" * 100000, encoding="utf-8")
+    assert main(["compute", "--input", str(job)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error: invalid JSON: nested too deeply")
+
+
 def test_permutation_coordinate_order():
     # the first working coordinate reads the old y, so the cusp becomes
     # y-leading: x^2 + y^3 with (x, y) swapped
@@ -638,3 +645,21 @@ def test_polar_job_with_only_linear_factorizations_runs_without_sympy():
         + SYMPY_LOADED
     )
     assert _fresh_interpreter(code) == "0\nFalse\n"
+
+
+def test_golden_jobs_run_without_sympy():
+    # two_plane_split factors u^3 + x^3, a nonlinear polynomial in two variables
+    from test_golden import GOLDEN, JOBS
+
+    runs = [[str(GOLDEN / (name + ".json"))] + argv for name, argv, _ in JOBS]
+    code = (
+        "import contextlib, io, sys\n"
+        "from levo.cli import main\n"
+        "codes = []\n"
+        "for run in %r:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(['compute', '--input'] + run))\n"
+        "print(codes)\n" % runs
+        + SYMPY_LOADED
+    )
+    assert _fresh_interpreter(code) == "%s\nFalse\n" % [exit_code for _, _, exit_code in JOBS]
