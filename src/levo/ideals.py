@@ -35,7 +35,6 @@ from fractions import Fraction
 from functools import reduce
 from math import lcm
 
-from . import zfactor
 from .errors import InternalError, RingMismatchError
 from .poly import (
     PolyRing,
@@ -614,7 +613,10 @@ def radical_member(g, I):
 
 
 # ---------------------------------------------------------------------------
-# factorization over Q, by the native factorizer over Z of `levo.zfactor`
+# factorization over Q, by the native factorizer over Z of `levo.zfactor`;
+# it is imported at the first nonlinear factorization, so a job that meets
+# only linear polynomials never loads (or, without cached bytecode,
+# compiles) it
 
 
 def factor_rational(p):
@@ -632,6 +634,8 @@ def factor_rational(p):
 def _factor(p):
     """Each factor lists its terms in descending lex order, so code that
     iterates over its terms sees one fixed order."""
+    from . import zfactor
+
     den = lcm(*(c.denominator for c in p.terms.values()))
     f = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
     out = []
