@@ -142,9 +142,10 @@ def _mat_inverse(M):
 def _load_json(text):
     """The document in `text`; an object naming a key twice is an input
     error at that object's path, since json.loads would keep only the
-    last value.  So is nesting deeper than json.loads can recurse.  Objects are built inner first, so the last one recorded
+    last value.  Objects are built inner first, so the last one recorded
     is still in the document: an object that a repeated key dropped was
-    built before the object that dropped it."""
+    built before the object that dropped it.  Nesting deeper than
+    json.loads can recurse is an input error too."""
     repeated = []
 
     def build(pairs):

@@ -632,8 +632,9 @@ def factor_rational(p):
 
 
 def _factor(p):
-    """Each factor lists its terms in descending lex order, so code that
-    iterates over its terms sees one fixed order."""
+    """Each factor lists its terms in descending lex order.  Callers that
+    iterate over the terms of a factor see them in that order, so it is
+    part of what keeps reports byte-identical."""
     from . import zfactor
 
     den = lcm(*(c.denominator for c in p.terms.values()))
