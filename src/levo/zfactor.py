@@ -62,9 +62,8 @@ def factor(f):
         for part in _split_repeated(f):
             for g, e in _factor_kronecker(part):
                 g = _primitive_sparse(g)
-                key = tuple(sorted(g.items()))
-                found[key] = g, found.get(key, (g, 0))[1] + e
-        out.extend(found.values())
+                found.setdefault(tuple(sorted(g.items())), [g, 0])[1] += e
+        out.extend((g, e) for g, e in found.values())
     return out
 
 
@@ -225,16 +224,9 @@ def _gcd_sparse(f, g):
             c = gcd(gcd(*fe.values()), gcd(*ge.values()))
             candidate = {}
             for m, value in h.items():
-                value *= c
-                e = 0
-                while value:
-                    d = value % xi
-                    if 2 * d > xi:
-                        d -= xi
+                for e, d in enumerate(_digits(value * c, xi)):
                     if d:
                         candidate[m[:v] + (e,) + m[v + 1:]] = d
-                    value = (value - d) // xi
-                    e += 1
             candidate = _primitive_sparse(candidate)
             if _divide(f, candidate) is not None and _divide(g, candidate) is not None:
                 return candidate
@@ -367,15 +359,7 @@ def _gcd(a, b):
     a, b = _primitive(a), _primitive(b)
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
     for _ in range(6):
-        h = gcd(_evaluate(a, xi), _evaluate(b, xi))
-        g = []
-        while h:
-            d = h % xi
-            if 2 * d > xi:
-                d -= xi
-            g.append(d)
-            h = (h - d) // xi
-        g = _primitive(g)
+        g = _primitive(_digits(gcd(_evaluate(a, xi), _evaluate(b, xi)), xi))
         if _exact_quotient(a, g) is not None and _exact_quotient(b, g) is not None:
             return g
         xi = xi * 73794 // 27011
@@ -391,6 +375,20 @@ def _evaluate(a, x):
     for c in reversed(a):
         v = v * x + c
     return v
+
+
+def _digits(v, x):
+    """The balanced base-x digits of v, lowest first: the coefficients of
+    the polynomial with coefficients below x/2 in absolute value that
+    takes the value v at x."""
+    out = []
+    while v:
+        d = v % x
+        if 2 * d > x:
+            d -= x
+        out.append(d)
+        v = (v - d) // x
+    return out
 
 
 def _squarefree(f):
