@@ -23,6 +23,7 @@ from levo.cli import (
     run_pipeline,
 )
 from levo.errors import InputError
+from test_golden import GOLDEN, JOBS
 
 
 def two_plane_config(**overrides):
@@ -649,8 +650,6 @@ def test_polar_job_with_only_linear_factorizations_runs_without_sympy():
 
 def test_golden_jobs_run_without_sympy():
     # two_plane_split factors u^3 + x^3, a nonlinear polynomial in two variables
-    from test_golden import GOLDEN, JOBS
-
     runs = [[str(GOLDEN / (name + ".json"))] + argv for name, argv, _ in JOBS]
     code = (
         "import contextlib, io, sys\n"
