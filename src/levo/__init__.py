@@ -27,7 +27,6 @@ from .gecc import (
     support_of_gecc,
 )
 from .geom import (
-    blowup_exceptional,
     conormal_ideal,
     graph_ideal,
     graph_pushforward,
@@ -39,7 +38,6 @@ from .geom import (
 from .diagnostics import (
     GenericityCertificate,
     ZawatskyComplex,
-    af_exceptional_containment,
     essential_transversality,
     euler_check,
     isolating_certificate,
@@ -89,7 +87,6 @@ __all__ = [
     "isolated_vanishing_stalk",
     "nearby_gecc",
     "support_of_gecc",
-    "blowup_exceptional",
     "conormal_ideal",
     "graph_ideal",
     "graph_pushforward",
@@ -99,7 +96,6 @@ __all__ = [
     "relative_conormal_ideal",
     "GenericityCertificate",
     "ZawatskyComplex",
-    "af_exceptional_containment",
     "essential_transversality",
     "euler_check",
     "isolating_certificate",

@@ -39,7 +39,7 @@ from .errors import (
     PolynomialParseError,
 )
 from .gecc import SheafSpec, StratumSpec, build_gecc, critical_locus, support_of_gecc
-from .geom import conormal_ideal, row_reduce
+from .geom import conormal_ideal
 from .ideals import Ideal, algebra_cache, eliminate, radical_member, rational_point_of
 from .poly import PolyRing, Polynomial
 from .vogel import decompose_all_degrees, polar_support_sets
@@ -132,11 +132,22 @@ def _mat_mul(A, B):
 
 
 def _mat_inverse(M):
+    """The inverse by exact Gauss-Jordan on [M | I]; None when M is
+    singular."""
     n = len(M)
-    reduced, pivots = row_reduce([list(row) + e for row, e in zip(M, _identity(n))], n)
-    if len(pivots) < n:
-        return None
-    return [row[n:] for row in reduced]
+    rows = [[Fraction(x) for x in row] + e for row, e in zip(M, _identity(n))]
+    for c in range(n):
+        pivot = next((i for i in range(c, n) if rows[i][c]), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        inv = rows[c][c]
+        rows[c] = [x / inv for x in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    return [row[n:] for row in rows]
 
 
 def _load_json(text):

@@ -14,10 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .abgroups import ZERO_GROUP
-from .errors import InputError
 from .gecc import base_images
-from .geom import blowup_exceptional, conormal_ideal, dim_at_point, graph_ideal
-from .ideals import eliminate, radical_member
+from .geom import dim_at_point
 
 
 class GenericityCertificate:
@@ -144,113 +142,6 @@ def upgrade_by_transversality(certificate, conormals, point, full_ring):
         "certified", certificate.d, None, certificate.checks
     )
     return upgraded, detail
-
-
-def af_exceptional_containment(Y_ideal, N_ideal, f, x):
-    """Thom-condition diagnostic at a point of a smooth subspace N.
-
-    Checks (i) the limiting conormals of Y at x sit inside the conormal
-    fibre of N, (ii) df(x) lies in that fibre, and (iii) the projected
-    exceptional divisor of the gradient-graph blow-up of Y's conormal is
-    contained fibrewise in the projectivized conormal of N.  Experimental.
-    """
-    full = _full_ring_of(f)
-    base = f.ring
-    x = tuple(Fraction(c) for c in x)
-    if not N_ideal.vanishes_at(x):
-        raise InputError("the point does not lie on N")
-    n_forms = _conormal_fibre_forms(N_ideal, full)
-    witness = {"conditions": {}}
-
-    # ii) the differential of f at x lies in the conormal fibre of N
-    grad = [f.diff(z).eval_point(x) for z in base.vars]
-    cond_ii = all(_eval_w_form(form, full, grad) == 0 for form in n_forms)
-    witness["conditions"]["differential_in_fibre"] = cond_ii
-
-    # i) limiting conormals of Y at x inside the fibre of N
-    conY = conormal_ideal(Y_ideal, full)
-    at_x = conY.plus(
-        [full.var(z) - c for z, c in zip(full.base_vars, x)]
-    )
-    cond_i = all(radical_member(form, at_x) for form in n_forms)
-    witness["conditions"]["whitney_a"] = cond_i
-
-    cond_iii = True
-    detail = []
-    if cond_i and cond_ii:
-        graph = graph_ideal(f, full)
-        blowup, comps = blowup_exceptional(conY, list(graph.gens))
-        for comp in comps:
-            ext_ring = comp.ideal.ring
-            fiber = comp.ideal.plus(
-                [ext_ring.var(z) - c for z, c in zip(full.base_vars, x)]
-            )
-            if fiber.is_unit():
-                continue
-            projected = eliminate(fiber, full.cotangent_vars)
-            enames = [v for v in ext_ring.vars if v not in set(full.vars)]
-            ok = all(
-                radical_member(_w_form_in_e(form, full, projected.ring, enames), projected)
-                for form in n_forms
-            )
-            detail.append(
-                {"component": comp.ideal.generator_strings(), "contained": ok}
-            )
-            cond_iii = cond_iii and ok
-    witness["conditions"]["exceptional_containment"] = cond_iii
-    witness["exceptional_components"] = detail
-    return (cond_i and cond_ii and cond_iii), witness
-
-
-def _full_ring_of(f):
-    from .poly import PolyRing
-
-    base = f.ring
-    cot = tuple("w_%d" % i for i in range(len(base.vars)))
-    if any(w in set(base.vars) for w in cot):
-        raise InputError("base variables clash with cotangent names")
-    return PolyRing(base.vars, cot)
-
-
-def _conormal_fibre_forms(N_ideal, full):
-    """Linear w-forms cutting the conormal fibre of a smooth N."""
-    conN = conormal_ideal(N_ideal, full)
-    forms = []
-    for g in conN.groebner():
-        if any(g.terms.get(_unit_exp(full, w)) for w in full.cotangent_vars):
-            if g.total_degree() == 1 and all(
-                not _involves(g, z) for z in full.base_vars
-            ):
-                forms.append(g)
-    return forms
-
-
-def _unit_exp(ring, name):
-    e = [0] * ring.nvars
-    e[ring.index(name)] = 1
-    return tuple(e)
-
-
-def _involves(g, name):
-    i = g.ring.index(name)
-    return any(m[i] for m in g.terms)
-
-
-def _eval_w_form(form, full, grad):
-    value = Fraction(0)
-    for w, c in zip(full.cotangent_vars, grad):
-        coeff = form.terms.get(_unit_exp(full, w), Fraction(0))
-        value += coeff * c
-    return value
-
-
-def _w_form_in_e(form, full, target_ring, enames):
-    out = target_ring.zero()
-    for i, w in enumerate(full.cotangent_vars):
-        coeff = form.terms.get(_unit_exp(full, w), Fraction(0))
-        if coeff:
-            out = out + target_ring.var(enames[i]) * coeff
-    return out
 
 
 # ---------------------------------------------------------------------------

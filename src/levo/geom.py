@@ -3,8 +3,7 @@
 Hypersurface intersections with exact multiplicities (degree ratios
 after removing the other components), point-local multiplicities by
 localization at the point, conormal and relative-conormal ideals,
-push-forward along the gradient graph, and an experimental Rees-style
-blow-up used as an independent cross-check.  Nothing here is random.
+and push-forward along the gradient graph.  Nothing here is random.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .errors import (
 )
 from .ideals import (
     Ideal,
-    _eliminate_to,
     _fresh_names,
     degree,
     eliminate,
@@ -199,33 +197,6 @@ def graph_ideal(f, full_ring):
     return Ideal(full_ring, gens)
 
 
-def row_reduce(rows, ncols):
-    """Exact Gauss-Jordan elimination over the rationals, pivoting only in
-    the first `ncols` columns; returns (reduced rows, pivot columns)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        if r == len(m):
-            break
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-    return m, pivots
-
-
-def _is_linear_ideal(I):
-    return all(g.total_degree() <= 1 for g in I.gens)
-
-
 def _minor_dets(matrix, size):
     """All size x size minors of a matrix of polynomials."""
     nrows, ncols = len(matrix), len(matrix[0]) if matrix else 0
@@ -357,76 +328,3 @@ def graph_pushforward(E, f):
         image = eliminate(P, full.cotangent_vars)
         acc[image] = acc[image].dsum(coeff) if image in acc else coeff
     return EnrichedCycle(base, acc, E.warnings)
-
-
-# ---------------------------------------------------------------------------
-# blow-up cross-check (experimental; exercised only by diagnostics/tests)
-
-
-class ExceptionalComponent:
-    __slots__ = ("ideal", "multiplicity", "chart", "certified")
-
-    def __init__(self, ideal, multiplicity, chart, certified):
-        self.ideal = ideal
-        self.multiplicity = multiplicity
-        self.chart = chart
-        self.certified = certified
-
-    def __repr__(self):
-        return "ExceptionalComponent(%r, mult=%d, chart=%s)" % (
-            self.ideal,
-            self.multiplicity,
-            self.chart,
-        )
-
-
-def blowup_exceptional(P, g_tuple):
-    """Blow up V(P) along the tuple g and decompose the exceptional
-    divisor with multiplicities.
-
-    Returns the blow-up ideal (in a ring extended by projective
-    coordinates) and the exceptional components; multiplicities are
-    computed chart by chart.  Experimental: used as a cross-check against
-    the inductive intersection route.
-    """
-    ring = P.ring
-    g_tuple = tuple(ring.parse(g) if isinstance(g, str) else g for g in g_tuple)
-    if all(P.contains(g) for g in g_tuple):
-        raise InputError("blow-up undefined on component: the tuple vanishes on it")
-    d1 = len(g_tuple)
-    enames = _fresh_names(set(ring.vars), "e_", d1)
-    (tname,) = _fresh_names(set(ring.vars) | set(enames), "_t", 1)
-    rees_ring = PolyRing(ring.vars + tuple(enames) + (tname,))
-    gens = [map_poly(h, rees_ring) for h in P.gens]
-    t = rees_ring.var(tname)
-    for name, g in zip(enames, g_tuple):
-        gens.append(rees_ring.var(name) - t * map_poly(g, rees_ring))
-    ext_ring = PolyRing(ring.vars + tuple(enames))
-    blowup = _eliminate_to(Ideal(rees_ring, gens), {tname}, ext_ring)
-    g_ext = [map_poly(g, ext_ring) for g in g_tuple]
-    blowup = saturate_ideal(blowup, Ideal(ext_ring, g_ext))
-
-    total = blowup.plus(g_ext)
-    if total.is_unit():
-        return blowup, []
-    out = []
-    for comp in split_components(total):
-        W = comp.ideal
-        evars = [ext_ring.var(n) for n in enames]
-        if all(W.contains(e) for e in evars):
-            continue  # cone point only; empty projectively
-        chart = next(j for j, e in enumerate(evars) if not W.contains(e))
-        chart_ring = PolyRing(
-            ring.vars + tuple(n for j, n in enumerate(enames) if j != chart)
-        )
-        sub = {enames[chart]: Fraction(1)}
-
-        def to_chart(p):
-            return map_poly(p.subs(sub), chart_ring)
-
-        B_chart = Ideal(chart_ring, [to_chart(h) for h in blowup.gens])
-        W_chart = Ideal(chart_ring, [to_chart(h) for h in W.gens])
-        g_chart = to_chart(g_ext[chart])
-        m = multiplicity_along(B_chart, g_chart, W_chart)
-        out.append(ExceptionalComponent(W, m, chart, comp.certified))
-    return blowup, out

@@ -781,20 +781,3 @@ def _branch_or_certify(J):
             if p.total_degree() == n and is_irreducible(p):
                 return True
     return False
-
-
-def decomposition_covers(I, components):
-    """Radical-level check that the components cover V(I) exactly.
-
-    Each component must contain I (so its locus sits inside V(I)), and
-    every element of the intersection of the components must lie in
-    rad(I) (so the union of the loci is no smaller than V(I)).  Used by
-    tests; the splitting construction guarantees both directions.
-    """
-    for comp in components:
-        if not comp.ideal.contains_ideal(I):
-            return False
-    meet = components[0].ideal
-    for comp in components[1:]:
-        meet = intersect(meet, comp.ideal)
-    return all(radical_member(g, I) for g in meet.gens)

@@ -30,13 +30,12 @@ from .gecc import (
     nearby_gecc,
 )
 from .geom import (
-    _is_linear_ideal,
     conormal_ideal,
     graph_ideal,
     graph_pushforward,
     intersect_hypersurface,
 )
-from .ideals import Ideal, eliminate, map_poly, maximal_loci, split_components
+from .ideals import eliminate, map_poly, maximal_loci, split_components
 
 
 class VogelDecomposition:
@@ -320,6 +319,10 @@ def polar_support_sets(G, m):
 # independent iterated-slice oracle
 
 
+def _is_linear_ideal(I):
+    return all(g.total_degree() <= 1 for g in I.groebner())
+
+
 def _strata_from_gecc(G):
     """Reconstruct strata from a cycle whose components are certified
     conormals of smooth (linear) closures; the oracle's precondition."""
@@ -333,7 +336,7 @@ def _strata_from_gecc(G):
     for key in sorted(per_comp):
         P, morse = per_comp[key]
         closure = eliminate(P, ring.cotangent_vars)
-        if not _is_linear_ideal(Ideal(closure.ring, closure.groebner())):
+        if not _is_linear_ideal(closure):
             raise InputError(
                 "iterated-slice oracle needs smooth linear closures; got V(%s)"
                 % ", ".join(closure.generator_strings())
@@ -359,7 +362,7 @@ def polar_modules_iterative(spec, point, j, k, seed=0):
     if not spec.in_strata_mode():
         raise InputError("the oracle requires strata input")
     for stratum in spec.strata:
-        if not _is_linear_ideal(Ideal(stratum.closure.ring, stratum.closure.groebner())):
+        if not _is_linear_ideal(stratum.closure):
             raise InputError(
                 "iterated-slice oracle needs smooth linear closures; got %s"
                 % stratum.label

@@ -1,13 +1,28 @@
 """Shared builders for the test suite."""
 
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
 from levo import ideals
 from levo.abgroups import AbGroup, Z
+from levo.cli import _cotangent_names
+from levo.errors import InputError
 from levo.gecc import SheafSpec, StratumSpec
-from levo.ideals import Ideal, quotient_dimension, saturate, split_components
+from levo.geom import conormal_ideal, graph_ideal, multiplicity_along
+from levo.ideals import (
+    Ideal,
+    _fresh_names,
+    eliminate,
+    intersect,
+    map_poly,
+    quotient_dimension,
+    radical_member,
+    saturate,
+    saturate_ideal,
+    split_components,
+)
 from levo.poly import PolyRing
 
 
@@ -106,6 +121,117 @@ def sliced_multiplicity(P, g, W, rng, rounds=12):
         if m1 is not None and m1 == m2:
             return m1
     return None
+
+
+def decomposition_covers(I, components):
+    """Radical-level check that the components cover V(I) exactly: each
+    contains I, so its locus lies in V(I), and every element of their
+    intersection lies in rad(I), so the union is no smaller than V(I)."""
+    if not all(c.ideal.contains_ideal(I) for c in components):
+        return False
+    meet = reduce(intersect, [c.ideal for c in components])
+    return all(radical_member(g, I) for g in meet.gens)
+
+
+def blowup_exceptional(P, g_tuple):
+    """Independent route to intersection multiplicities: blow up V(P)
+    along the tuple g through its Rees algebra and decompose the
+    exceptional divisor.
+
+    Returns the blow-up ideal, in the ring extended by projective
+    coordinates e_i, and one (ideal, multiplicity, chart, certified)
+    tuple per exceptional component, its multiplicity taken in the chart
+    e_chart = 1 of the first coordinate not vanishing on it.
+    """
+    ring = P.ring
+    gs = [ring.parse(g) if isinstance(g, str) else g for g in g_tuple]
+    if all(P.contains(g) for g in gs):
+        raise InputError("blow-up undefined on component: the tuple vanishes on it")
+    enames = _fresh_names(set(ring.vars), "e_", len(gs))
+    (tname,) = _fresh_names(set(ring.vars) | set(enames), "_t", 1)
+    rees = PolyRing(ring.vars + tuple(enames) + (tname,))
+    t = rees.var(tname)
+    gens = [map_poly(h, rees) for h in P.gens]
+    gens += [rees.var(e) - t * map_poly(g, rees) for e, g in zip(enames, gs)]
+    blowup = eliminate(Ideal(rees, gens), [tname])
+    ext = blowup.ring
+    g_ext = [map_poly(g, ext) for g in gs]
+    blowup = saturate_ideal(blowup, Ideal(ext, g_ext))
+
+    total = blowup.plus(g_ext)
+    if total.is_unit():
+        return blowup, []
+    out = []
+    for comp in split_components(total):
+        W = comp.ideal
+        charts = [j for j, e in enumerate(enames) if not W.contains(ext.var(e))]
+        if not charts:
+            continue  # the cone point only; empty projectively
+        chart = charts[0]
+        chart_ring = PolyRing(tuple(v for v in ext.vars if v != enames[chart]))
+
+        def to_chart(p):
+            return map_poly(p.subs({enames[chart]: Fraction(1)}), chart_ring)
+
+        def chart_ideal(I):
+            return Ideal(chart_ring, [to_chart(h) for h in I.gens])
+
+        m = multiplicity_along(chart_ideal(blowup), to_chart(g_ext[chart]), chart_ideal(W))
+        out.append((W, m, chart, comp.certified))
+    return blowup, out
+
+
+def af_exceptional_containment(Y, N, f, x):
+    """Thom-condition diagnostic at a point x of a smooth subspace V(N).
+
+    Checks (i) the limiting conormals of V(Y) at x lie in the conormal
+    fibre of N, (ii) df(x) lies in that fibre, and (iii) the projected
+    exceptional divisor of the blow-up of Y's conormal along the gradient
+    graph lies fibrewise in the projectivized conormal of N.  Returns
+    (all three hold, witness).
+    """
+    base = f.ring
+    n = len(base.vars)
+    full = PolyRing(base.vars, _cotangent_names(base.vars))
+    x = tuple(Fraction(c) for c in x)
+    if not N.vanishes_at(x):
+        raise InputError("the point does not lie on N")
+    # the linear w-forms cutting the conormal fibre of N, as w-coefficients;
+    # in `full` and in each projected exceptional fibre below the last n
+    # variables are the fibre coordinates (w_i, then e_i)
+    fibre_forms = [
+        [0] * n + [g.diff(w).constant_value() for w in full.cotangent_vars]
+        for g in conormal_ideal(N, full).groebner()
+        if g.total_degree() == 1 and all(g.diff(z).is_zero() for z in full.base_vars)
+    ]
+
+    grad = [f.diff(z).eval_point(x) for z in base.vars]
+    cond_ii = all(sum(a * b for a, b in zip(v[n:], grad)) == 0 for v in fibre_forms)
+    conY = conormal_ideal(Y, full)
+    at_x = conY.plus([full.var(z) - c for z, c in zip(full.base_vars, x)])
+    cond_i = all(radical_member(full.linear_form(v), at_x) for v in fibre_forms)
+
+    cond_iii = True
+    detail = []
+    if cond_i and cond_ii:
+        _, comps = blowup_exceptional(conY, graph_ideal(f, full).gens)
+        for W, _, _, _ in comps:
+            fibre = W.plus([W.ring.var(z) - c for z, c in zip(full.base_vars, x)])
+            if fibre.is_unit():
+                continue
+            projected = eliminate(fibre, full.cotangent_vars)
+            ok = all(radical_member(projected.ring.linear_form(v), projected) for v in fibre_forms)
+            detail.append({"component": W.generator_strings(), "contained": ok})
+            cond_iii = cond_iii and ok
+    witness = {
+        "conditions": {
+            "differential_in_fibre": cond_ii,
+            "whitney_a": cond_i,
+            "exceptional_containment": cond_iii,
+        },
+        "exceptional_components": detail,
+    }
+    return cond_i and cond_ii and cond_iii, witness
 
 
 def random_polynomial(ring, rng, max_degree=2, max_terms=3, bound=5):

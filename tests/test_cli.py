@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import levo
 from levo import cli, gecc, ideals
@@ -546,6 +548,48 @@ def test_repeated_key_is_an_input_error_naming_its_path(tmp_path, capsys, old, n
     job.write_text(text.replace(old, new), encoding="utf-8")
     assert main(["compute", "--input", str(job)]) == EXIT_INPUT
     assert capsys.readouterr().err.startswith("input error: %s: repeated key" % path)
+
+
+def direct_cusp_config():
+    component = {"ideal": ["w_0", "w_1"], "module": {"rank": 1, "torsion": []}}
+    return cusp_config(sheaf={"gecc": {"2": [component]}})
+
+
+TOP_LEVEL = ("variables", "function", "point", "coordinate_order", "seed",
+             "af_partition", "rank_only", "expected_euler", "format")
+STRATUM = ("sheaf", "strata", 0)
+COMPONENT = ("sheaf", "gecc", "2", 0)
+# (valid job, path of the field to replace)
+FIELD_PATHS = (
+    [(job, (key,)) for job in (cusp_config, direct_cusp_config) for key in TOP_LEVEL]
+    + [(cusp_config, STRATUM + (key,))
+       for key in ("closure", "morse", "label", "conormal", "dimension")]
+    + [(cusp_config, STRATUM + ("morse", "2", "torsion"))]
+    + [(direct_cusp_config, COMPONENT + (key,)) for key in ("ideal", "module")]
+)
+NEAR_VALID = ("x", "y", "w_0", "x^2 + y^3", "0", "1/2", "-1", "2", "rank", "torsion")
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats()
+    | st.sampled_from(NEAR_VALID) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(NEAR_VALID) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(FIELD_PATHS), value=JSON_VALUES)
+def test_any_json_in_one_field_is_accepted_or_an_input_error(field, value):
+    job, path = field
+    doc = job()
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    try:
+        prepare_job(parse_config(json.dumps(doc)))
+    except InputError:
+        pass
 
 
 def test_slices_missing_the_component_are_drawn_again(tmp_path, capsys):

@@ -3,10 +3,9 @@ complexes, and Euler reconciliation."""
 
 import pytest
 
-from conftest import constant_sheaf_spec, two_plane_spec
+from conftest import af_exceptional_containment, constant_sheaf_spec, two_plane_spec
 from levo.abgroups import Z, ZERO_GROUP
 from levo.diagnostics import (
-    af_exceptional_containment,
     essential_transversality,
     euler_check,
     isolating_certificate,

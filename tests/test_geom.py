@@ -8,12 +8,17 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_polynomial, sliced_multiplicity
+from conftest import (
+    blowup_exceptional,
+    milnor_number,
+    random_polynomial,
+    sliced_multiplicity,
+)
 from levo.abgroups import Z, Zmod
+from levo.cli import parse_config, run_pipeline
 from levo.cycles import EnrichedCycle, empty_cycle
 from levo.errors import ImproperIntersectionError, InputError
 from levo.geom import (
-    blowup_exceptional,
     conormal_ideal,
     constant_value_on,
     dim_at_point,
@@ -431,17 +436,16 @@ def test_projection_formula():
 
 
 # ---------------------------------------------------------------------------
-# blow-up cross-check (experimental)
+# the blow-up oracle (tests/conftest.py)
 
 
 def test_blowup_point_in_plane():
     ring = PolyRing(("x", "y"))
     blowup, comps = blowup_exceptional(Ideal(ring, []), ("x", "y"))
     assert len(comps) == 1
-    assert comps[0].multiplicity == 1
-    projected = eliminate(
-        comps[0].ideal, [v for v in comps[0].ideal.ring.vars if v not in ("x", "y")]
-    )
+    W, multiplicity, _, _ = comps[0]
+    assert multiplicity == 1
+    projected = eliminate(W, [v for v in W.ring.vars if v not in ("x", "y")])
     assert {str(g) for g in projected.groebner()} == {"y", "x"}
 
 
@@ -452,12 +456,31 @@ def test_blowup_gradient_graph_matches_distinguished_multiplicity():
     P = Ideal(ring, ["w_0", "w_1"])
     _, comps = blowup_exceptional(P, ("w_0 - 2*x", "w_1 - 3*y^2"))
     assert len(comps) == 1
-    comp = comps[0]
-    assert comp.multiplicity == 2
-    ext = comp.ideal.ring
+    W, multiplicity, _, _ = comps[0]
+    assert multiplicity == 2
     base_section = [v for v in ("x", "y", "w_0", "w_1")]
-    projected = eliminate(comp.ideal, [v for v in ext.vars if v not in base_section])
+    projected = eliminate(W, [v for v in W.ring.vars if v not in base_section])
     assert projected == Ideal(projected.ring, ["x", "y", "w_0", "w_1"])
+
+
+@pytest.mark.parametrize(
+    "f_text", ["x^2 + y^3", "x^2 + y^4", "x^3 + y^3", "x^3 + y^4", "x^2*y + y^4"]
+)
+def test_blowup_multiplicity_matches_point_module_and_milnor_number(f_text):
+    # the zero section blown up along the gradient graph, the top point
+    # module of the constant sheaf, and the Jacobian algebra: three routes
+    # to the Milnor number of an isolated plane singularity
+    ring = plane()
+    f = ring.base_ring().parse(f_text)
+    _, comps = blowup_exceptional(Ideal(ring, ["w_0", "w_1"]), graph_ideal(f, ring).gens)
+    [(_, multiplicity, _, _)] = comps
+    constant_sheaf = {"strata": [{"closure": [], "morse": {"2": {"rank": 1, "torsion": []}}}]}
+    report, _ = run_pipeline(
+        parse_config(
+            {"variables": ["x", "y"], "sheaf": constant_sheaf, "function": f_text, "point": [0, 0]}
+        )
+    )
+    assert multiplicity == report["levo_modules"]["2"]["0"]["rank"] == milnor_number(f)
 
 
 def test_blowup_unit_tuple_gives_empty_divisor():

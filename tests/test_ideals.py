@@ -9,13 +9,12 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_polynomial
+from conftest import decomposition_covers, random_polynomial
 from levo import ideals
 from levo.ideals import (
     Ideal,
     algebra_cache,
     buchberger,
-    decomposition_covers,
     degree,
     eliminate,
     factor_rational,
