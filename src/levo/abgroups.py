@@ -15,11 +15,7 @@ AbGroup(rank=0, torsion=(2,))
 from __future__ import annotations
 
 from collections import Counter
-from math import gcd
-
-
-def _lcm(a, b):
-    return a * b // gcd(a, b)
+from math import gcd, lcm
 
 
 def _invariant_factors(divisors):
@@ -31,7 +27,7 @@ def _invariant_factors(divisors):
         for i in range(len(ds) - 1):
             a, b = ds[i], ds[i + 1]
             if b % a:
-                ds[i], ds[i + 1] = gcd(a, b), _lcm(a, b)
+                ds[i], ds[i + 1] = gcd(a, b), lcm(a, b)
                 changed = True
         if changed:
             ds.sort()

@@ -82,12 +82,13 @@ def _is_int(value):
 
 
 def _as_fraction(value, path):
+    """A JSON integer or a string "[-+]digits[/digits]" in ASCII digits;
+    Fraction() alone also takes "1e10000000" and expands it in full."""
+    rational = isinstance(value, str) and re.fullmatch(r"[-+]?[0-9]+(/[0-9]+)?", value)
     try:
-        if isinstance(value, str):
+        if _is_int(value) or rational:
             return Fraction(value)
-        if _is_int(value):
-            return Fraction(value)
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError):  # a zero denominator or too many digits
         pass
     _fail(path, "expected an integer or rational string, got %r" % (value,))
 

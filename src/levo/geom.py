@@ -1,9 +1,9 @@
 """Intersection theory on the cotangent ring.
 
-Hypersurface intersections with exact multiplicities (degree ratios
-after removing the other components), point-local multiplicities by
-localization at the point, conormal and relative-conormal ideals,
-and push-forward along the gradient graph.  Nothing here is random.
+Intersection multiplicities along components and at rational points,
+both exact local lengths from one routine (degree ratios after removing
+the other components), conormal and relative-conormal ideals, and
+push-forward along the gradient graph.  Nothing here is random.
 """
 
 from __future__ import annotations
@@ -21,17 +21,16 @@ from .errors import (
 )
 from .ideals import (
     Ideal,
-    _fresh_names,
+    _with_tag_var,
     degree,
     eliminate,
     map_ideal,
     map_poly,
-    quotient_dimension,
     saturate,
     saturate_ideal,
     split_components,
 )
-from .poly import PolyRing, Polynomial
+from .poly import Polynomial
 
 # ---------------------------------------------------------------------------
 # multiplicities
@@ -50,14 +49,30 @@ def _witnesses(W, others):
     return out
 
 
+def _local_length(Q, W, others):
+    """Length of ring/Q localized at its component W, where `others` are
+    the other components of V(Q).
+
+    Saturating Q by one witness polynomial per other component leaves W
+    as the only top-dimensional associated prime, so the degree of the
+    saturation is the length times the degree of W.
+    """
+    for h in _witnesses(W, others):
+        Q = saturate(Q, h)
+    if Q.dimension() != W.dimension():
+        raise InternalError(
+            "saturated ideal has dimension %d, its component %d"
+            % (Q.dimension(), W.dimension())
+        )
+    num, den = degree(Q), degree(W)
+    if num % den:
+        raise InternalError("non-integral local length along %r" % (W,))
+    return num // den
+
+
 def multiplicity_along(P, g, W, others=None):
     """Intersection multiplicity of the hypersurface V(g) with V(P) along
-    the component W of V(P + (g)).
-
-    Saturating Q = P + (g) by one witness polynomial per other component
-    leaves W as the only top-dimensional associated prime of Q, so the
-    degree of Q is the multiplicity times the degree of W.
-    """
+    the component W of V(P + (g)): the local length of P + (g) at W."""
     if isinstance(g, str):
         g = P.ring.parse(g)
     if P.contains(g):
@@ -66,18 +81,7 @@ def multiplicity_along(P, g, W, others=None):
         others = [c.ideal for c in split_components(P.plus([g])) if c.ideal != W]
     if W.dimension() < 0:
         raise InputError("component is empty")
-    Q = P.plus([g])
-    for h in _witnesses(W, others):
-        Q = saturate(Q, h)
-    if Q.dimension() != W.dimension():
-        raise InternalError(
-            "saturated intersection has dimension %d, its component %d"
-            % (Q.dimension(), W.dimension())
-        )
-    num, den = degree(Q), degree(W)
-    if num % den:
-        raise InternalError("non-integral multiplicity along %r" % (W,))
-    return num // den
+    return _local_length(P.plus([g]), W, others)
 
 
 class IntersectionRecord:
@@ -137,35 +141,28 @@ def intersect_hypersurface(E, g):
 
 
 def local_multiplicity_at_point(J, point):
-    """Length of the local ring of ring/J at a rational point.
-
-    Every component of V(J) that misses the point is removed by
-    saturating J with one of its basis elements that is nonzero at the
-    point; what is left is supported at the point alone, so its quotient
-    dimension is the length.  Components missing the point may have any
-    dimension; a positive-dimensional component through the point is
-    rejected.  Zero when the point is off the locus.
+    """Length of the local ring of ring/J at a rational point: the local
+    length of J at the point's maximal ideal, the components that miss
+    the point being the others.  These may have any dimension; a
+    positive-dimensional component through the point is rejected.  Zero
+    when the point is off the locus.
     """
     ring = J.ring
     point = tuple(Fraction(c) for c in point)
     if len(point) != ring.nvars:
         raise InputError("point has wrong number of coordinates")
     comps = [] if J.is_unit() else [c.ideal for c in split_components(J)]
-    if not any(C.vanishes_at(point) for C in comps):
+    through = [C for C in comps if C.vanishes_at(point)]
+    if not through:
         return 0
-    local = J
-    for C in comps:
-        if not C.vanishes_at(point):
-            local = saturate(local, next(g for g in C.groebner() if g.eval_point(point)))
-        elif C.dimension() > 0:
+    for C in through:
+        if C.dimension() > 0:
             raise InputError(
                 "local multiplicity requires the locus to be zero-dimensional "
                 "at the point; V(%s) is not" % ", ".join(C.generator_strings())
             )
-    length = quotient_dimension(local)
-    if length is None:
-        raise InternalError("localization at the point left a positive-dimensional locus")
-    return length
+    W = Ideal(ring, [ring.var(v) - c for v, c in zip(ring.vars, point)])
+    return _local_length(J, W, [C for C in comps if C not in through])
 
 
 def dim_at_point(J, point):
@@ -271,12 +268,10 @@ def constant_value_on(I, f):
 
     f is constant on V(I) exactly when I + (t - f) has a nonzero
     eliminant in t; its roots are the values of f."""
-    ring = I.ring
-    (tname,) = _fresh_names(set(ring.vars), "_v", 1)
-    ext = PolyRing(ring.vars + (tname,))
+    ext, t = _with_tag_var(I.ring)
     gens = [map_poly(g, ext) for g in I.gens]
-    gens.append(ext.var(tname) - map_poly(f, ext))
-    values = eliminate(Ideal(ext, gens), set(ring.vars)).groebner()
+    gens.append(ext.var(t) - map_poly(f, ext))
+    values = eliminate(Ideal(ext, gens), set(I.ring.vars)).groebner()
     if not values:
         return False, None
     eliminant = values[0]

@@ -13,8 +13,10 @@ Ideals are identified by the unique reduced grevlex basis, so equal
 ideals hash alike and can key cycle component maps.  Inside the kernel
 a basis entry is a pair (leading monomial, term dict) with leading
 coefficient 1, and Buchberger's output is reduced in one sweep in
-ascending leading-monomial order.  `split_components` certifies a
-component prime only in the classes its docstring lists.
+ascending leading-monomial order.  An `Ideal` keeps its reduced basis
+as such entries, so no leading monomial is found twice.
+`split_components` certifies a component prime only in the classes
+its docstring lists.
 
 Inside an `algebra_cache()` scope, `buchberger`, `split_components` and
 `factor_rational` remember their results by canonical input: the
@@ -265,7 +267,7 @@ def _reduce_basis(basis, key):
 class Ideal:
     """A finitely generated ideal with cached reduced Groebner bases."""
 
-    __slots__ = ("ring", "gens", "_gb", "_key", "_dim")
+    __slots__ = ("ring", "gens", "_gb", "_entries", "_key", "_dim")
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -279,27 +281,35 @@ class Ideal:
                 clean.append(g)
         self.gens = tuple(clean)
         self._gb = None
+        self._entries = None
         self._key = None
         self._dim = None
 
     # -- Groebner ------------------------------------------------------------
 
     def groebner(self):
-        """The reduced Groebner basis under the ring's order."""
+        """The reduced Groebner basis under the ring's order.
+
+        Its first computation also records the basis entries (lm, terms)
+        that `normal_form` and `leading_monomials` read."""
         if self._gb is None:
-            dicts = buchberger([g.terms for g in self.gens], self.ring.key())
-            self._gb = tuple(
-                Polynomial(self.ring, t, _clean=False) for t in dicts
-            )
+            key = self.ring.key()
+            dicts = buchberger([g.terms for g in self.gens], key)
+            self._entries = tuple((max(t, key=key), t) for t in dicts)
+            self._gb = tuple(Polynomial(self.ring, t, _clean=False) for t in dicts)
         return self._gb
+
+    def leading_monomials(self):
+        """The leading monomials of the reduced basis, in its order."""
+        self.groebner()
+        return [lm for lm, _ in self._entries]
 
     def normal_form(self, p):
         if p.ring != self.ring:
             raise RingMismatchError("polynomial not in the ideal's ring")
-        key = self.ring.key()
-        # the basis is monic, so _entry copies nothing
-        basis = [_entry(g.terms, key) for g in self.groebner()]
-        return Polynomial(self.ring, _reduce_terms(p.terms, basis, key), _clean=False)
+        self.groebner()
+        terms = _reduce_terms(p.terms, self._entries, self.ring.key())
+        return Polynomial(self.ring, terms, _clean=False)
 
     def contains(self, p):
         """Ideal membership via zero normal form."""
@@ -353,23 +363,13 @@ class Ideal:
 # dimension and quotient dimension
 
 
-def _lead_supports(ideal):
-    gb = ideal.groebner()
-    key = ideal.ring.key()
-    supports = []
-    for g in gb:
-        lm, _ = g.lead(key)
-        supports.append(frozenset(i for i, e in enumerate(lm) if e))
-    return supports
-
-
 def krull_dimension(ideal):
     gb = ideal.groebner()
     if not gb:
         return ideal.ring.nvars
     if ideal.is_unit():
         return -1
-    supports = _lead_supports(ideal)
+    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in ideal.leading_monomials()]
     # drop supersets; they are hit whenever their subset is hit
     minimal = []
     for s in sorted(supports, key=len):
@@ -409,8 +409,7 @@ def degree(ideal):
     d = ideal.dimension()
     if d < 0:
         return 0
-    key = ideal.ring.key()
-    lms = [g.lead(key)[0] for g in ideal.groebner()]
+    lms = ideal.leading_monomials()
     n = ideal.ring.nvars
     total = 0
     for free in itertools.combinations(range(n), d):

@@ -290,54 +290,41 @@ class Polynomial:
         """Substitute variables by polynomials or rational constants.
 
         `mapping` maps variable names; unmapped variables stay themselves.
-        The values may live in a different ring (all in the same one).
+        The polynomial values may live in a different ring (all in the
+        same one); a constant becomes a constant of that ring.
         """
-        target = None
-        values = {}
-        for name, val in mapping.items():
-            if isinstance(val, (int, Fraction)):
-                values[self.ring.index(name)] = ("const", Fraction(val))
-            else:
-                values[self.ring.index(name)] = ("poly", val)
-                target = val.ring
-        if target is None:
-            target = self.ring
-        for name in self.ring.vars:
-            i = self.ring.index(name)
-            if i not in values:
-                values[i] = ("poly", target.var(name))
-
-        # cache powers per variable
+        given = {self.ring.index(name): val for name, val in mapping.items()}
+        target = next((v.ring for v in given.values() if isinstance(v, Polynomial)), self.ring)
+        values = [
+            target.var(name) if i not in given
+            else given[i] if isinstance(given[i], Polynomial)
+            else target.const(given[i])
+            for i, name in enumerate(self.ring.vars)
+        ]
         powers = {}
-
-        def power(i, e):
-            kind, val = values[i]
-            if kind == "const":
-                return val**e
-            key = (i, e)
-            if key not in powers:
-                powers[key] = val**e
-            return powers[key]
-
         acc = target.zero()
         for m, c in self.terms.items():
-            part_const = c
-            part_poly = target.one()
+            part = target.const(c)
             for i, e in enumerate(m):
-                if not e:
-                    continue
-                p = power(i, e)
-                if isinstance(p, Fraction):
-                    part_const *= p
-                else:
-                    part_poly = part_poly * p
-            acc = acc + part_poly * part_const
+                if e:
+                    if (i, e) not in powers:
+                        powers[i, e] = values[i] ** e
+                    part = part * powers[i, e]
+            acc = acc + part
         return acc
 
     def eval_point(self, point):
-        """Evaluate at a rational point given per base-ring variable order."""
-        mapping = {name: Fraction(v) for name, v in zip(self.ring.vars, point)}
-        return self.subs(mapping).constant_value()
+        """Value at a rational point, one coordinate per ring variable."""
+        if len(point) != self.ring.nvars:
+            raise ValueError("point needs one coordinate per variable of %r" % (self.ring,))
+        point = [Fraction(v) for v in point]
+        total = Fraction(0)
+        for m, c in self.terms.items():
+            for v, e in zip(point, m):
+                if e:
+                    c *= v**e
+            total += c
+        return total
 
     # -- leading data -------------------------------------------------------------
 

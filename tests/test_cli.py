@@ -503,6 +503,11 @@ BAD_FIELDS = [
     ("seed-true", lambda d: dict(d, seed=True), "seed"),
     ("expected_euler-true", lambda d: dict(d, expected_euler=True), "expected_euler"),
     ("point-true", lambda d: dict(d, point=[True, 0]), "point[0]"),
+    ("point-exponent", lambda d: dict(d, point=["1e2", 0]), "point[0]"),
+    # Fraction() would expand this to ten million digits
+    ("point-huge-exponent", lambda d: dict(d, point=["1e10000000", 0]), "point[0]"),
+    ("coordinate_order-exponent", lambda d: dict(d, coordinate_order=[["1e2", 0], [0, 1]]),
+     "coordinate_order[0][0]"),
     ("morse-rank-true", lambda d: _stratum(d, morse={"2": {"rank": True}}),
      "sheaf.strata[0].morse[2].rank"),
     ("morse-degree-underscore", lambda d: _stratum(d, morse={"1_0": {"rank": 1}}),
@@ -664,12 +669,13 @@ def test_job_seed_reaches_the_report_only_through_retry(capsys):
 SYMPY_LOADED = "print(any(m.split('.')[0] == 'sympy' for m in sys.modules))"
 
 
-def _fresh_interpreter(code):
+def _fresh_interpreter(code, env=None):
     """Standard output of `code` run by a new interpreter that imports
-    this checkout's levo."""
+    this checkout's levo, with `env` added to its environment."""
     src = str(Path(levo.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+    env = dict(os.environ, PYTHONPATH=path, **(env or {}))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     return proc.stdout
 
@@ -706,3 +712,23 @@ def test_golden_jobs_run_without_sympy():
         + SYMPY_LOADED
     )
     assert _fresh_interpreter(code) == "%s\nFalse\n" % [exit_code for _, _, exit_code in JOBS]
+
+
+def test_golden_reports_do_not_depend_on_the_hash_seed():
+    runs = [[str(GOLDEN / (name + ".json"))] + argv for name, argv, _ in JOBS]
+    code = (
+        "import contextlib, io, sys\n"
+        "from levo.cli import main\n"
+        "for run in %r:\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        code = main(['compute', '--input'] + run)\n"
+        "    sys.stdout.buffer.write(b'%%d\\n' %% code + out.getvalue().encode('utf-8'))\n"
+        % runs
+    )
+    expected = b"".join(
+        b"%d\n" % exit_code + (GOLDEN / (name + ".stdout")).read_bytes()
+        for name, _, exit_code in JOBS
+    )
+    stdout = _fresh_interpreter(code, env={"PYTHONHASHSEED": "12345"})
+    assert stdout.encode("utf-8") == expected

@@ -29,7 +29,14 @@ from levo.geom import (
     multiplicity_along,
     relative_conormal_ideal,
 )
-from levo.ideals import Ideal, eliminate, map_poly, quotient_dimension, split_components
+from levo.ideals import (
+    Ideal,
+    eliminate,
+    map_poly,
+    quotient_dimension,
+    rational_point_of,
+    split_components,
+)
 from levo.poly import PolyRing
 
 
@@ -197,6 +204,19 @@ def test_local_multiplicity_translated_point():
     base = plane().base_ring()
     J = Ideal(base, ["(x - 1)^2", "y + 2"])
     assert local_multiplicity_at_point(J, (1, -2)) == 2
+
+
+@pytest.mark.parametrize("f, points", [
+    ("x^3 - 3*x + y^4", [(-1, 0), (1, 0)]),
+    ("x^3 - 3*x + y^3 - 3*y", [(-1, -1), (-1, 1), (1, -1), (1, 1)]),
+])
+def test_point_lengths_over_the_critical_points_sum_to_the_milnor_number(f, points):
+    # each critical point has the others as components to saturate away
+    base = plane().base_ring()
+    f = base.parse(f)
+    J = Ideal(base, [f.diff(v) for v in base.vars])
+    assert sorted(rational_point_of(c.ideal) for c in split_components(J)) == points
+    assert sum(local_multiplicity_at_point(J, p) for p in points) == milnor_number(f)
 
 
 def test_dim_at_point():

@@ -3,9 +3,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from levo.errors import PolynomialParseError, RingMismatchError
-from levo.poly import PolyRing, block_key, grevlex_key, lex_key
+from levo.poly import PolyRing, Polynomial, block_key, grevlex_key, lex_key
 
 
 @pytest.fixture
@@ -82,9 +84,42 @@ def test_subs_composition(ring):
     assert q == ring.parse("(y+1)^2 + z")
 
 
+def test_subs_constants_and_unknown_names(ring):
+    p = ring.parse("x^2*y + z")
+    assert p.subs({"x": 2, "y": Fraction(1, 2)}) == ring.parse("2 + z")
+    assert p.subs({"y": 0}) == ring.var("z")
+    with pytest.raises(KeyError):
+        p.subs({"q": 1})
+
+
 def test_eval_point(ring):
     p = ring.parse("x*y - z")
     assert p.eval_point((2, 3, 5)) == 1
+
+
+def test_eval_point_needs_one_coordinate_per_variable(ring):
+    with pytest.raises(ValueError):
+        ring.parse("z").eval_point((1, 2))
+    with pytest.raises(ValueError):
+        ring.parse("x").eval_point((1, 2, 3, 4))
+
+
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=7)
+
+
+@st.composite
+def polynomials_and_points(draw):
+    ring = PolyRing(("x", "y", "z", "u")[: draw(st.integers(1, 4))])
+    exponents = st.tuples(*[st.integers(0, 3)] * ring.nvars)
+    terms = draw(st.dictionaries(exponents, RATIONALS, max_size=6))
+    return Polynomial(ring, terms), draw(st.tuples(*[RATIONALS] * ring.nvars))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polynomials_and_points())
+def test_eval_point_agrees_with_substitution(case):
+    p, point = case
+    assert p.eval_point(point) == p.subs(dict(zip(p.ring.vars, point))).constant_value()
 
 
 def test_grevlex_order():
