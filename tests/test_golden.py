@@ -26,6 +26,8 @@ JOBS = [
     ("polar_af_partition", [], 0),
     ("polar_gecc", [], 0),
     ("polar_curve", [], 0),
+    ("uncertified_point", [], 0),
+    ("polar_open_dropped", [], 0),
 ]
 
 
