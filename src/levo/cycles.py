@@ -2,8 +2,9 @@
 
 An enriched cycle is a formal sum of component ideals with nonzero
 group coefficients; a graded enriched cycle indexes such cycles by an
-integer degree.  Both carry a warning set inherited from uncertified
-components, and both are immutable.
+integer degree.  Both are plain immutable values: a ring and its
+components.  Whether a component was certified is recorded once, in the
+properness log of the decomposition that produced it.
 """
 
 from __future__ import annotations
@@ -13,9 +14,9 @@ from .errors import RingMismatchError
 
 
 class EnrichedCycle:
-    __slots__ = ("ring", "components", "warnings")
+    __slots__ = ("ring", "components")
 
-    def __init__(self, ring, components=None, warnings=()):
+    def __init__(self, ring, components=None):
         self.ring = ring
         comps = {}
         for ideal, group in (components or {}).items():
@@ -24,7 +25,6 @@ class EnrichedCycle:
             if not group.is_zero():
                 comps[ideal] = group
         self.components = comps
-        self.warnings = frozenset(warnings)
 
     # -- queries -------------------------------------------------------------
 
@@ -50,14 +50,14 @@ class EnrichedCycle:
         comps = dict(self.components)
         for ideal, group in other.components.items():
             comps[ideal] = comps[ideal].dsum(group) if ideal in comps else group
-        return EnrichedCycle(self.ring, comps, self.warnings | other.warnings)
+        return EnrichedCycle(self.ring, comps)
 
     __add__ = add
 
     def scale(self, group):
         """Tensor every coefficient by a fixed group."""
         comps = {I: group.tensor(g) for I, g in self.components.items()}
-        return EnrichedCycle(self.ring, comps, self.warnings)
+        return EnrichedCycle(self.ring, comps)
 
     def ord(self):
         """Underlying ordinary cycle: ranks only, as {ideal: int}."""
@@ -134,12 +134,6 @@ class GradedEnrichedCycle:
             for I in cyc.components:
                 seen[I.key()] = I
         return [seen[k] for k in sorted(seen)]
-
-    def warnings(self):
-        out = set()
-        for cyc in self.by_degree.values():
-            out |= cyc.warnings
-        return frozenset(out)
 
     def add(self, other):
         if self.ring != other.ring:

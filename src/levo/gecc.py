@@ -9,7 +9,7 @@ points, and the critical locus.
 
 from __future__ import annotations
 
-from .abgroups import AbGroup
+from .abgroups import ZERO_GROUP, AbGroup
 from .cycles import EnrichedCycle, GradedEnrichedCycle
 from .errors import GenericityError, InputError
 from .geom import (
@@ -170,7 +170,8 @@ def nearby_gecc(spec, f):
 
     Per visible stratum on which f is non-constant, the relative conormal
     carries the stratum's modules; the sum is then cut by V(f).  Strata
-    with f constant are skipped (collected into the returned warnings).
+    with f constant are skipped.  Returns the cycle and the sorted labels
+    of the skipped strata.
     """
     if not spec.in_strata_mode():
         raise InputError(
@@ -192,13 +193,10 @@ def nearby_gecc(spec, f):
         for k, module in stratum.morse.items():
             piece = by_degree.setdefault(k, {})
             piece[rel] = piece[rel].dsum(module) if rel in piece else module
-    warnings = set()
-    if skipped:
-        warnings.add("skipped constant strata: %s" % ", ".join(sorted(skipped)))
     out = {}
     f_full = map_poly(f, ring)
     for k, comps in by_degree.items():
-        cyc = EnrichedCycle(ring, comps, warnings)
+        cyc = EnrichedCycle(ring, comps)
         out[k] = intersect_hypersurface(cyc, f_full).cycle
     result = GradedEnrichedCycle(ring, out)
     return result, sorted(skipped)
@@ -223,7 +221,7 @@ def isolated_vanishing_stalk(G, f, point):
     graph = graph_ideal(f, ring)
     out = {}
     for k in G.degrees():
-        total = None
+        total = ZERO_GROUP
         for P, coeff in G.piece(k).items():
             J = P.plus(graph.gens)
             try:
@@ -234,11 +232,8 @@ def isolated_vanishing_stalk(G, f, point):
                     "use the inductive decomposition route",
                     stage=("stalk", None, J),
                 ) from exc
-            if mult == 0:
-                continue
-            contrib = coeff.tensor(AbGroup(mult))
-            total = contrib if total is None else total.dsum(contrib)
-        if total is not None and not total.is_zero():
+            total = total.dsum(coeff.tensor(AbGroup(mult)))
+        if not total.is_zero():
             out[k] = total
     return out
 

@@ -122,7 +122,6 @@ def intersect_hypersurface(E, g):
     if g.ring != E.ring:
         raise RingMismatchError("hypersurface lives in a different ring")
     acc = {}
-    warnings = set(E.warnings)
     records = []
     for P, coeff in E.items():
         if P.contains(g):
@@ -134,10 +133,8 @@ def intersect_hypersurface(E, g):
             m = multiplicity_along(P, g, W, others=[J for J in ideals if J != W])
             group = coeff.tensor(AbGroup(m))
             acc[W] = acc[W].dsum(group) if W in acc else group
-            if not comp.certified:
-                warnings.add("uncertified component: V(%s)" % ", ".join(W.generator_strings()))
             records.append(IntersectionRecord(P, W, m, comp.certified))
-    return IntersectionResult(EnrichedCycle(E.ring, acc, warnings), records)
+    return IntersectionResult(EnrichedCycle(E.ring, acc), records)
 
 
 def local_multiplicity_at_point(J, point):
@@ -322,4 +319,4 @@ def graph_pushforward(E, f):
                 )
         image = eliminate(P, full.cotangent_vars)
         acc[image] = acc[image].dsum(coeff) if image in acc else coeff
-    return EnrichedCycle(base, acc, E.warnings)
+    return EnrichedCycle(base, acc)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .abgroups import ZERO_GROUP
-from .cycles import EnrichedCycle, empty_cycle
+from .cycles import EnrichedCycle
 from .errors import (
     GenericityError,
     ImproperIntersectionError,
@@ -44,27 +44,34 @@ class VogelDecomposition:
     residual[j] are the carried cycles (j = n+1 .. 0) and
     distinguished[j] the graph-trapped cycles (j = n .. 0); `dropped`
     lists input components contained in the graph, `disjoint` those that
-    never meet it.
+    never meet it, and `records` the properness log as (stage, record).
     """
 
-    __slots__ = (
-        "degree",
-        "residual",
-        "distinguished",
-        "dropped",
-        "disjoint",
-        "warnings",
-        "records",
-    )
+    __slots__ = ("degree", "residual", "distinguished", "dropped", "disjoint", "records")
 
-    def __init__(self, degree, residual, distinguished, dropped, disjoint, warnings, records):
+    def __init__(self, degree, residual, distinguished, dropped, disjoint, records):
         self.degree = degree
         self.residual = residual
         self.distinguished = distinguished
         self.dropped = dropped
         self.disjoint = disjoint
-        self.warnings = warnings
         self.records = records
+
+    @property
+    def warnings(self):
+        """Report lines for each dropped component and each uncertified
+        component of the properness log."""
+        dropped = (
+            "component inside the gradient graph dropped: V(%s)"
+            % ", ".join(P.generator_strings())
+            for P in self.dropped
+        )
+        uncertified = (
+            "uncertified component: V(%s)" % ", ".join(r.component.generator_strings())
+            for _, r in self.records
+            if not r.certified
+        )
+        return {*dropped, *uncertified}
 
     def to_json(self):
         return {
@@ -95,73 +102,53 @@ def vogel_decompose(G_k, f, degree=0):
     graph = graph_ideal(f, ring)
     f_full = map_poly(f, ring) if f.ring != ring else f
 
-    warnings = set(G_k.warnings)
-    dropped, disjoint, start = [], [], {}
-    for P, coeff in G_k.items():
+    for P in G_k.support():
         if P.dimension() != nbase:
             raise InputError(
                 "input component V(%s) is not purely %d-dimensional"
                 % (", ".join(P.generator_strings()), nbase)
             )
-        if P.contains_ideal(graph):
-            dropped.append(P)
-            warnings.add(
-                "component inside the gradient graph dropped: V(%s)"
-                % ", ".join(P.generator_strings())
-            )
-        elif P.plus(graph.gens).is_unit():
-            disjoint.append(P)
-        else:
-            start[P] = coeff
+    disjoint = []
+    dropped, start = _by_graph(G_k, graph, disjoint)
 
-    residual = {nbase: EnrichedCycle(ring, start, warnings)}
+    residual = {nbase: start}
     distinguished = {}
     records = []
-    acc_warnings = set(warnings)
     for j in range(nbase - 1, -1, -1):
-        cur = residual[j + 1]
-        if cur.is_zero():
-            residual[j] = empty_cycle(ring)
-            distinguished[j] = empty_cycle(ring)
-            continue
         w = ring.var(ring.cotangent_vars[j])
         hyp = w - f_full.diff(ring.base_vars[j])
         try:
-            result = intersect_hypersurface(cur, hyp)
+            result = intersect_hypersurface(residual[j + 1], hyp)
         except ImproperIntersectionError as exc:
             raise GenericityError(
                 "improper intersection at stage %d on component V(%s)"
                 % (j, ", ".join(exc.component.generator_strings())),
                 stage=("vogel", j, exc.component),
             ) from exc
-        for record in result.records:
-            records.append((j, record))
-        inside, outside = {}, {}
-        for W, coeff in result.cycle.items():
-            if W.contains_ideal(graph):
-                inside[W] = coeff
-            elif W.plus(graph.gens).is_unit():
-                disjoint.append(W)
-            else:
-                outside[W] = coeff
-        keep_warn = result.cycle.warnings
-        acc_warnings |= keep_warn
-        residual[j] = EnrichedCycle(ring, outside, keep_warn)
-        distinguished[j] = EnrichedCycle(ring, inside, keep_warn)
+        records.extend((j, record) for record in result.records)
+        distinguished[j], residual[j] = _by_graph(result.cycle, graph, disjoint)
         _check_dimensions(residual[j], j, "residual")
         _check_dimensions(distinguished[j], j, "distinguished")
 
     decomposition = VogelDecomposition(
-        degree,
-        residual,
-        distinguished,
-        dropped,
-        disjoint,
-        frozenset(acc_warnings),
-        records,
+        degree, residual, distinguished, dropped.support(), disjoint, records
     )
     _check_set_identity(start, graph, distinguished)
     return decomposition
+
+
+def _by_graph(cycle, graph, disjoint):
+    """(the part of `cycle` inside the graph, the part that meets it
+    elsewhere); components that never meet the graph go to `disjoint`."""
+    inside, meets = {}, {}
+    for P, coeff in cycle.items():
+        if P.contains_ideal(graph):
+            inside[P] = coeff
+        elif P.plus(graph.gens).is_unit():
+            disjoint.append(P)
+        else:
+            meets[P] = coeff
+    return EnrichedCycle(cycle.ring, inside), EnrichedCycle(cycle.ring, meets)
 
 
 def _check_dimensions(cycle, j, label):
@@ -179,7 +166,7 @@ def _check_set_identity(start, graph, distinguished):
     deltas = []
     for cyc in distinguished.values():
         deltas.extend(cyc.support())
-    for P in start:
+    for P in start.support():
         J = P.plus(graph.gens)
         if J.is_unit():
             continue
@@ -213,14 +200,10 @@ def levo_modules(cycles_by_j, point):
     """
     out = {}
     for j, lam in sorted(cycles_by_j.items()):
-        if lam.is_zero():
-            continue
         base = lam.ring
         pt = tuple(Fraction(c) for c in point)
         cur = _through_point(lam, pt)
         for i in range(j):
-            if cur.is_zero():
-                break
             hyp = base.var(base.vars[i]) - pt[i]
             try:
                 cur = intersect_hypersurface(cur, hyp).cycle
@@ -232,11 +215,9 @@ def levo_modules(cycles_by_j, point):
                     stage=("slice", j, exc.component),
                 ) from exc
             cur = _through_point(cur, pt)
-        if cur.is_zero():
-            continue
         # a zero-dimensional split component through a rational point is
         # that point's maximal ideal, of length one
-        total = None
+        total = ZERO_GROUP
         for W, coeff in cur.items():
             if W.dimension() > 0:
                 raise GenericityError(
@@ -248,8 +229,8 @@ def levo_modules(cycles_by_j, point):
                     "point component V(%s) is not the maximal ideal of the point"
                     % ", ".join(W.generator_strings())
                 )
-            total = coeff if total is None else total.dsum(coeff)
-        if total is not None and not total.is_zero():
+            total = total.dsum(coeff)
+        if not total.is_zero():
             out[j] = total
     return out
 
@@ -258,7 +239,7 @@ def _through_point(cycle, point):
     comps = {
         P: c for P, c in cycle.components.items() if P.vanishes_at(point)
     }
-    return EnrichedCycle(cycle.ring, comps, cycle.warnings)
+    return EnrichedCycle(cycle.ring, comps)
 
 
 # ---------------------------------------------------------------------------

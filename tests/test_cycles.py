@@ -115,13 +115,6 @@ def test_graded_purity_closed_under_operations(ring):
     assert pure.shift(0).concentrated_in(0)
 
 
-def test_graded_warnings_union(ring):
-    vx = line(ring, "x")
-    noisy = EnrichedCycle(ring, {vx: Z(1)}, warnings={"uncertified component: V(q)"})
-    g = GradedEnrichedCycle(ring, {0: noisy})
-    assert g.warnings() == frozenset({"uncertified component: V(q)"})
-
-
 def test_serialization(ring):
     vx = line(ring, "x")
     e = EnrichedCycle(ring, {vx: Z(2) + Zmod(2)})
