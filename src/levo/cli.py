@@ -113,7 +113,10 @@ def _as_degree(key, path, seen):
     joins `seen`; one already there, as "02" after "2", is rejected."""
     if not re.fullmatch(r"-?[0-9]+", str(key)):
         _fail(path, "degree keys must be integers")
-    k = int(key)
+    try:
+        k = int(key)
+    except ValueError:  # more digits than int() converts
+        _fail(path, "degree key %.20s... is too long" % key)
     if k in seen:
         _fail(path, "degree %d is named by two keys" % k)
     seen.add(k)
@@ -157,7 +160,8 @@ def _load_json(text):
     last value.  Objects are built inner first, so the last one recorded
     is still in the document: an object that a repeated key dropped was
     built before the object that dropped it.  Nesting deeper than
-    json.loads can recurse is an input error too."""
+    json.loads can recurse, and an integer longer than int() converts,
+    are input errors too."""
     repeated = []
 
     def build(pairs):
@@ -171,6 +175,10 @@ def _load_json(text):
         doc = json.loads(text, object_pairs_hook=build)
     except json.JSONDecodeError as exc:
         raise InputError("invalid JSON at line %d: %s" % (exc.lineno, exc.msg))
+    except ValueError:  # an integer with more digits than int() converts
+        raise InputError(
+            "invalid JSON: an integer has more than %d digits" % sys.get_int_max_str_digits()
+        )
     except RecursionError:
         raise InputError("invalid JSON: nested too deeply")
     if repeated:

@@ -443,7 +443,12 @@ def _tokenize(text):
                 )
             break
         if m.group("num"):
-            tokens.append(("num", int(m.group("num"))))
+            try:
+                tokens.append(("num", int(m.group("num"))))
+            except ValueError:  # more digits than int() converts
+                raise PolynomialParseError(
+                    "integer literal at position %d is too long" % pos
+                ) from None
         elif m.group("name"):
             tokens.append(("name", m.group("name")))
         else:

@@ -131,6 +131,16 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error: invalid JSON: nested too deeply")
 
 
+def test_integer_past_the_digit_limit_is_an_input_error(tmp_path, capsys):
+    # json.dumps refuses such an integer too, so the job is written as text
+    text = json.dumps(cusp_config())
+    assert '"seed": 5' in text
+    job = tmp_path / "job.json"
+    job.write_text(text.replace('"seed": 5', '"seed": 1' + "0" * 5000), encoding="utf-8")
+    assert main(["compute", "--input", str(job)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error: invalid JSON: ")
+
+
 def test_permutation_coordinate_order():
     # the first working coordinate reads the old y, so the cusp becomes
     # y-leading: x^2 + y^3 with (x, y) swapped
@@ -516,6 +526,11 @@ BAD_FIELDS = [
     ("morse-degree-repeated", lambda d: _stratum(d, morse={"2": {"rank": 1}, "02": {"rank": 5}}),
      "sheaf.strata[0].morse"),
     ("gecc-degree-repeated", _direct_gecc_repeating_a_degree, "sheaf.gecc"),
+    # int() refuses strings of more than sys.get_int_max_str_digits() digits
+    ("morse-degree-long", lambda d: _stratum(d, morse={"1" * 5000: {"rank": 1}}),
+     "sheaf.strata[0].morse"),
+    ("function-long-literal", lambda d: dict(d, function="x^2 + %s*y^3" % ("7" * 5000)),
+     "function"),
     ("dimension-string", lambda d: _stratum(d, dimension="2"), "sheaf.strata[0].dimension"),
     ("strata-number", lambda d: dict(d, sheaf={"strata": 5}), "sheaf.strata"),
     ("conormal-number", lambda d: _stratum(d, conormal=5), "sheaf.strata[0].conormal"),
@@ -572,7 +587,8 @@ FIELD_PATHS = (
     + [(cusp_config, STRATUM + ("morse", "2", "torsion"))]
     + [(direct_cusp_config, COMPONENT + (key,)) for key in ("ideal", "module")]
 )
-NEAR_VALID = ("x", "y", "w_0", "x^2 + y^3", "0", "1/2", "-1", "2", "rank", "torsion")
+NEAR_VALID = ("x", "y", "w_0", "x^2 + y^3", "0", "1/2", "-1", "2", "rank", "torsion",
+              "1" * 5000)
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-3, 5) | st.floats()
     | st.sampled_from(NEAR_VALID) | st.text(max_size=4),
