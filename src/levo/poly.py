@@ -446,9 +446,7 @@ def _tokenize(text):
             try:
                 tokens.append(("num", int(m.group("num"))))
             except ValueError:  # more digits than int() converts
-                raise PolynomialParseError(
-                    "integer literal at position %d is too long" % pos
-                ) from None
+                raise PolynomialParseError("number at position %d is too long" % pos) from None
         elif m.group("name"):
             tokens.append(("name", m.group("name")))
         else:
