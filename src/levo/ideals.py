@@ -57,20 +57,28 @@ _CACHE_KINDS = ("buchberger", "split_components", "factor_rational")
 
 
 class AlgebraCache:
-    """Results by (kind, canonical input), with hits and misses per kind."""
+    """Results by (kind, canonical input), with hits and misses per kind,
+    and the S-pairs that Buchberger misses reduced, with how many of them
+    reduced to zero."""
 
-    __slots__ = ("entries", "hits", "misses")
+    __slots__ = ("entries", "hits", "misses", "spairs", "zero_reductions")
 
     def __init__(self):
         self.entries = {}
         self.hits = Counter()
         self.misses = Counter()
+        self.spairs = 0
+        self.zero_reductions = 0
 
     def summary(self):
-        """One line of hits and misses per kind."""
-        return "algebra cache: " + ", ".join(
-            "%s %d hits %d misses" % (kind, self.hits[kind], self.misses[kind])
-            for kind in _CACHE_KINDS
+        """One line of hits and misses per kind and the S-pair counts."""
+        return "algebra cache: %s; S-pairs %d reduced, %d to zero" % (
+            ", ".join(
+                "%s %d hits %d misses" % (kind, self.hits[kind], self.misses[kind])
+                for kind in _CACHE_KINDS
+            ),
+            self.spairs,
+            self.zero_reductions,
         )
 
 
@@ -222,6 +230,7 @@ def _buchberger(generators, key):
                 return True
         return False
 
+    reduced = zero = 0
     while heap:
         _, (i, j), lcm = heapq.heappop(heap)
         pairs.discard((i, j))
@@ -234,13 +243,19 @@ def _buchberger(generators, key):
         if chain_criterion(i, j, lcm):
             continue
         s = _reduce_terms(_spoly(basis[i], basis[j]), basis, key)
+        reduced += 1
         if not s:
+            zero += 1
             continue
         basis.append(_entry(s, key))
         new = len(basis) - 1
         for k in range(new):
             add_pair(k, new)
 
+    cache = _CACHE.get()
+    if cache is not None:
+        cache.spairs += reduced
+        cache.zero_reductions += zero
     return _reduce_basis(basis, key)
 
 

@@ -1,6 +1,7 @@
 """Configuration parsing, pipeline orchestration, and the command line."""
 
 import json
+import re
 import os
 import subprocess
 import sys
@@ -301,6 +302,7 @@ def test_determinism_byte_identical(tmp_path, capsys):
     assert plain.out == timed.out == report_to_json(r1)
     assert plain.err == ""
     assert "algebra cache: buchberger " in timed.err
+    assert re.search(r"; S-pairs \d+ reduced, \d+ to zero$", timed.err, re.M)
 
 
 def test_run_pipeline_cache_ends_with_the_run(cache_calls):

@@ -785,6 +785,19 @@ def test_cache_hits_are_fresh_copies():
         assert factor_rational(p) == expected
 
 
+def test_algebra_cache_counts_reduced_spairs():
+    # (x^2 - y, x*y - z): the pair of the two generators gives y^2 - x*z;
+    # of its pairs, the one with x^2 is coprime and the one with x*y
+    # reduces to zero.  A cache hit reduces nothing.
+    ring = PolyRing(("x", "y", "z"))
+    gens = [ring.parse("x^2 - y").terms, ring.parse("x*y - z").terms]
+    with algebra_cache() as cache:
+        for _ in range(2):
+            buchberger(gens, grevlex_key)
+            assert (cache.spairs, cache.zero_reductions) == (2, 1)
+        assert cache.summary().endswith("; S-pairs 2 reduced, 1 to zero")
+
+
 def test_algebra_cache_scope_nests_and_ends():
     assert ideals._CACHE.get() is None
     with algebra_cache() as outer:
