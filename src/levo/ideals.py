@@ -11,10 +11,21 @@ dependency.
 
 Ideals are identified by the unique reduced grevlex basis, so equal
 ideals hash alike and can key cycle component maps.  Inside the kernel
-a basis entry is a pair (leading monomial, term dict) with leading
+a monomial is one int that packs its exponents for the order in use
+(see `_Packing`): int comparison is the order, a product is an add and
+a divisibility test one subtract and one mask test.  A basis entry is a
+pair (packed leading monomial, packed term dict) with leading
 coefficient 1, and Buchberger's output is reduced in one sweep in
 ascending leading-monomial order.  An `Ideal` keeps its reduced basis
-as such entries, so no leading monomial is found twice.
+only as such entries; `groebner` and `leading_monomials` decode them.
+Exponent tuples are encoded and decoded only at the kernel boundary:
+`buchberger` takes and returns tuple-keyed term dicts.
+
+Each field of a packed monomial is 16 bits at first: 15 for a value up
+to 32767 and a guard bit.  A monomial that does not fit, an input whose
+total degree exceeds that or a product that sets a guard bit, never
+gives a wrong answer: the call is redone with fields twice as wide, as
+often as needed.
 `split_components` certifies a component prime only in the classes
 its docstring lists.
 
@@ -31,22 +42,16 @@ from __future__ import annotations
 import contextvars
 import heapq
 import itertools
+import struct
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 from math import lcm
+from operator import itemgetter, mul
 
 from .errors import InternalError, RingMismatchError
-from .poly import (
-    PolyRing,
-    Polynomial,
-    block_key,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
-)
+from .poly import PolyRing, Polynomial, block_key, grevlex_key, lex_key, monomial_divides
 
 # ---------------------------------------------------------------------------
 # per-run algebra cache
@@ -115,29 +120,149 @@ def _memo(kind, key, compute, copy):
 
 
 # ---------------------------------------------------------------------------
-# low-level reduction on plain term dicts (faster than Polynomial inside loops)
+# packed monomials
+#
+# Inside the kernel a monomial is one int: its exponents packed into
+# fields of `width` bits under one order, so that comparing ints compares
+# monomials, a product is an add and divisibility one subtract and one
+# mask test.  Term dicts and basis entries (lm, terms) are keyed by these
+# ints; tuples appear only at the kernel boundary.
 
 
-def _reduce_terms(terms, basis, key):
-    """Full normal form of a term dict against monic basis entries (lm, terms)."""
+_WIDTH = 16  # the first field width tried: 15 value bits and a guard bit
+
+
+class _Overflow(Exception):
+    """A monomial does not fit the fields of the packing in use."""
+
+
+class _Packing:
+    """Monomials in n variables as ints, for an order made of graded
+    reverse lexicographic blocks (one block for grevlex, two for a block
+    order, one block per variable for lex).
+
+    The fields, most significant first: for each block its total degree,
+    then, if the block has two or more variables, cap - e_j for its
+    variables in reverse order.  The top bit of each field is a guard bit
+    and every other bit holds a value up to cap.  So the int of a
+    monomial is `one` plus its exponents times per-variable weights,
+    and ints compare as the order compares monomials.  With every field
+    of a and b in range, the fields of a + b - one (the product) lie in
+    [-cap, 2*cap], and so do those of b - a + one (the quotient b/a, a
+    value in range exactly when a divides b).  A field in that interval
+    is out of range exactly when some guard bit of the int is set, so
+    one mask test detects an overflowing product or a failed division.
+    """
+
+    __slots__ = ("width", "cap", "one", "guard", "weights", "decode")
+
+    def __init__(self, blocks, n, width):
+        fields = []  # most significant first: (variables summed, complemented)
+        for block in blocks:
+            fields.append((block, False))
+            if len(block) > 1:
+                fields.extend(((j,), True) for j in reversed(block))
+        count = len(fields)
+        self.width = width
+        self.cap = cap = (1 << (width - 1)) - 1
+        self.one = self.guard = 0
+        self.weights = [0] * n
+        index = [0] * n  # of the field that holds e_j, least significant first
+        for pos, (variables, complemented) in enumerate(fields):
+            shift = (count - 1 - pos) * width
+            self.guard |= 1 << (shift + width - 1)
+            if complemented:
+                self.one |= cap << shift
+            for j in variables:
+                self.weights[j] += -(1 << shift) if complemented else 1 << shift
+                if complemented or len(variables) == 1:
+                    index[j] = count - 1 - pos
+        nbytes = count * width // 8
+        if width <= 64:
+            unpack = struct.Struct("<%d%s" % (count, {16: "H", 32: "I", 64: "Q"}[width])).unpack
+        else:
+            size = width // 8
+
+            def unpack(b):
+                return [int.from_bytes(b[i:i + size], "little") for i in range(0, nbytes, size)]
+
+        pick = itemgetter(*index) if n > 1 else lambda fields: tuple(fields[i] for i in index)
+        one = self.one
+
+        def decode(m):
+            # m ^ one turns each complemented field cap - e into e
+            return pick(unpack((m ^ one).to_bytes(nbytes, "little")))
+
+        self.decode = decode
+
+    def encode(self, exps):
+        if sum(exps) > self.cap:
+            raise _Overflow
+        return self.one + sum(map(mul, exps, self.weights))
+
+    def encode_terms(self, terms):
+        return {self.encode(m): c for m, c in terms.items()}
+
+    def decode_terms(self, terms):
+        return {self.decode(m): c for m, c in terms.items()}
+
+
+@lru_cache(maxsize=None)
+def _packing(key, n, width):
+    """The packing of monomials in n variables under the order `key`
+    (grevlex_key, lex_key or a block_key) with fields of `width` bits."""
+    if key is grevlex_key:
+        blocks = [range(n)]
+    elif key is lex_key:
+        blocks = [(j,) for j in range(n)]
+    elif hasattr(key, "nlead"):
+        blocks = [range(key.nlead), range(key.nlead, n)]
+    else:
+        raise ValueError("no packing for the monomial order %r" % (key,))
+    return _Packing([tuple(b) for b in blocks if b], n, width)
+
+
+def _in_fields(key, n, run, width=_WIDTH):
+    """run(packing) for the narrowest packing, from `width` up, whose
+    fields hold every monomial the run meets."""
+    while True:
+        try:
+            return run(_packing(key, n, width))
+        except _Overflow:
+            width *= 2
+
+
+# ---------------------------------------------------------------------------
+# low-level reduction on packed term dicts
+
+
+def _reduce_terms(terms, basis, P):
+    """Full normal form of a packed term dict against monic packed basis
+    entries (lm, terms)."""
+    one, guard = P.one, P.guard
     work = dict(terms)
     remainder = {}
     while work:
-        m = max(work, key=key)
+        m = max(work)
         c = work.pop(m)
+        mo = m + one
         for blm, bterms in basis:
-            if monomial_divides(blm, m):
-                q = monomial_div(m, blm)
-                for bm, bc in bterms.items():
-                    if bm == blm:
-                        continue
-                    mm = monomial_mul(bm, q)
-                    s = work.get(mm, _ZERO) - c * bc
-                    if s:
-                        work[mm] = s
-                    else:
-                        work.pop(mm, None)
-                break
+            q = mo - blm  # m / blm, in range when blm divides m
+            if q & guard:
+                continue
+            q -= one
+            for bm, bc in bterms.items():
+                if bm == blm:
+                    continue
+                mm = bm + q
+                if mm & guard:
+                    raise _Overflow
+                s = work.get(mm, _ZERO) - c * bc
+                if s:
+                    work[mm] = s
+                else:
+                    work.pop(mm, None)
+            break
         else:
             remainder[m] = c
     return remainder
@@ -146,29 +271,35 @@ def _reduce_terms(terms, basis, key):
 _ZERO = Fraction(0)
 
 
-def _entry(terms, key):
-    """The basis entry (lm, terms) of a nonzero term dict, scaled to
+def _entry(terms):
+    """The basis entry (lm, terms) of a nonzero packed term dict, scaled to
     leading coefficient 1."""
-    lm = max(terms, key=key)
+    lm = max(terms)
     lc = terms[lm]
     if lc != 1:
         terms = {m: c / lc for m, c in terms.items()}
     return lm, terms
 
 
-def _spoly(e1, e2):
+def _spoly(e1, e2, lcm, guard):
     lm1, t1 = e1
     lm2, t2 = e2
-    lcm = monomial_lcm(lm1, lm2)
-    q1, q2 = monomial_div(lcm, lm1), monomial_div(lcm, lm2)
-    res = {monomial_mul(m, q1): c for m, c in t1.items()}
+    q1, q2 = lcm - lm1, lcm - lm2  # m * (lcm / lm) is m + lcm - lm
+    res = {}
+    for m, c in t1.items():
+        m += q1
+        if m & guard:
+            raise _Overflow
+        res[m] = c
     for m, c in t2.items():
-        mm = monomial_mul(m, q2)
-        s = res.get(mm, _ZERO) - c
+        m += q2
+        if m & guard:
+            raise _Overflow
+        s = res.get(m, _ZERO) - c
         if s:
-            res[mm] = s
+            res[m] = s
         else:
-            res.pop(mm, None)
+            res.pop(m, None)
     return res
 
 
@@ -182,7 +313,8 @@ def buchberger(generators, key):
     Returns a list of term dicts, monic, fully inter-reduced, sorted by
     ascending leading monomial.  The classical algorithm with normal
     selection from a heap of pairs and the two classical criteria
-    (product, chain).
+    (product, chain), on monomials packed for `key`: grevlex_key, lex_key
+    or a block_key.
     """
     gens = [g for g in generators if g]
     return _memo(
@@ -194,14 +326,28 @@ def buchberger(generators, key):
 
 
 def _buchberger(generators, key):
-    # deterministic startup order
-    gens = sorted(generators, key=lambda t: sorted(t, key=key, reverse=True))
+    if not generators:
+        return []
+
+    def run(P):
+        basis = _packed_buchberger([P.encode_terms(g) for g in generators], P)
+        return [P.decode_terms(t) for t in basis]
+
+    return _in_fields(key, len(next(iter(generators[0]))), run)
+
+
+def _packed_buchberger(generators, P):
+    one, guard = P.one, P.guard
+    # deterministic startup order: by the exponent tuples of the terms,
+    # taken in descending order
+    gens = sorted(generators, key=lambda t: [P.decode(m) for m in sorted(t, reverse=True)])
 
     basis = []
     for g in gens:
-        g = _reduce_terms(g, basis, key)
+        g = _reduce_terms(g, basis, P)
         if g:
-            basis.append(_entry(g, key))
+            basis.append(_entry(g))
+    exps = [P.decode(lm) for lm, _ in basis]
 
     # Every pending pair is in `pairs` (for the chain criterion) and has
     # one heap entry; popping the heap is normal selection, the smallest
@@ -210,19 +356,17 @@ def _buchberger(generators, key):
     heap = []
 
     def add_pair(i, j):
-        lcm = monomial_lcm(basis[i][0], basis[j][0])
         pairs.add((i, j))
-        heapq.heappush(heap, (key(lcm), (i, j), lcm))
+        heapq.heappush(heap, (P.encode(tuple(map(max, exps[i], exps[j]))), i, j))
 
     for i in range(len(basis)):
         for j in range(i):
             add_pair(j, i)
 
     def chain_criterion(i, j, lcm):
+        lcmo = lcm + one
         for k in range(len(basis)):
-            if k == i or k == j:
-                continue
-            if not monomial_divides(basis[k][0], lcm):
+            if k == i or k == j or (lcmo - basis[k][0]) & guard:
                 continue
             a = (min(i, k), max(i, k))
             b = (min(j, k), max(j, k))
@@ -232,22 +376,23 @@ def _buchberger(generators, key):
 
     reduced = zero = 0
     while heap:
-        _, (i, j), lcm = heapq.heappop(heap)
+        lcm, i, j = heapq.heappop(heap)
         pairs.discard((i, j))
         # S-polynomials of two monomials vanish identically
         if _is_monomial(basis[i][1]) and _is_monomial(basis[j][1]):
             continue
         # product criterion: coprime leading monomials
-        if lcm == monomial_mul(basis[i][0], basis[j][0]):
+        if lcm == basis[i][0] + basis[j][0] - one:
             continue
         if chain_criterion(i, j, lcm):
             continue
-        s = _reduce_terms(_spoly(basis[i], basis[j]), basis, key)
+        s = _reduce_terms(_spoly(basis[i], basis[j], lcm, guard), basis, P)
         reduced += 1
         if not s:
             zero += 1
             continue
-        basis.append(_entry(s, key))
+        basis.append(_entry(s))
+        exps.append(P.decode(basis[-1][0]))
         new = len(basis) - 1
         for k in range(new):
             add_pair(k, new)
@@ -256,22 +401,25 @@ def _buchberger(generators, key):
     if cache is not None:
         cache.spairs += reduced
         cache.zero_reductions += zero
-    return _reduce_basis(basis, key)
+    return _reduce_basis(basis, P)
 
 
-def _reduce_basis(basis, key):
-    """The reduced basis of the ideal a Groebner basis of monic entries
-    generates, as term dicts in ascending leading-monomial order.
+def _reduce_basis(basis, P):
+    """The reduced basis of the ideal a Groebner basis of monic packed
+    entries generates, as packed term dicts in ascending leading-monomial
+    order.
 
     In that order an entry whose lm a kept lm divides is redundant, and
     every other entry is reduced against the kept ones alone: its terms
     lie below its lm, and a monomial divisible by lm(g) is never smaller
     than lm(g), so no later entry can divide them.
     """
+    one, guard = P.one, P.guard
     kept = []
-    for lm, terms in sorted(basis, key=lambda e: key(e[0])):
-        if not any(monomial_divides(k, lm) for k, _ in kept):
-            kept.append((lm, _reduce_terms(terms, kept, key)))
+    for lm, terms in sorted(basis, key=lambda e: e[0]):
+        lmo = lm + one
+        if all((lmo - k) & guard for k, _ in kept):
+            kept.append((lm, _reduce_terms(terms, kept, P)))
     return [terms for _, terms in kept]
 
 
@@ -282,7 +430,7 @@ def _reduce_basis(basis, key):
 class Ideal:
     """A finitely generated ideal with cached reduced Groebner bases."""
 
-    __slots__ = ("ring", "gens", "_gb", "_entries", "_key", "_dim")
+    __slots__ = ("ring", "gens", "_packing", "_entries", "_key", "_dim")
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -295,35 +443,51 @@ class Ideal:
             if not g.is_zero():
                 clean.append(g)
         self.gens = tuple(clean)
-        self._gb = None
+        self._packing = None
         self._entries = None
         self._key = None
         self._dim = None
 
     # -- Groebner ------------------------------------------------------------
 
-    def groebner(self):
-        """The reduced Groebner basis under the ring's order.
-
-        Its first computation also records the basis entries (lm, terms)
-        that `normal_form` and `leading_monomials` read."""
-        if self._gb is None:
+    def _basis(self):
+        """The packing and the packed entries (lm, terms) of the reduced
+        basis under the ring's order; the ideal keeps only these."""
+        if self._entries is None:
             key = self.ring.key()
             dicts = buchberger([g.terms for g in self.gens], key)
-            self._entries = tuple((max(t, key=key), t) for t in dicts)
-            self._gb = tuple(Polynomial(self.ring, t, _clean=False) for t in dicts)
-        return self._gb
+            self._packing, self._entries = _in_fields(
+                key,
+                self.ring.nvars,
+                lambda P: (P, tuple(_entry(P.encode_terms(t)) for t in dicts)),
+            )
+        return self._packing, self._entries
+
+    def groebner(self):
+        """The reduced Groebner basis under the ring's order, in ascending
+        leading-monomial order."""
+        P, entries = self._basis()
+        return tuple(
+            Polynomial(self.ring, P.decode_terms(t), _clean=False) for _, t in entries
+        )
 
     def leading_monomials(self):
         """The leading monomials of the reduced basis, in its order."""
-        self.groebner()
-        return [lm for lm, _ in self._entries]
+        P, entries = self._basis()
+        return [P.decode(lm) for lm, _ in entries]
 
     def normal_form(self, p):
         if p.ring != self.ring:
             raise RingMismatchError("polynomial not in the ideal's ring")
-        self.groebner()
-        terms = _reduce_terms(p.terms, self._entries, self.ring.key())
+        P, entries = self._basis()
+
+        def run(Q):
+            basis = entries
+            if Q is not P:
+                basis = [_entry(Q.encode_terms(P.decode_terms(t))) for _, t in entries]
+            return Q.decode_terms(_reduce_terms(Q.encode_terms(p.terms), basis, Q))
+
+        terms = _in_fields(self.ring.key(), self.ring.nvars, run, P.width)
         return Polynomial(self.ring, terms, _clean=False)
 
     def contains(self, p):
@@ -334,17 +498,24 @@ class Ideal:
         return all(self.contains(g) for g in other.gens)
 
     def is_zero(self):
-        return not self.groebner()
+        return not self._basis()[1]
 
     def is_unit(self):
-        gb = self.groebner()
-        return len(gb) == 1 and gb[0].is_constant()
+        P, entries = self._basis()
+        return len(entries) == 1 and entries[0][0] == P.one
 
     # -- identity --------------------------------------------------------------
 
     def key(self):
         if self._key is None:
-            self._key = (self.ring._key(), tuple(g.canonical() for g in self.groebner()))
+            P, entries = self._basis()
+            self._key = (
+                self.ring._key(),
+                tuple(
+                    tuple((P.decode(m), t[m]) for m in sorted(t, reverse=True))
+                    for _, t in entries
+                ),
+            )
         return self._key
 
     def __eq__(self, other):
@@ -379,8 +550,7 @@ class Ideal:
 
 
 def krull_dimension(ideal):
-    gb = ideal.groebner()
-    if not gb:
+    if ideal.is_zero():
         return ideal.ring.nvars
     if ideal.is_unit():
         return -1

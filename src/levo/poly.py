@@ -44,6 +44,7 @@ def block_key(nlead):
     def key(exps):
         return (grevlex_key(exps[:nlead]), grevlex_key(exps[nlead:]))
 
+    key.nlead = nlead
     return key
 
 

@@ -8,6 +8,8 @@ import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.orderings import ProductOrder
+from sympy.polys.orderings import grevlex as sympy_grevlex
 
 from conftest import decomposition_covers, random_polynomial
 from levo import ideals
@@ -37,6 +39,7 @@ from levo.poly import (
     monomial_div,
     monomial_divides,
     monomial_lcm,
+    monomial_mul,
 )
 
 
@@ -92,6 +95,99 @@ def test_buchberger_matches_sympy_groebner(seed, nvars):
 
 def _free_of_first(polys):
     return [p for p in polys if all(m[0] == 0 for m in p.terms)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_block_bases_match_sympy_in_four_variables(seed):
+    # each block order, whose packing has two degree fields, against sympy's
+    # product of two grevlex orders; its elimination ideal against that of
+    # sympy's lex basis
+    rng = random.Random(seed)
+    ring = PolyRing(("x", "y", "z", "w"))
+    gens = [random_polynomial(ring, rng) for _ in range(rng.randint(1, 3))]
+    gens = [g for g in gens if not g.is_zero()]
+    assume(gens)
+    terms = [g.terms for g in gens]
+    lex = _sympy_basis(gens, "lex", lex_key)
+    for k in range(1, 4):
+        key = block_key(k)
+        order = ProductOrder((sympy_grevlex, lambda m: m[:k]), (sympy_grevlex, lambda m: m[k:]))
+        ours = [Polynomial(ring, t) for t in buchberger(terms, key)]
+        assert _term_sets(ours) == _term_sets(_sympy_basis(gens, order, key))
+        mine = Ideal(ring, _free_of(ours, k))
+        theirs = Ideal(ring, _free_of(lex, k))
+        assert mine.contains_ideal(theirs) and theirs.contains_ideal(mine)
+
+
+def _free_of(polys, k):
+    return [p for p in polys if all(not any(m[:k]) for m in p.terms)]
+
+
+def _orders(n):
+    return [grevlex_key, lex_key] + [block_key(k) for k in range(1, n)]
+
+
+@st.composite
+def _packing_case(draw):
+    """An order, its packing at the first field width, and three exponent
+    vectors, each of total degree at most the field capacity."""
+    n = draw(st.integers(1, 9))
+    key = draw(st.sampled_from(_orders(n)))
+    P = ideals._packing(key, n, ideals._WIDTH)
+    exps = st.one_of(st.integers(0, 3), st.integers(0, P.cap // n))
+    vectors = [tuple(draw(st.lists(exps, min_size=n, max_size=n))) for _ in range(3)]
+    return key, P, vectors
+
+
+def _fits(key, P, exps):
+    """Whether every field of the packing holds the exponent vector: each
+    block's total degree is at most the capacity."""
+    n = len(exps)
+    if key is grevlex_key:
+        blocks = [range(n)]
+    elif key is lex_key:
+        blocks = [[j] for j in range(n)]
+    else:
+        blocks = [range(key.nlead), range(key.nlead, n)]
+    return all(sum(exps[j] for j in b) <= P.cap for b in blocks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_packing_case())
+def test_packed_monomials_agree_with_tuples(case):
+    key, P, (a, b, c) = case
+    pa, pb = P.encode(a), P.encode(b)
+    assert P.decode(pa) == a
+    assert (pa < pb) == (key(a) < key(b)) and (pa == pb) == (a == b)
+    for x, y in ((a, b), (b, a), (a, a), (a, monomial_mul(a, c))):
+        if sum(y) <= P.cap:
+            q = P.encode(y) - P.encode(x) + P.one
+            assert (not q & P.guard) == monomial_divides(x, y)
+    product = pa + pb - P.one
+    assert (not product & P.guard) == _fits(key, P, monomial_mul(a, b))
+    if not product & P.guard:
+        assert P.decode(product) == monomial_mul(a, b)
+
+
+def test_exponents_past_the_field_capacity():
+    # x^70000 does not fit the first field width; the kernel widens its
+    # fields and redoes the call.  (x^70000 - y, y^2) is already reduced
+    # (coprime leading monomials), and x^140000 = y^2 lies in it.
+    ring = PolyRing(("x", "y"))
+    assert 70000 > ideals._packing(grevlex_key, 2, ideals._WIDTH).cap
+    I = Ideal(ring, ["x^70000 - y", "y^2"])
+    assert [str(g) for g in I.groebner()] == ["y^2", "x^70000 - y"]
+    assert I.leading_monomials() == [(0, 2), (70000, 0)]
+    assert I.contains(ring.parse("x^140000")) and not I.contains(ring.parse("x^139999"))
+    assert I.normal_form(ring.parse("x^70001 + y")) == ring.parse("x*y + y")
+    # a basis that fits, reducing a polynomial that does not
+    small = Ideal(ring, ["x^7 - y", "y^2"])
+    assert small.normal_form(ring.parse("x^70000 + x^13")) == ring.parse("x^6*y")
+    # every input fits, but reducing x^2 by x - y^20000 under lex gives
+    # y^40000, whose field overflows
+    basis = buchberger([ring.parse("x - y^20000").terms, ring.parse("x^2").terms], lex_key)
+    assert basis == [ring.parse("y^40000").terms, ring.parse("x - y^20000").terms]
 
 
 def test_lex_basis_hand_example():
