@@ -12,20 +12,19 @@ dependency.
 Ideals are identified by the unique reduced grevlex basis, so equal
 ideals hash alike and can key cycle component maps.  Inside the kernel
 a monomial is one int that packs its exponents for the order in use
-(see `_Packing`): int comparison is the order, a product is an add and
-a divisibility test one subtract and one mask test.  A basis entry is a
+(`_Packing`): int comparison is the order, a product is an add and a
+divisibility test one subtract and one mask test.  A basis entry is a
 pair (packed leading monomial, packed term dict) with leading
 coefficient 1, and Buchberger's output is reduced in one sweep in
 ascending leading-monomial order.  An `Ideal` keeps its reduced basis
-only as such entries; `groebner` and `leading_monomials` decode them.
-Exponent tuples are encoded and decoded only at the kernel boundary:
-`buchberger` takes and returns tuple-keyed term dicts.
+only as such entries.  Exponent tuples are encoded and decoded only at
+the kernel boundary: `buchberger` takes and returns tuple-keyed term
+dicts, and `Ideal` encodes what it reduces and decodes what it returns.
+A packed field is 16 bits at first, 15 for a value up to 32767 and a
+guard bit.  A monomial that does not fit, an input whose total degree
+exceeds that or a product that sets a guard bit, makes the call run
+again with fields twice as wide, so it never gives a wrong answer.
 
-Each field of a packed monomial is 16 bits at first: 15 for a value up
-to 32767 and a guard bit.  A monomial that does not fit, an input whose
-total degree exceeds that or a product that sets a guard bit, never
-gives a wrong answer: the call is redone with fields twice as wide, as
-often as needed.
 `split_components` certifies a component prime only in the classes
 its docstring lists.
 

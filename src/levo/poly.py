@@ -38,7 +38,8 @@ def block_key(nlead):
     Any monomial involving a lead-block variable beats any monomial that
     does not, so basis elements free of the lead block generate the
     elimination ideal.  One function per `nlead`, so the order can key a
-    cache.
+    cache; it carries `nlead` as an attribute for `levo.ideals` to pack
+    monomials by.
     """
 
     def key(exps):

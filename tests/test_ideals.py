@@ -184,10 +184,21 @@ def test_exponents_past_the_field_capacity():
     # a basis that fits, reducing a polynomial that does not
     small = Ideal(ring, ["x^7 - y", "y^2"])
     assert small.normal_form(ring.parse("x^70000 + x^13")) == ring.parse("x^6*y")
-    # every input fits, but reducing x^2 by x - y^20000 under lex gives
-    # y^40000, whose field overflows
-    basis = buchberger([ring.parse("x - y^20000").terms, ring.parse("x^2").terms], lex_key)
-    assert basis == [ring.parse("y^40000").terms, ring.parse("x - y^20000").terms]
+    # every input fits, but: under lex, reducing x^3 by x - y^30000 reaches
+    # y^60000 and y^90000, and reducing x - y^2*z^10000 by y - z^30000
+    # reaches y*z^40000 below the leading term; under lex and the block
+    # order, the S-polynomial of x*z - y^20000 and y^20000*z - 1 has the
+    # term y^40000 (x = x*y^20000*z = y^40000)
+    basis = buchberger([ring.parse("x - y^30000").terms, ring.parse("x^3").terms], lex_key)
+    assert basis == [ring.parse("y^90000").terms, ring.parse("x - y^30000").terms]
+    ring = PolyRing(("x", "y", "z"))
+    for gens, key, expected in (
+        (["y - z^30000", "x - y^2*z^10000"], lex_key, ["y - z^30000", "x - z^70000"]),
+        (["x*z - y^20000", "y^20000*z - 1"], lex_key, ["y^20000*z - 1", "x - y^40000"]),
+        (["x*z - y^20000", "y^20000*z - 1"], block_key(1), ["y^20000*z - 1", "x - y^40000"]),
+    ):
+        basis = buchberger([ring.parse(g).terms for g in gens], key)
+        assert basis == [ring.parse(g).terms for g in expected]
 
 
 def test_lex_basis_hand_example():
