@@ -17,7 +17,7 @@ from conftest import (
 from levo.abgroups import Z, Zmod
 from levo.cli import parse_config, run_pipeline
 from levo.cycles import EnrichedCycle, empty_cycle
-from levo.errors import ImproperIntersectionError, InputError
+from levo.errors import ImproperIntersectionError, InputError, InternalError
 from levo.geom import (
     conormal_ideal,
     constant_value_on,
@@ -110,6 +110,25 @@ def test_multiplicity_matches_sliced_lengths(seed):
     for comp in split_components(P.plus([g])):
         W = comp.ideal
         assert multiplicity_along(P, g, W) == sliced_multiplicity(P, g, W, rng)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InternalError,
+    reason="ROADMAP item 4: split_components keeps the non-prime "
+    "V(w_1, w_0, y^2 + 1/5, x^2 + 1/5), four points two on each branch, as one "
+    "uncertified component, and saturating it for its local length leaves "
+    "nothing",
+)
+def test_multiplicity_of_the_node_conormal_cut_through_both_branches():
+    # seeds 144 and 8114 of test_multiplicity_matches_sliced_lengths
+    ring = plane()
+    P = conormal_ideal(Ideal(ring.base_ring(), ["y^2 - x^2"]), ring)
+    for cut in ("w_0 - 5*y^2 - 1", "w_0 + 4*y^2 + 2"):
+        g = ring.parse(cut)
+        for comp in split_components(P.plus([g])):
+            W = comp.ideal
+            assert multiplicity_along(P, g, W) == sliced_multiplicity(P, g, W, random.Random(0))
 
 
 def test_multiplicity_rejects_improper():
