@@ -120,12 +120,6 @@ def _memo(kind, key, compute, copy):
 
 # ---------------------------------------------------------------------------
 # packed monomials
-#
-# Inside the kernel a monomial is one int: its exponents packed into
-# fields of `width` bits under one order, so that comparing ints compares
-# monomials, a product is an add and divisibility one subtract and one
-# mask test.  Term dicts and basis entries (lm, terms) are keyed by these
-# ints; tuples appear only at the kernel boundary.
 
 
 _WIDTH = 16  # the first field width tried: 15 value bits and a guard bit
@@ -155,7 +149,8 @@ class _Packing:
 
     __slots__ = ("width", "cap", "one", "guard", "weights", "decode")
 
-    def __init__(self, blocks, n, width):
+    def __init__(self, blocks, width):
+        n = sum(map(len, blocks))
         fields = []  # most significant first: (variables summed, complemented)
         for block in blocks:
             fields.append((block, False))
@@ -218,7 +213,7 @@ def _packing(key, n, width):
         blocks = [range(key.nlead), range(key.nlead, n)]
     else:
         raise ValueError("no packing for the monomial order %r" % (key,))
-    return _Packing([tuple(b) for b in blocks if b], n, width)
+    return _Packing([tuple(b) for b in blocks if b], width)
 
 
 def _in_fields(key, n, run, width=_WIDTH):

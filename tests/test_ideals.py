@@ -90,11 +90,12 @@ def test_buchberger_matches_sympy_groebner(seed, nvars):
     # block_key(1) eliminates the first variable as lex does
     ours = [Polynomial(ring, t) for t in buchberger(terms, block_key(1))]
     theirs = _sympy_basis(gens, "lex", lex_key)
-    assert Ideal(ring, _free_of_first(ours)) == Ideal(ring, _free_of_first(theirs))
+    assert Ideal(ring, _free_of(ours, 1)) == Ideal(ring, _free_of(theirs, 1))
 
 
-def _free_of_first(polys):
-    return [p for p in polys if all(m[0] == 0 for m in p.terms)]
+def _free_of(polys, k):
+    """The polynomials free of the first k variables."""
+    return [p for p in polys if all(not any(m[:k]) for m in p.terms)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -118,10 +119,6 @@ def test_block_bases_match_sympy_in_four_variables(seed):
         mine = Ideal(ring, _free_of(ours, k))
         theirs = Ideal(ring, _free_of(lex, k))
         assert mine.contains_ideal(theirs) and theirs.contains_ideal(mine)
-
-
-def _free_of(polys, k):
-    return [p for p in polys if all(not any(m[:k]) for m in p.terms)]
 
 
 def _orders(n):
@@ -171,16 +168,19 @@ def test_packed_monomials_agree_with_tuples(case):
 
 
 def test_exponents_past_the_field_capacity():
-    # x^70000 does not fit the first field width; the kernel widens its
-    # fields and redoes the call.  (x^70000 - y, y^2) is already reduced
-    # (coprime leading monomials), and x^140000 = y^2 lies in it.
+    # x^e does not fit the first field width; the kernel widens its fields
+    # and redoes the call (2^64 needs fields wider than 64 bits).
+    # (x^e - y, y^2) is already reduced (coprime leading monomials), and
+    # x^(2e) = y^2 lies in it.
     ring = PolyRing(("x", "y"))
     assert 70000 > ideals._packing(grevlex_key, 2, ideals._WIDTH).cap
-    I = Ideal(ring, ["x^70000 - y", "y^2"])
-    assert [str(g) for g in I.groebner()] == ["y^2", "x^70000 - y"]
-    assert I.leading_monomials() == [(0, 2), (70000, 0)]
-    assert I.contains(ring.parse("x^140000")) and not I.contains(ring.parse("x^139999"))
-    assert I.normal_form(ring.parse("x^70001 + y")) == ring.parse("x*y + y")
+    for e in (70000, 2**64):
+        I = Ideal(ring, ["x^%d - y" % e, "y^2"])
+        assert [str(g) for g in I.groebner()] == ["y^2", "x^%d - y" % e]
+        assert I.leading_monomials() == [(0, 2), (e, 0)]
+        assert I.contains(ring.parse("x^%d" % (2 * e)))
+        assert not I.contains(ring.parse("x^%d" % (2 * e - 1)))
+        assert I.normal_form(ring.parse("x^%d + y" % (e + 1))) == ring.parse("x*y + y")
     # a basis that fits, reducing a polynomial that does not
     small = Ideal(ring, ["x^7 - y", "y^2"])
     assert small.normal_form(ring.parse("x^70000 + x^13")) == ring.parse("x^6*y")
