@@ -909,7 +909,13 @@ def split_components(I):
     Splitting is incomplete: every eliminant of the non-prime
     (x^2 - 2, y^2 - 2) is irreducible, so it stays one uncertified
     component.  So is certification: (x^2 - 2, y^2 - 3) is prime, but no
-    eliminant has degree 4.  Output ideals are pairwise incomparable.
+    eliminant has degree 4.  Output ideals are pairwise incomparable, and
+    no uncertified component lies in the union of the others: one whose
+    saturation by the others in turn becomes the unit ideal is dropped,
+    tested against the components still kept so that two uncertified
+    ones never drop each other.  A certified component needs no test: a
+    prime covered by a union of ideals contains one of them, which
+    incomparability excludes.
     """
     if I.is_unit():
         raise ValueError("the unit ideal has no components")
@@ -933,7 +939,16 @@ def _split(I):
             found.setdefault(J.key(), Component(J, branches))
         else:
             work.extend(branches)
-    return [found[J.key()] for J in maximal_loci(c.ideal for c in found.values())]
+    kept = [found[J.key()] for J in maximal_loci(c.ideal for c in found.values())]
+    for comp in [c for c in kept if not c.certified]:
+        rest = comp.ideal
+        for other in kept:
+            if other is not comp:
+                rest = saturate_ideal(rest, other.ideal)
+                if rest.is_unit():
+                    kept.remove(comp)
+                    break
+    return kept
 
 
 def _branch_or_certify(J):

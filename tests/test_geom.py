@@ -17,7 +17,7 @@ from conftest import (
 from levo.abgroups import Z, Zmod
 from levo.cli import parse_config, run_pipeline
 from levo.cycles import EnrichedCycle, empty_cycle
-from levo.errors import ImproperIntersectionError, InputError, InternalError
+from levo.errors import ImproperIntersectionError, InputError
 from levo.geom import (
     conormal_ideal,
     constant_value_on,
@@ -112,14 +112,6 @@ def test_multiplicity_matches_sliced_lengths(seed):
         assert multiplicity_along(P, g, W) == sliced_multiplicity(P, g, W, rng)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=InternalError,
-    reason="ROADMAP item 4: split_components keeps the non-prime "
-    "V(w_1, w_0, y^2 + 1/5, x^2 + 1/5), four points two on each branch, as one "
-    "uncertified component, and saturating it for its local length leaves "
-    "nothing",
-)
 def test_multiplicity_of_the_node_conormal_cut_through_both_branches():
     # seeds 144 and 8114 of test_multiplicity_matches_sliced_lengths
     ring = plane()

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 import sympy
@@ -674,9 +675,17 @@ def test_split_components_cover_and_incomparable(seed, nvars, irrational):
     assert comps
     assert decomposition_covers(I, comps)
     for c in comps:
-        for d in comps:
-            if c is not d:
-                assert not c.ideal.contains_ideal(d.ideal)
+        others = [d.ideal for d in comps if d is not c]
+        assert not any(c.ideal.contains_ideal(d) for d in others)
+        assert c.certified or not _covered(c.ideal, others)
+
+
+def _covered(J, others):
+    """Whether V(J) lies in the union of the V(K), K in others: the
+    intersection of the others lies in the radical of J."""
+    return bool(others) and all(
+        radical_member(g, J) for g in reduce(intersect, others).gens
+    )
 
 
 def _two_pass_split(I):
@@ -720,7 +729,11 @@ def _two_pass_split(I):
             work.extend(branches)
         else:
             found.setdefault(J.key(), J)
-    return [(J, certify(J)) for J in ideals.maximal_loci(found.values())]
+    kept = [(J, certify(J)) for J in ideals.maximal_loci(found.values())]
+    for J, certified in list(kept):
+        if not certified and _covered(J, [K for K, _ in kept if K is not J]):
+            kept.remove((J, certified))
+    return kept
 
 
 @settings(max_examples=30, deadline=None)
@@ -749,6 +762,21 @@ def test_certified_basis_splits_without_eliminants(monkeypatch, gens):
     I = Ideal(ring, gens)
     assert [(c.ideal, c.certified) for c in split_components(I)] == [(I, True)]
     assert calls == []
+
+
+def test_split_drops_an_uncertified_component_the_others_cover():
+    # the conormal of the node y^2 = x^2 cut by w_0 + 4*y^2 + 2: the
+    # non-prime V(w_0, w_1, x^2 + 1/2, y^2 + 1/2), two points on each
+    # branch, is a branch of the scan but lies in the two branch components
+    ring = PolyRing(("x", "y"), ("w_0", "w_1"))
+    I = Ideal(ring, ["w_0^2 - w_1^2", "y*w_0 + x*w_1", "x*w_0 + y*w_1",
+                     "x^2 - y^2", "w_0 + 4*y^2 + 2"])
+    comps = split_components(I)
+    assert [(c.ideal, c.certified) for c in comps] == [
+        (Ideal(ring, ["w_0 - w_1", "x + y", "y^2 + 1/4*w_1 + 1/2"]), True),
+        (Ideal(ring, ["w_0 + w_1", "x - y", "y^2 - 1/4*w_1 + 1/2"]), True),
+    ]
+    assert decomposition_covers(I, comps)
 
 
 def test_split_rejects_unit():
