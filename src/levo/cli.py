@@ -579,9 +579,6 @@ def _run_once(job):
         return report, EXIT_GENERICITY
 
     cert = isolating_certificate(packages, job.point)
-    if cert.status == "failed":
-        report["certificate"] = cert.to_json()
-        return report, EXIT_GENERICITY
 
     if job.af_partition is not None:
         conormals = [

@@ -29,8 +29,8 @@ class ImproperIntersectionError(EngineError):
 class GenericityError(EngineError):
     """Coordinates or slices failed a genericity requirement.
 
-    `stage` records where: ("vogel", j, component), ("slice", j, component)
-    or ("oracle", i, component).
+    `stage` records where: ("vogel", j, component), ("slice", j, component),
+    ("stalk", None, component) or ("oracle", i, component).
     """
 
     def __init__(self, message, stage=None):

@@ -162,19 +162,6 @@ def local_multiplicity_at_point(J, point):
     return _local_length(J, W, [C for C in comps if C not in through])
 
 
-def dim_at_point(J, point):
-    """Max dimension of the components of V(J) through the point; None if
-    the point is off the locus."""
-    if J.is_unit():
-        return None
-    best = None
-    for comp in split_components(J):
-        if comp.ideal.vanishes_at(point):
-            d = comp.ideal.dimension()
-            best = d if best is None else max(best, d)
-    return best
-
-
 # ---------------------------------------------------------------------------
 # conormal geometry
 

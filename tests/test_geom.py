@@ -21,7 +21,6 @@ from levo.errors import ImproperIntersectionError, InputError
 from levo.geom import (
     conormal_ideal,
     constant_value_on,
-    dim_at_point,
     graph_ideal,
     graph_pushforward,
     intersect_hypersurface,
@@ -228,14 +227,6 @@ def test_point_lengths_over_the_critical_points_sum_to_the_milnor_number(f, poin
     J = Ideal(base, [f.diff(v) for v in base.vars])
     assert sorted(rational_point_of(c.ideal) for c in split_components(J)) == points
     assert sum(local_multiplicity_at_point(J, p) for p in points) == milnor_number(f)
-
-
-def test_dim_at_point():
-    base = plane().base_ring()
-    J = Ideal(base, ["x*y"])
-    assert dim_at_point(J, (0, 0)) == 1
-    assert dim_at_point(Ideal(base, ["x", "y"]), (0, 0)) == 0
-    assert dim_at_point(Ideal(base, ["x - 1"]), (0, 0)) is None
 
 
 # ---------------------------------------------------------------------------
