@@ -133,6 +133,18 @@ def decomposition_covers(I, components):
     return all(radical_member(g, I) for g in meet.gens)
 
 
+def slice_dimension(W, point, j):
+    """Largest dimension among the components through the point of V(W)
+    cut by the first j coordinate hyperplanes through it; None when no
+    component passes through the point."""
+    ring = W.ring
+    cut = W.plus([ring.var(v) - c for v, c in zip(ring.vars[:j], point)])
+    if cut.is_unit():
+        return None
+    dims = [c.ideal.dimension() for c in split_components(cut) if c.ideal.vanishes_at(point)]
+    return max(dims, default=None)
+
+
 def blowup_exceptional(P, g_tuple):
     """Independent route to intersection multiplicities: blow up V(P)
     along the tuple g through its Rees algebra and decompose the

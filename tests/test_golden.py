@@ -8,12 +8,19 @@ changelog entry.
 
 import contextlib
 import io
+import json
+import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 
+from conftest import decomposition_covers, slice_dimension, sliced_multiplicity
 from levo.cli import main
+from levo.ideals import Component, Ideal, map_poly
+from levo.poly import PolyRing
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -43,6 +50,84 @@ def test_golden_report(name, argv, exit_code):
     code, stdout = _run(name, argv)
     assert code == exit_code
     assert stdout == (GOLDEN / (name + ".stdout")).read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the checked-in reports, re-read and audited by independent routes
+
+
+def _report(name):
+    return json.loads((GOLDEN / (name + ".stdout")).read_text(encoding="utf-8"))
+
+
+def _working(report):
+    """The report's ring, point and function in its working coordinates:
+    base variable i of the function becomes row i of the inverse
+    coordinate matrix applied to the base variables."""
+    variables = report["config"]["variables"]
+    ring = PolyRing(variables, tuple("w_%d" % i for i in range(len(variables))))
+    base = ring.base_ring()
+    inverse = sympy.Matrix(report["coordinate_matrix"]).inv()
+    sub = {
+        v: base.linear_form([Fraction(str(c)) for c in inverse.row(i)])
+        for i, v in enumerate(base.vars)
+    }
+    f = base.parse(report["config"].get("function", "0")).subs(sub)
+    return ring, tuple(Fraction(c) for c in report["point"]), f
+
+
+def _by_int_key(mapping):
+    return sorted(mapping.items(), key=lambda item: int(item[0]))
+
+
+@pytest.mark.parametrize("name", [j[0] for j in JOBS])
+def test_golden_certificate_checks_are_isolated_slices(name):
+    # the certificate is read off the point modules; re-derive each check
+    # from the reported cycles and re-slice its component from scratch
+    report = _report(name)
+    ring, point, _ = _working(report)
+    base = ring.base_ring()
+    cycles = report["polar_cycles" if report["mode"] == "polar" else "levo_cycles"]
+    through = [
+        {"degree": int(k), "j": int(j), "component": comp["ideal"], "isolated": True}
+        for k, by_j in _by_int_key(cycles)
+        for j, comps in _by_int_key(by_j)
+        for comp in comps
+        if Ideal(base, comp["ideal"]).vanishes_at(point)
+    ]
+    certificate = report["certificate"]
+    assert certificate["checks"] == through
+    dims = []
+    for check in through:
+        W = Ideal(base, check["component"])
+        assert slice_dimension(W, point, check["j"]) == 0
+        dims.append(W.dimension())
+    assert certificate["d"] == max(dims, default=None)
+
+
+@pytest.mark.parametrize("name", [j[0] for j in JOBS])
+def test_golden_properness_log_audit(name):
+    # every record's multiplicity by the two-slice reference, every
+    # stage's cut covered by its components, and the graph split checked
+    report = _report(name)
+    ring, _, f = _working(report)
+    f = map_poly(f, ring)
+    hyp = [ring.var(w) - f.diff(z) for z, w in zip(ring.base_vars, ring.cotangent_vars)]
+    graph = Ideal(ring, hyp)
+    rng = random.Random(0)
+    for decomposition in report["decomposition"].values():
+        cuts = {}
+        for record in decomposition["properness_log"]:
+            j = record["stage"]
+            P, W = Ideal(ring, record["parent"]), Ideal(ring, record["component"])
+            assert sliced_multiplicity(P, hyp[j], W, rng) == record["multiplicity"]
+            cuts.setdefault((j, P), []).append(Component(W, record["certified"]))
+        for (j, P), comps in cuts.items():
+            assert decomposition_covers(P.plus([hyp[j]]), comps)
+        for comps in decomposition["distinguished"].values():
+            assert all(Ideal(ring, c["ideal"]).contains_ideal(graph) for c in comps)
+        for comps in decomposition["residual"].values():
+            assert not any(Ideal(ring, c["ideal"]).contains_ideal(graph) for c in comps)
 
 
 if __name__ == "__main__":
