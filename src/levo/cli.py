@@ -41,7 +41,7 @@ from .errors import (
 from .gecc import SheafSpec, StratumSpec, build_gecc, critical_locus, support_of_gecc
 from .geom import conormal_ideal
 from .ideals import Ideal, algebra_cache, eliminate, radical_member, rational_point_of
-from .poly import PolyRing, Polynomial
+from .poly import PolyRing, Polynomial, rational
 from .vogel import decompose_all_degrees, polar_support_sets
 
 EXIT_CERTIFIED = 0
@@ -81,13 +81,14 @@ def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _as_fraction(value, path):
-    """A JSON integer or a string "[-+]digits[/digits]" in ASCII digits;
-    Fraction() alone also takes "1e10000000" and expands it in full."""
-    rational = isinstance(value, str) and re.fullmatch(r"[-+]?[0-9]+(/[0-9]+)?", value)
+def _as_rational(value, path):
+    """A JSON integer or a string "[-+]digits[/digits]" in ASCII digits, as
+    `rational` makes it; Fraction() alone also takes "1e10000000" and
+    expands it in full."""
+    literal = isinstance(value, str) and re.fullmatch(r"[-+]?[0-9]+(/[0-9]+)?", value)
     try:
-        if _is_int(value) or rational:
-            return Fraction(value)
+        if _is_int(value) or literal:
+            return rational(value)
     except (ValueError, ZeroDivisionError):  # a zero denominator or too many digits
         pass
     _fail(path, "expected an integer or rational string, got %r" % (value,))
@@ -124,7 +125,7 @@ def _as_degree(key, path, seen):
 
 
 def _identity(n):
-    return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def _mat_mul(A, B):
@@ -139,7 +140,7 @@ def _mat_inverse(M):
     """The inverse by exact Gauss-Jordan on [M | I]; None when M is
     singular."""
     n = len(M)
-    rows = [[Fraction(x) for x in row] + e for row, e in zip(M, _identity(n))]
+    rows = [[Fraction(x) for x in row + e] for row, e in zip(M, _identity(n))]
     for c in range(n):
         pivot = next((i for i in range(c, n) if rows[i][c]), None)
         if pivot is None:
@@ -243,7 +244,7 @@ def parse_config(text_or_dict):
     point = doc.get("point")
     if not isinstance(point, list) or len(point) != n:
         _fail("point", "expected one coordinate per variable")
-    point = tuple(_as_fraction(c, "point[%d]" % i) for i, c in enumerate(point))
+    point = tuple(_as_rational(c, "point[%d]" % i) for i, c in enumerate(point))
 
     order = doc.get("coordinate_order")
     matrix = _identity(n)
@@ -253,14 +254,14 @@ def parse_config(text_or_dict):
                 _fail("coordinate_order", "must be a permutation of the variables")
             # permutation matrix: new coordinate i reads old coordinate order[i]
             matrix = [
-                [Fraction(1 if variables[j] == order[i] else 0) for j in range(n)]
+                [1 if variables[j] == order[i] else 0 for j in range(n)]
                 for i in range(n)
             ]
         elif isinstance(order, list) and all(isinstance(r, list) for r in order):
             if len(order) != n or any(len(r) != n for r in order):
                 _fail("coordinate_order", "matrix must be %d x %d" % (n, n))
             matrix = [
-                [_as_fraction(x, "coordinate_order[%d][%d]" % (i, j)) for j, x in enumerate(row)]
+                [_as_rational(x, "coordinate_order[%d][%d]" % (i, j)) for j, x in enumerate(row)]
                 for i, row in enumerate(order)
             ]
             if _mat_inverse(matrix) is None:
@@ -309,7 +310,7 @@ def randomize_coordinates(cfg, seed):
     rng = random.Random(seed)
     n = len(cfg.variables)
     while True:
-        R = [[Fraction(rng.randint(-5, 5)) for _ in range(n)] for _ in range(n)]
+        R = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         if _mat_inverse(R) is not None:
             break
     return dataclasses.replace(cfg, matrix=_mat_mul(R, cfg.matrix))
@@ -372,7 +373,7 @@ def prepare_job(cfg):
 
     f = parse_base(cfg.function, "function")
     point = tuple(
-        sum(cfg.matrix[i][j] * cfg.point[j] for j in range(n)) for i in range(n)
+        rational(sum(cfg.matrix[i][j] * cfg.point[j] for j in range(n))) for i in range(n)
     )
 
     if "strata" in cfg.sheaf:

@@ -14,10 +14,9 @@ failed certificate carrying its stage.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .abgroups import ZERO_GROUP
 from .gecc import base_images
+from .poly import rational
 
 
 class GenericityCertificate:
@@ -65,7 +64,7 @@ def isolating_certificate(packages, point):
     already verified.  d is the largest dimension among those
     components, None when there is none.
     """
-    point = tuple(Fraction(c) for c in point)
+    point = tuple(map(rational, point))
     dims = []
     checks = []
     for k, pkg in sorted(packages.items()):
@@ -96,7 +95,7 @@ def essential_transversality(conormal, point, full_ring):
     the point.
     """
     base = full_ring.base_ring()
-    point = tuple(Fraction(c) for c in point)
+    point = tuple(map(rational, point))
     n = len(base.vars) - 1
     cot = full_ring.cotangent_vars
     per_i = []

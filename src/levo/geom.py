@@ -9,7 +9,6 @@ push-forward along the gradient graph.  Nothing here is random.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .abgroups import AbGroup
 from .cycles import EnrichedCycle
@@ -30,7 +29,7 @@ from .ideals import (
     saturate_ideal,
     split_components,
 )
-from .poly import Polynomial
+from .poly import Polynomial, rational
 
 # ---------------------------------------------------------------------------
 # multiplicities
@@ -145,7 +144,7 @@ def local_multiplicity_at_point(J, point):
     when the point is off the locus.
     """
     ring = J.ring
-    point = tuple(Fraction(c) for c in point)
+    point = tuple(map(rational, point))
     if len(point) != ring.nvars:
         raise InputError("point has wrong number of coordinates")
     comps = [] if J.is_unit() else [c.ideal for c in split_components(J)]
@@ -261,7 +260,7 @@ def constant_value_on(I, f):
     eliminant = values[0]
     if eliminant.total_degree() == 1:
         # monic t - c
-        const = -eliminant.terms.get((0,) * eliminant.ring.nvars, Fraction(0))
+        const = -eliminant.terms.get((0,) * eliminant.ring.nvars, 0)
         return True, const
     # finitely many conjugate values: constant on each geometric piece
     return True, None

@@ -44,13 +44,12 @@ import itertools
 import struct
 from collections import Counter
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import lcm
 from operator import itemgetter, mul
 
 from .errors import InternalError, RingMismatchError
-from .poly import PolyRing, Polynomial, block_key, grevlex_key, lex_key, monomial_divides
+from .poly import PolyRing, Polynomial, block_key, grevlex_key, lex_key, monomial_divides, rational
 
 # ---------------------------------------------------------------------------
 # per-run algebra cache
@@ -262,7 +261,7 @@ def _reduce_terms(terms, basis, P):
     return remainder
 
 
-_ZERO = Fraction(0)
+_ZERO = 0
 
 
 def _entry(terms):
@@ -271,7 +270,7 @@ def _entry(terms):
     lm = max(terms)
     lc = terms[lm]
     if lc != 1:
-        terms = {m: c / lc for m, c in terms.items()}
+        terms = {m: rational(c, lc) for m, c in terms.items()}
     return lm, terms
 
 
@@ -769,7 +768,7 @@ def rational_point_of(I):
         if g.total_degree() != 1:
             return None
         terms = dict(g.terms)
-        const = terms.pop(origin, Fraction(0))
+        const = terms.pop(origin, 0)
         if len(terms) != 1:
             return None
         ((mono, coeff),) = terms.items()
@@ -819,7 +818,7 @@ def _factor(p):
     f = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
     out = []
     for g, e in zfactor.factor(f):
-        q = Polynomial(p.ring, {m: Fraction(g[m]) for m in sorted(g, reverse=True)}, _clean=False)
+        q = Polynomial(p.ring, {m: g[m] for m in sorted(g, reverse=True)}, _clean=False)
         out.append((q.monic(), e))
     out.sort(key=lambda fe: fe[0].canonical())
     return out

@@ -1,7 +1,11 @@
 """Exact multivariate polynomials over the rationals.
 
-A polynomial is a sparse map from exponent vectors to nonzero Fraction
-coefficients, attached to a ring that fixes the variable list.  Rings
+A polynomial is a sparse map from exponent vectors to nonzero
+coefficients, attached to a ring that fixes the variable list.  A
+coefficient, like a point coordinate, is an int when integral, else a
+Fraction; never a float (`rational` makes them).  An int hashes,
+compares and prints as the equal Fraction does, and its arithmetic runs
+in C.  Rings
 distinguish base variables from their cotangent duals so that geometric
 operations know which block is which.  Values are immutable after
 construction, so they hash and compare structurally and are safe to
@@ -15,6 +19,20 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import PolynomialParseError, RingMismatchError
+
+
+def rational(c, d=None):
+    """The exact rational c, or c/d: an int when integral, else a Fraction.
+    It divides exactly, where `c / d` of two ints would give a float."""
+    if type(c) is int:
+        if d is None:
+            return c
+        if type(d) is int:
+            q, r = divmod(c, d)
+            return Fraction(c, d) if r else q
+    c = Fraction(c) if d is None else Fraction(c, d)
+    return c.numerator if c.denominator == 1 else c
+
 
 # ---------------------------------------------------------------------------
 # monomial orders
@@ -131,7 +149,7 @@ class PolyRing:
         return self.const(1)
 
     def const(self, c):
-        c = Fraction(c)
+        c = rational(c)
         if c == 0:
             return self.zero()
         return Polynomial(self, {(0,) * self.nvars: c})
@@ -140,13 +158,13 @@ class PolyRing:
         i = self.index(name)
         exps = [0] * self.nvars
         exps[i] = 1
-        return Polynomial(self, {tuple(exps): Fraction(1)})
+        return Polynomial(self, {tuple(exps): 1})
 
     def monomial(self, exps, coeff=1):
         exps = tuple(exps)
         if len(exps) != self.nvars:
             raise ValueError("exponent vector has wrong length")
-        coeff = Fraction(coeff)
+        coeff = rational(coeff)
         if coeff == 0:
             return self.zero()
         return Polynomial(self, {exps: coeff})
@@ -158,12 +176,12 @@ class PolyRing:
         """Sum coeffs[i] * vars[i] + constant, coeffs over all variables."""
         terms = {}
         for i, c in enumerate(coeffs):
-            c = Fraction(c)
+            c = rational(c)
             if c:
                 e = [0] * self.nvars
                 e[i] = 1
                 terms[tuple(e)] = c
-        constant = Fraction(constant)
+        constant = rational(constant)
         if constant:
             terms[(0,) * self.nvars] = constant
         return Polynomial(self, terms)
@@ -177,7 +195,7 @@ class Polynomial:
         if _clean:
             clean = {}
             for m, c in terms.items():
-                c = Fraction(c)
+                c = rational(c)
                 if c != 0:
                     clean[tuple(m)] = c
             terms = clean
@@ -194,7 +212,7 @@ class Polynomial:
 
     def constant_value(self):
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
         return next(iter(self.terms.values()))
@@ -218,7 +236,7 @@ class Polynomial:
         self._check(other)
         res = dict(self.terms)
         for m, c in other.terms.items():
-            s = res.get(m, Fraction(0)) + c
+            s = res.get(m, 0) + c
             if s:
                 res[m] = s
             else:
@@ -242,7 +260,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
+            q = rational(other)
             if q == 0:
                 return self.ring.zero()
             return Polynomial(
@@ -253,7 +271,7 @@ class Polynomial:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = monomial_mul(m1, m2)
-                s = res.get(m, Fraction(0)) + c1 * c2
+                s = res.get(m, 0) + c1 * c2
                 if s:
                     res[m] = s
                 else:
@@ -319,8 +337,8 @@ class Polynomial:
         """Value at a rational point, one coordinate per ring variable."""
         if len(point) != self.ring.nvars:
             raise ValueError("point needs one coordinate per variable of %r" % (self.ring,))
-        point = [Fraction(v) for v in point]
-        total = Fraction(0)
+        point = [rational(v) for v in point]
+        total = 0
         for m, c in self.terms.items():
             for v, e in zip(point, m):
                 if e:
@@ -345,7 +363,7 @@ class Polynomial:
         if c == 1:
             return self
         return Polynomial(
-            self.ring, {m: v / c for m, v in self.terms.items()}, _clean=False
+            self.ring, {m: rational(v, c) for m, v in self.terms.items()}, _clean=False
         )
 
     # -- identity -----------------------------------------------------------------

@@ -11,8 +11,6 @@ zero specializes the whole machine to the absolute polar package.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .abgroups import ZERO_GROUP
 from .cycles import EnrichedCycle
 from .errors import (
@@ -36,6 +34,7 @@ from .geom import (
     intersect_hypersurface,
 )
 from .ideals import eliminate, map_poly, maximal_loci, split_components
+from .poly import rational
 
 
 class VogelDecomposition:
@@ -201,7 +200,7 @@ def levo_modules(cycles_by_j, point):
     out = {}
     for j, lam in sorted(cycles_by_j.items()):
         base = lam.ring
-        pt = tuple(Fraction(c) for c in point)
+        pt = tuple(map(rational, point))
         cur = _through_point(lam, pt)
         for i in range(j):
             hyp = base.var(base.vars[i]) - pt[i]
@@ -353,7 +352,7 @@ def polar_modules_iterative(spec, point, j, k, seed=0):
     n = len(base.vars) - 1
     if not 0 <= j <= n:
         raise InputError("index out of range")
-    pt = tuple(Fraction(c) for c in point)
+    pt = tuple(map(rational, point))
     current = spec
     G = build_gecc(spec)
     for i in range(j):

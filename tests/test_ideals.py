@@ -122,6 +122,39 @@ def test_block_bases_match_sympy_in_four_variables(seed):
         assert mine.contains_ideal(theirs) and theirs.contains_ideal(mine)
 
 
+_NON_MONIC = ("2*x - 1", "3*x*y - 2", "4*y^2 + 6*x - 2", "-5*x*y^2 + 3*y")
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(2, 3))
+def test_integer_leading_coefficients_never_divide_to_floats(seed, nvars):
+    # int coefficients, divided by an int leading coefficient in a basis
+    # entry or `monic`, give the results their Fraction twins give, and
+    # never a float
+    rng = random.Random(seed)
+    ring = PolyRing(("x", "y", "z")[:nvars])
+    gens = [ring.parse(rng.choice(_NON_MONIC))]
+    gens += [random_polynomial(ring, rng, max_terms=4) for _ in range(rng.randint(0, 2))]
+    gens = [g for g in gens if not g.is_zero()]
+    twins = [Polynomial(ring, {m: Fraction(c) for m, c in g.terms.items()}, _clean=False)
+             for g in gens]
+    I, J = Ideal(ring, gens), Ideal(ring, twins)
+    assert I.groebner() == J.groebner()
+    assert I.key() == J.key() and hash(I) == hash(J)
+    assert I.generator_strings() == J.generator_strings()
+    made = list(I.groebner())
+    for g, twin in zip(gens, twins):
+        assert g.monic() == twin.monic() and hash(g.monic()) == hash(twin.monic())
+        assert factor_rational(g) == factor_rational(twin)
+        made += [g.monic(), twin.monic()] + [f for f, _ in factor_rational(g)]
+    coefficients = [c for p in made for c in p.terms.values()]
+    assert coefficients and not any(isinstance(c, float) for c in coefficients)
+    # what the constructors, `monic` and the factorizer make is an int when
+    # integral
+    for p in [g.monic() for g in gens] + [f for g in gens for f, _ in factor_rational(g)]:
+        assert all(type(c) is int or c.denominator != 1 for c in p.terms.values())
+
+
 def _orders(n):
     return [grevlex_key, lex_key] + [block_key(k) for k in range(1, n)]
 
