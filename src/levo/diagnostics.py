@@ -50,8 +50,8 @@ def _stage_json(stage):
     }
 
 
-def failed_certificate(stage, d=None):
-    return GenericityCertificate("failed", d, _stage_json(stage), [])
+def failed_certificate(stage):
+    return GenericityCertificate("failed", None, _stage_json(stage), [])
 
 
 def isolating_certificate(packages, point):
