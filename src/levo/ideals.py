@@ -589,11 +589,14 @@ def degree(ideal):
         return 0
     lms = ideal.leading_monomials()
     n = ideal.ring.nvars
+    # a set S carries a leading monomial when some support mask lies in S
+    supports = [sum(1 << i for i, e in enumerate(lm) if e) for lm in lms]
     total = 0
     for free in itertools.combinations(range(n), d):
-        rest = [i for i in range(n) if i not in free]
-        if any(all(lm[i] == 0 for i in rest) for lm in lms):
+        mask = sum(1 << i for i in free)
+        if any(not s & ~mask for s in supports):
             continue
+        rest = [i for i in range(n) if not mask >> i & 1]
         total += _standard_count([tuple(lm[i] for i in rest) for lm in lms], len(rest))
     return total
 
