@@ -250,7 +250,7 @@ def _reduce_terms(terms, basis, P):
                 mm = bm + q
                 if mm & guard:
                     raise _Overflow
-                s = work.get(mm, _ZERO) - c * bc
+                s = work.get(mm, 0) - c * bc
                 if s:
                     work[mm] = s
                 else:
@@ -259,9 +259,6 @@ def _reduce_terms(terms, basis, P):
         else:
             remainder[m] = c
     return remainder
-
-
-_ZERO = 0
 
 
 def _entry(terms):
@@ -288,7 +285,7 @@ def _spoly(e1, e2, lcm, guard):
         m += q2
         if m & guard:
             raise _Overflow
-        s = res.get(m, _ZERO) - c
+        s = res.get(m, 0) - c
         if s:
             res[m] = s
         else:

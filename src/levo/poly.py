@@ -1,15 +1,16 @@
 """Exact multivariate polynomials over the rationals.
 
 A polynomial is a sparse map from exponent vectors to nonzero
-coefficients, attached to a ring that fixes the variable list.  A
-coefficient, like a point coordinate, is an int when integral, else a
-Fraction; never a float (`rational` makes them).  An int hashes,
-compares and prints as the equal Fraction does, and its arithmetic runs
-in C.  Rings
+coefficients, attached to a ring that fixes the variable list.  Rings
 distinguish base variables from their cotangent duals so that geometric
 operations know which block is which.  Values are immutable after
 construction, so they hash and compare structurally and are safe to
 share.
+
+A coefficient, like a point coordinate, is an int when integral, else a
+Fraction; never a float.  `rational` makes each one.  An int hashes,
+compares and prints as the equal Fraction does, so the choice never
+shows in a result, and integral data hashes and computes in C.
 """
 
 from __future__ import annotations
