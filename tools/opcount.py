@@ -2,8 +2,10 @@
 
 Runs the first two passes at seed 1 of WORKLOAD (`bench/corpus.py`) through
 `levo.cli.main` in process, once to warm up and once under `sys.settrace`
-with opcode events on, and prints the bytecodes executed and each source
-file's share.  The count repeats exactly; it is a count, not a speed."""
+with opcode events on, and prints the bytecodes executed, each source
+file's share and the 15 costliest functions (`file:function@firstline`,
+by their own bytecodes).  The count repeats exactly; it is a count, not a
+speed."""
 
 import contextlib
 import io
@@ -26,7 +28,7 @@ def count(workload):
     def tracer(frame, event, arg):
         frame.f_trace_opcodes, frame.f_trace_lines = True, False
         if event == "opcode":
-            counts[frame.f_code.co_filename] += 1
+            counts[frame.f_code] += 1
         return tracer
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -38,11 +40,22 @@ def count(workload):
                     sys.settrace(trace)
                     main(["compute", "--input", str(path)] + job.argv)
                     sys.settrace(None)
-    total = sum(counts.values())
+    files = Counter()
+    for code, n in counts.items():
+        files[code.co_filename] += n
+    total = sum(files.values())
     print("%s: %d bytecodes" % (workload, total))
-    for name, n in counts.most_common():
-        shown = Path(name).relative_to(ROOT) if Path(name).is_relative_to(ROOT) else Path(name).name
-        print("%6.2f%%  %10d  %s" % (100 * n / total, n, shown))
+    for name, n in files.most_common():
+        print("%6.2f%%  %10d  %s" % (100 * n / total, n, _shown(name)))
+    print("costliest functions:")
+    for code, n in counts.most_common(15):
+        where = "%s:%s@%d" % (_shown(code.co_filename), code.co_name, code.co_firstlineno)
+        print("%6.2f%%  %10d  %s" % (100 * n / total, n, where))
+
+
+def _shown(name):
+    path = Path(name)
+    return path.relative_to(ROOT) if path.is_relative_to(ROOT) else path.name
 
 
 if __name__ == "__main__":
