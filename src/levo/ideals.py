@@ -1,13 +1,14 @@
 """Ideal arithmetic over exact rationals.
 
 Reduced Groebner bases via Buchberger's algorithm (heap-ordered normal
-selection plus the product and chain criteria), full normal forms,
-block-order elimination, intersection, saturation, Krull dimension,
-degree and quotient vector-space dimension from the staircase, radical
-membership, and decomposition into rational components by recursive
-factorization.  `factor_rational` factors over Q with the native
-factorizer over Z of `levo.zfactor`; levo has no third-party runtime
-dependency.
+selection; pairs of two monomials or of coprime leading monomials are
+settled when they are made, the chain criterion runs at pop), full
+normal forms, block-order elimination, intersection, saturation, Krull
+dimension, degree and quotient vector-space dimension from the
+staircase, radical membership, and decomposition into rational
+components by recursive factorization.  `factor_rational` factors
+over Q with the native factorizer over Z of `levo.zfactor`; levo has no
+third-party runtime dependency.
 
 Ideals are identified by the unique reduced grevlex basis, so equal
 ideals hash alike and can key cycle component maps.  Inside the kernel
@@ -293,18 +294,15 @@ def _spoly(e1, e2, lcm, guard):
     return res
 
 
-def _is_monomial(terms):
-    return len(terms) == 1
-
-
 def buchberger(generators, key):
     """Reduced Groebner basis of the given Polynomials' term dicts.
 
     Returns a list of term dicts, monic, fully inter-reduced, sorted by
     ascending leading monomial.  The classical algorithm with normal
-    selection from a heap of pairs and the two classical criteria
-    (product, chain), on monomials packed for `key`: grevlex_key, lex_key
-    or a block_key.
+    selection from a heap of pairs, on monomials packed for `key`:
+    grevlex_key, lex_key or a block_key.  A pair of two monomials or of
+    coprime leading monomials (the product criterion) is settled when it
+    is made and never enters the heap; the chain criterion runs at pop.
     """
     gens = [g for g in generators if g]
     return _memo(
@@ -332,20 +330,33 @@ def _packed_buchberger(generators, P):
     # taken in descending order
     gens = sorted(generators, key=lambda t: [P.decode(m) for m in sorted(t, reverse=True)])
 
-    basis = []
+    basis, exps, supp, mono = [], [], [], []
+    bits = [1 << v for v in range(len(P.weights))]
+
+    def note(entry):  # append a basis entry, its exponents, support mask and monomial flag
+        basis.append(entry)
+        exps.append(P.decode(entry[0]))
+        supp.append(sum(itertools.compress(bits, exps[-1])))
+        mono.append(len(entry[1]) == 1)
+
     for g in gens:
         g = _reduce_terms(g, basis, P)
         if g:
-            basis.append(_entry(g))
-    exps = [P.decode(lm) for lm, _ in basis]
+            note(_entry(g))
 
     # Every pending pair is in `pairs` (for the chain criterion) and has
     # one heap entry; popping the heap is normal selection, the smallest
-    # lcm under the order with ties broken by the pair.
+    # lcm under the order with ties broken by the pair.  A pair of two
+    # monomials (S-polynomial 0) or of coprime leading monomials (by
+    # Buchberger's first criterion, a standard representation by the pair
+    # itself) is settled when made and never pending: the chain criterion
+    # may count it as treated (Becker and Weispfenning, Groebner Bases, ch. 5).
     pairs = set()
     heap = []
 
     def add_pair(i, j):
+        if mono[i] and mono[j] or not supp[i] & supp[j]:
+            return
         pairs.add((i, j))
         heapq.heappush(heap, (P.encode(tuple(map(max, exps[i], exps[j]))), i, j))
 
@@ -368,12 +379,6 @@ def _packed_buchberger(generators, P):
     while heap:
         lcm, i, j = heapq.heappop(heap)
         pairs.discard((i, j))
-        # S-polynomials of two monomials vanish identically
-        if _is_monomial(basis[i][1]) and _is_monomial(basis[j][1]):
-            continue
-        # product criterion: coprime leading monomials
-        if lcm == basis[i][0] + basis[j][0] - one:
-            continue
         if chain_criterion(i, j, lcm):
             continue
         s = _reduce_terms(_spoly(basis[i], basis[j], lcm, guard), basis, P)
@@ -381,8 +386,7 @@ def _packed_buchberger(generators, P):
         if not s:
             zero += 1
             continue
-        basis.append(_entry(s))
-        exps.append(P.decode(basis[-1][0]))
+        note(_entry(s))
         new = len(basis) - 1
         for k in range(new):
             add_pair(k, new)

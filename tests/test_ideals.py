@@ -122,6 +122,37 @@ def test_block_bases_match_sympy_in_four_variables(seed):
         assert mine.contains_ideal(theirs) and theirs.contains_ideal(mine)
 
 
+def _monomial_rich(ring, rng):
+    """Several monomials and one to three binomials or trinomials."""
+    gens = [random_polynomial(ring, rng, max_degree=3, max_terms=1) for _ in range(rng.randint(2, 4))]
+    gens += [random_polynomial(ring, rng, max_degree=3, max_terms=3) for _ in range(rng.randint(1, 3))]
+    return [g for g in gens if not g.is_zero()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(2, 4))
+def test_monomial_rich_bases_match_sympy(seed, nvars):
+    # pairs of two monomials and coprime pairs are settled when they are
+    # made, and the chain criterion then counts them as treated
+    rng = random.Random(seed)
+    ring = PolyRing(("x", "y", "z", "w")[:nvars])
+    gens = _monomial_rich(ring, rng)
+    assume(gens)
+    terms = [g.terms for g in gens]
+    block = ProductOrder((sympy_grevlex, lambda m: m[:1]), (sympy_grevlex, lambda m: m[1:]))
+    for key, order in ((grevlex_key, "grevlex"), (lex_key, "lex"), (block_key(1), block)):
+        ours = [Polynomial(ring, t) for t in buchberger(terms, key)]
+        assert _term_sets(ours) == _term_sets(_sympy_basis(gens, order, key))
+
+
+def test_monomial_and_coprime_pairs_reduce_nothing():
+    ring = PolyRing(("x", "y", "z"))
+    for gens in (["x^2*y", "x*y^3", "y*z^2", "z^4"], ["x^2 - y", "z^3 - 1"]):
+        with algebra_cache() as cache:
+            buchberger([ring.parse(g).terms for g in gens], grevlex_key)
+            assert (cache.spairs, cache.zero_reductions) == (0, 0)
+
+
 _NON_MONIC = ("2*x - 1", "3*x*y - 2", "4*y^2 + 6*x - 2", "-5*x*y^2 + 3*y")
 
 
