@@ -50,7 +50,7 @@ from math import lcm
 from operator import itemgetter, mul
 
 from .errors import InternalError, RingMismatchError
-from .poly import PolyRing, Polynomial, block_key, grevlex_key, lex_key, monomial_divides, rational
+from .poly import PolyRing, Polynomial, block_key, grevlex_key, lex_key, rational
 
 # ---------------------------------------------------------------------------
 # per-run algebra cache
@@ -604,21 +604,26 @@ def degree(ideal):
 
 def _standard_count(lms, n):
     """Number of monomials in n variables that no monomial of lms
-    divides; finite here."""
-    origin = (0,) * n
-    seen = {origin}
-    stack = [origin]
+    divides; finite here.  A monomial is an int with one field per
+    variable: value bits for the largest exponent in lms (no walked
+    exponent exceeds it) and a guard bit on top, so lm divides m exactly
+    when (m | guard) - lm keeps every guard bit."""
+    width = max((e for lm in lms for e in lm), default=0).bit_length() + 1
+    units = [1 << (width * i) for i in range(n)]
+    guard = sum(units) << (width - 1)
+    packed = [sum(map(mul, lm, units)) for lm in lms]
+    seen = {0}
+    stack = [0]
     count = 0
     while stack:
         m = stack.pop()
         count += 1
-        for i in range(n):
-            mm = list(m)
-            mm[i] += 1
-            mm = tuple(mm)
+        for unit in units:
+            mm = m + unit
             if mm in seen:
                 continue
-            if any(monomial_divides(lm, mm) for lm in lms):
+            g = mm | guard
+            if any((g - a) & guard == guard for a in packed):
                 continue
             seen.add(mm)
             stack.append(mm)

@@ -544,6 +544,40 @@ def test_quotient_dimension():
     assert quotient_dimension(Ideal(ring, ["1"])) == 0
 
 
+def _tuple_standard_count(lms, n):
+    """The staircase walk on exponent tuples, as reference."""
+    origin = (0,) * n
+    seen, stack, count = {origin}, [origin], 0
+    while stack:
+        m = stack.pop()
+        count += 1
+        for i in range(n):
+            mm = m[:i] + (m[i] + 1,) + m[i + 1:]
+            if mm not in seen and not any(monomial_divides(lm, mm) for lm in lms):
+                seen.add(mm)
+                stack.append(mm)
+    return count
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), n=st.integers(0, 4))
+def test_packed_staircase_count_matches_the_tuple_walk(seed, n):
+    rng = random.Random(seed)
+    top = rng.choice((1, 3, 7, 8, 15, 16))
+    # a pure power of each variable keeps the staircase finite
+    lms = [tuple(rng.randint(1, top) if j == i else 0 for j in range(n)) for i in range(n)]
+    lms += [tuple(rng.randint(0, top) for _ in range(n)) for _ in range(rng.randint(0, 4))]
+    lms = [lm for lm in lms if any(lm)]
+    assert ideals._standard_count(lms, n) == _tuple_standard_count(lms, n)
+
+
+def test_packed_staircase_count_past_fifteen_bits():
+    big = 2**15 + 3
+    for lms, n in (([(big,)], 1), ([(big, 0), (0, 2), (5, 1)], 2)):
+        assert ideals._standard_count(lms, n) == _tuple_standard_count(lms, n)
+    assert ideals._standard_count([(big, 0), (0, 2), (5, 1)], 2) == big + 5
+
+
 def _sympy_standard_monomials(gens):
     """Number of monomials outside sympy's grevlex leading-monomial ideal,
     or None when that number is infinite."""
