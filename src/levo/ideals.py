@@ -654,18 +654,14 @@ def _fresh_names(taken, prefix, count):
 
 def map_poly(p, target):
     """Reinterpret a polynomial in another ring containing its variables."""
-    positions = [target._index.get(v) for v in p.ring.vars]
-    res = {}
-    tn = target.nvars
-    for m, c in p.terms.items():
-        mm = [0] * tn
-        for i, e in enumerate(m):
-            if e:
-                if positions[i] is None:
-                    raise InternalError("cannot map monomial involving dropped var")
-                mm[positions[i]] = e
-        res[tuple(mm)] = c
-    return Polynomial(target, res, _clean=False)
+    n = p.ring.nvars
+    # a target variable missing from the source reads the appended 0
+    index = list(map(p.ring._index.get, target.vars, itertools.repeat(n)))
+    dropped = set(range(n)).difference(index)
+    if dropped and any(m[i] for m in p.terms for i in dropped):
+        raise InternalError("cannot map monomial involving dropped var")
+    pick = itemgetter(*index) if len(index) > 1 else lambda m: tuple(m[i] for i in index)
+    return Polynomial(target, {pick(m + (0,)): c for m, c in p.terms.items()}, _clean=False)
 
 
 def eliminate(ideal, drop_vars):

@@ -14,6 +14,7 @@ from sympy.polys.orderings import grevlex as sympy_grevlex
 
 from conftest import decomposition_covers, random_polynomial
 from levo import ideals
+from levo.errors import InternalError
 from levo.ideals import (
     Ideal,
     algebra_cache,
@@ -413,6 +414,26 @@ def test_eliminate_section7_curve():
     out = eliminate(I, set(ring.cotangent_vars))
     assert out.ring.vars == ("u", "x", "y", "z")
     assert {str(g) for g in out.groebner()} == {"y", "z", "u^2 + x^2"}
+
+
+def test_map_poly_rejects_a_dropped_variable():
+    ring = PolyRing(("x", "y", "z"))
+    with pytest.raises(InternalError):
+        map_poly(ring.parse("x*y + z"), PolyRing(("x", "z")))
+    # a variable that is dropped but absent from every term maps fine
+    assert map_poly(ring.parse("x^2 - z"), PolyRing(("z", "x"))) == PolyRing(("z", "x")).parse("x^2 - z")
+    assert map_poly(ring.parse("3*y^4 - 1"), PolyRing(("y",))) == PolyRing(("y",)).parse("3*y^4 - 1")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_map_poly_round_trips_through_a_tag_variable(seed):
+    rng = random.Random(seed)
+    ring = section7_ring() if seed % 2 else PolyRing(("x", "y", "z"))
+    p = random_polynomial(ring, rng, max_degree=4, max_terms=5)
+    ext, t = ideals._with_tag_var(ring)
+    up = map_poly(p, ext)
+    assert ext.vars[0] == t and up.terms == {(0,) + m: c for m, c in p.terms.items()}
+    assert map_poly(up, ring) == p
 
 
 def test_eliminate_nothing_is_identity():
