@@ -154,6 +154,17 @@ def test_monomial_and_coprime_pairs_reduce_nothing():
             assert (cache.spairs, cache.zero_reductions) == (0, 0)
 
 
+def test_settled_pairs_serve_the_chain_criterion():
+    # x*y and y*z + 3/4*z make x*z.  The pair (x*y, x*z) of two monomials
+    # is settled when it is made, so the chain criterion skips
+    # (y*z + 3/4*z, x*z) through x*y instead of reducing it to zero.
+    ring = PolyRing(("x", "y", "z"))
+    with algebra_cache() as cache:
+        basis = buchberger([ring.parse("3*x*y").terms, ring.parse("4*y*z + 3*z").terms], grevlex_key)
+        assert (cache.spairs, cache.zero_reductions) == (1, 0)
+    assert {str(Polynomial(ring, t)) for t in basis} == {"x*y", "x*z", "y*z + 3/4*z"}
+
+
 _NON_MONIC = ("2*x - 1", "3*x*y - 2", "4*y^2 + 6*x - 2", "-5*x*y^2 + 3*y")
 
 
