@@ -10,12 +10,14 @@ components by recursive factorization.  `factor_rational` factors
 over Q with the native factorizer over Z of `levo.zfactor`; levo has no
 third-party runtime dependency.
 
-Ideals are identified by the unique reduced grevlex basis, so equal
-ideals hash alike and can key cycle component maps.  Inside the kernel
-a monomial is one int that packs its exponents for the order in use
-(`_Packing`): int comparison is the order, a product is an add and a
-divisibility test one subtract and one mask test.  A basis entry is a
-pair (packed leading monomial, packed term dict) with leading
+The kernel knows two monomial orders: grevlex, under which every `Ideal`
+is computed, and the block orders of `poly.block_key`, under which
+`eliminate` runs.  Ideals are identified by the unique reduced grevlex
+basis, so equal ideals hash alike and can key cycle component maps.
+Inside the kernel a monomial is one int that packs its exponents for the
+order in use (`_Packing`): int comparison is the order, a product is an
+add and a divisibility test one subtract and one mask test.  A basis
+entry is a pair (packed leading monomial, packed term dict) with leading
 coefficient 1, and Buchberger's output is reduced in one sweep in
 ascending leading-monomial order.  An `Ideal` keeps its reduced basis
 only as such entries.  Exponent tuples are encoded and decoded only at
@@ -50,7 +52,7 @@ from math import lcm
 from operator import itemgetter, mul
 
 from .errors import InternalError, RingMismatchError
-from .poly import PolyRing, Polynomial, block_key, grevlex_key, lex_key, rational
+from .poly import PolyRing, Polynomial, block_key, grevlex_key, rational
 
 # ---------------------------------------------------------------------------
 # per-run algebra cache
@@ -132,7 +134,7 @@ class _Overflow(Exception):
 class _Packing:
     """Monomials in n variables as ints, for an order made of graded
     reverse lexicographic blocks (one block for grevlex, two for a block
-    order, one block per variable for lex).
+    order).
 
     The fields, most significant first: for each block its total degree,
     then, if the block has two or more variables, cap - e_j for its
@@ -204,11 +206,9 @@ class _Packing:
 @lru_cache(maxsize=None)
 def _packing(key, n, width):
     """The packing of monomials in n variables under the order `key`
-    (grevlex_key, lex_key or a block_key) with fields of `width` bits."""
+    (grevlex_key or a block_key) with fields of `width` bits."""
     if key is grevlex_key:
         blocks = [range(n)]
-    elif key is lex_key:
-        blocks = [(j,) for j in range(n)]
     elif hasattr(key, "nlead"):
         blocks = [range(key.nlead), range(key.nlead, n)]
     else:
@@ -300,7 +300,7 @@ def buchberger(generators, key):
     Returns a list of term dicts, monic, fully inter-reduced, sorted by
     ascending leading monomial.  The classical algorithm with normal
     selection from a heap of pairs, on monomials packed for `key`:
-    grevlex_key, lex_key or a block_key.  A pair of two monomials or of
+    grevlex_key or a block_key.  A pair of two monomials or of
     coprime leading monomials (the product criterion) is settled when it
     is made and never enters the heap; the chain criterion runs at pop.
     """
@@ -326,9 +326,8 @@ def _buchberger(generators, key):
 
 def _packed_buchberger(generators, P):
     one, guard = P.one, P.guard
-    # deterministic startup order: by the exponent tuples of the terms,
-    # taken in descending order
-    gens = sorted(generators, key=lambda t: [P.decode(m) for m in sorted(t, reverse=True)])
+    # deterministic startup order: by the terms, taken in descending order
+    gens = sorted(generators, key=lambda t: sorted(t, reverse=True))
 
     basis, exps, supp, mono = [], [], [], []
     bits = [1 << v for v in range(len(P.weights))]
@@ -446,20 +445,19 @@ class Ideal:
 
     def _basis(self):
         """The packing and the packed entries (lm, terms) of the reduced
-        basis under the ring's order; the ideal keeps only these."""
+        grevlex basis; the ideal keeps only these."""
         if self._entries is None:
-            key = self.ring.key()
-            dicts = buchberger([g.terms for g in self.gens], key)
+            dicts = buchberger([g.terms for g in self.gens], grevlex_key)
             self._packing, self._entries = _in_fields(
-                key,
+                grevlex_key,
                 self.ring.nvars,
                 lambda P: (P, tuple(_entry(P.encode_terms(t)) for t in dicts)),
             )
         return self._packing, self._entries
 
     def groebner(self):
-        """The reduced Groebner basis under the ring's order, in ascending
-        leading-monomial order."""
+        """The reduced grevlex Groebner basis, in ascending leading-monomial
+        order."""
         P, entries = self._basis()
         return tuple(
             Polynomial(self.ring, P.decode_terms(t), _clean=False) for _, t in entries
@@ -481,7 +479,7 @@ class Ideal:
                 basis = [_entry(Q.encode_terms(P.decode_terms(t))) for _, t in entries]
             return Q.decode_terms(_reduce_terms(Q.encode_terms(p.terms), basis, Q))
 
-        terms = _in_fields(self.ring.key(), self.ring.nvars, run, P.width)
+        terms = _in_fields(grevlex_key, self.ring.nvars, run, P.width)
         return Polynomial(self.ring, terms, _clean=False)
 
     def contains(self, p):
@@ -804,7 +802,7 @@ def radical_member(g, I):
 def factor_rational(p):
     """Irreducible factors over Q as [(factor, multiplicity)], content dropped.
 
-    Factors are monic under the ring order and canonically sorted.
+    Factors are monic under grevlex and canonically sorted.
     """
     if p.is_zero() or p.is_constant():
         return []

@@ -40,14 +40,11 @@ def rational(c, d=None):
 #
 # A monomial is a tuple of non-negative integer exponents, one per ring
 # variable.  Order functions return sort keys: bigger key = bigger monomial.
+# levo orders every ring by grevlex and eliminates with a block order.
 
 
 def grevlex_key(exps):
     return (sum(exps), tuple(-e for e in reversed(exps)))
-
-
-def lex_key(exps):
-    return exps
 
 
 @lru_cache(maxsize=None)
@@ -70,18 +67,6 @@ def block_key(nlead):
 
 def monomial_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
-
-
-def monomial_divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
-
-
-def monomial_div(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def monomial_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
 
 
 class PolyRing:
@@ -133,10 +118,6 @@ class PolyRing:
         except KeyError:
             raise KeyError("no variable %r in %r" % (name, self)) from None
 
-    def key(self):
-        """Sort key of the ring's monomial order, grevlex."""
-        return grevlex_key
-
     def base_ring(self):
         """The ring on the base variables alone."""
         return PolyRing(self.base_vars)
@@ -160,15 +141,6 @@ class PolyRing:
         exps = [0] * self.nvars
         exps[i] = 1
         return Polynomial(self, {tuple(exps): 1})
-
-    def monomial(self, exps, coeff=1):
-        exps = tuple(exps)
-        if len(exps) != self.nvars:
-            raise ValueError("exponent vector has wrong length")
-        coeff = rational(coeff)
-        if coeff == 0:
-            return self.zero()
-        return Polynomial(self, {exps: coeff})
 
     def parse(self, text):
         return _parse_polynomial(self, text)
@@ -349,18 +321,17 @@ class Polynomial:
 
     # -- leading data -------------------------------------------------------------
 
-    def lead(self, key=None):
-        """(monomial, coefficient) of the largest term under `key`."""
+    def lead(self):
+        """(monomial, coefficient) of the largest term under grevlex."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        key = key or self.ring.key()
-        m = max(self.terms, key=key)
+        m = max(self.terms, key=grevlex_key)
         return m, self.terms[m]
 
-    def monic(self, key=None):
+    def monic(self):
         if not self.terms:
             return self
-        _, c = self.lead(key)
+        _, c = self.lead()
         if c == 1:
             return self
         return Polynomial(
@@ -370,10 +341,9 @@ class Polynomial:
     # -- identity -----------------------------------------------------------------
 
     def canonical(self):
-        """Terms sorted descending under the ring order; hashable."""
-        key = self.ring.key()
+        """Terms sorted descending under grevlex; hashable."""
         return tuple(
-            (m, self.terms[m]) for m in sorted(self.terms, key=key, reverse=True)
+            (m, self.terms[m]) for m in sorted(self.terms, key=grevlex_key, reverse=True)
         )
 
     def __eq__(self, other):
@@ -412,9 +382,8 @@ def poly_to_str(p):
     if not p.terms:
         return "0"
     names = p.ring.vars
-    key = p.ring.key()
     pieces = []
-    for m in sorted(p.terms, key=key, reverse=True):
+    for m in sorted(p.terms, key=grevlex_key, reverse=True):
         c = p.terms[m]
         factors = []
         for i, e in enumerate(m):

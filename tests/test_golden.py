@@ -7,6 +7,8 @@ changelog entry.
 """
 
 import contextlib
+import hashlib
+import importlib.util
 import io
 import json
 import random
@@ -50,6 +52,17 @@ def test_golden_report(name, argv, exit_code):
     code, stdout = _run(name, argv)
     assert code == exit_code
     assert stdout == (GOLDEN / (name + ".stdout")).read_bytes()
+
+
+def test_report_digest_tool_hashes_the_golden_bytes():
+    # tools/report_digest.py, the byte-identity check between two
+    # checkouts, imports the golden job list and the bench corpus by name
+    path = GOLDEN.parents[1] / "tools" / "report_digest.py"
+    spec = importlib.util.spec_from_file_location("report_digest", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    expected = hashlib.sha256((GOLDEN / "two_plane.stdout").read_bytes()).hexdigest()
+    assert tool._digest(GOLDEN / "two_plane.json", []) == (0, expected)
 
 
 # ---------------------------------------------------------------------------

@@ -32,21 +32,42 @@ from levo.ideals import (
     saturate_ideal,
     split_components,
 )
-from levo.poly import (
-    PolyRing,
-    Polynomial,
-    block_key,
-    grevlex_key,
-    lex_key,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
-)
+from levo.poly import PolyRing, Polynomial, block_key, grevlex_key, monomial_mul
 
 
 def section7_ring():
     return PolyRing(("u", "x", "y", "z"), ("w_0", "w_1", "w_2", "w_3"))
+
+
+# ---------------------------------------------------------------------------
+# exponent-tuple references for the packed kernel
+
+
+def lex_key(exps):
+    """The lex order, variables in ring order: sympy's "lex"."""
+    return exps
+
+
+def monomial_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def monomial_div(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def monomial_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def _monomial(ring, exps, coeff):
+    return Polynomial(ring, {tuple(exps): coeff})
+
+
+def _monic(p, key):
+    """p scaled to leading coefficient 1 under the order `key`."""
+    lc = p.terms[max(p.terms, key=key)]
+    return Polynomial(p.ring, {m: Fraction(c) / lc for m, c in p.terms.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +88,7 @@ def _sympy_basis(gens, order, key):
     """sympy's reduced basis of the polynomials gens, made monic under key."""
     ring = gens[0].ring
     G = sympy.groebner([_to_sympy(g) for g in gens], *sympy.symbols(ring.vars), order=order)
-    return [_from_sympy(ring, q).monic(key) for q in G.polys]
+    return [_monic(_from_sympy(ring, q), key) for q in G.polys]
 
 
 def _term_sets(polys):
@@ -86,11 +107,12 @@ def test_buchberger_matches_sympy_groebner(seed, nvars):
     gens = [g for g in gens if not g.is_zero()]
     assume(gens)
     terms = [g.terms for g in gens]
-    for key, order in ((grevlex_key, "grevlex"), (lex_key, "lex")):
+    block = ProductOrder((sympy_grevlex, lambda m: m[:1]), (sympy_grevlex, lambda m: m[1:]))
+    for key, order in ((grevlex_key, "grevlex"), (block_key(1), block)):
         ours = [Polynomial(ring, t) for t in buchberger(terms, key)]
         assert _term_sets(ours) == _term_sets(_sympy_basis(gens, order, key))
-    # block_key(1) eliminates the first variable as lex does
-    ours = [Polynomial(ring, t) for t in buchberger(terms, block_key(1))]
+    # `ours` is now the block_key(1) basis, which eliminates the first
+    # variable as lex does
     theirs = _sympy_basis(gens, "lex", lex_key)
     assert Ideal(ring, _free_of(ours, 1)) == Ideal(ring, _free_of(theirs, 1))
 
@@ -141,7 +163,7 @@ def test_monomial_rich_bases_match_sympy(seed, nvars):
     assume(gens)
     terms = [g.terms for g in gens]
     block = ProductOrder((sympy_grevlex, lambda m: m[:1]), (sympy_grevlex, lambda m: m[1:]))
-    for key, order in ((grevlex_key, "grevlex"), (lex_key, "lex"), (block_key(1), block)):
+    for key, order in ((grevlex_key, "grevlex"), (block_key(1), block)):
         ours = [Polynomial(ring, t) for t in buchberger(terms, key)]
         assert _term_sets(ours) == _term_sets(_sympy_basis(gens, order, key))
 
@@ -199,7 +221,7 @@ def test_integer_leading_coefficients_never_divide_to_floats(seed, nvars):
 
 
 def _orders(n):
-    return [grevlex_key, lex_key] + [block_key(k) for k in range(1, n)]
+    return [grevlex_key] + [block_key(k) for k in range(1, n)]
 
 
 @st.composite
@@ -220,8 +242,6 @@ def _fits(key, P, exps):
     n = len(exps)
     if key is grevlex_key:
         blocks = [range(n)]
-    elif key is lex_key:
-        blocks = [[j] for j in range(n)]
     else:
         blocks = [range(key.nlead), range(key.nlead, n)]
     return all(sum(exps[j] for j in b) <= P.cap for b in blocks)
@@ -261,28 +281,30 @@ def test_exponents_past_the_field_capacity():
     # a basis that fits, reducing a polynomial that does not
     small = Ideal(ring, ["x^7 - y", "y^2"])
     assert small.normal_form(ring.parse("x^70000 + x^13")) == ring.parse("x^6*y")
-    # every input fits, but: under lex, reducing x^3 by x - y^30000 reaches
-    # y^60000 and y^90000, and reducing x - y^2*z^10000 by y - z^30000
-    # reaches y*z^40000 below the leading term; under lex and the block
-    # order, the S-polynomial of x*z - y^20000 and y^20000*z - 1 has the
-    # term y^40000 (x = x*y^20000*z = y^40000)
-    basis = buchberger([ring.parse("x - y^30000").terms, ring.parse("x^3").terms], lex_key)
+    # every input fits, but: under block_key(1) (lex on two variables),
+    # reducing x^3 by x - y^30000 reaches y^60000 and y^90000; under
+    # block_key(2), reducing x^2 - y^2*z^10000 by y - z^30000 reaches
+    # y*z^40000 below the leading term x^2; under block_key(1), the
+    # S-polynomial of x*z - y^20000 and y^20000*z - 1 has the term y^40000
+    # (x = x*y^20000*z = y^40000)
+    basis = buchberger([ring.parse("x - y^30000").terms, ring.parse("x^3").terms], block_key(1))
     assert basis == [ring.parse("y^90000").terms, ring.parse("x - y^30000").terms]
     ring = PolyRing(("x", "y", "z"))
     for gens, key, expected in (
-        (["y - z^30000", "x - y^2*z^10000"], lex_key, ["y - z^30000", "x - z^70000"]),
-        (["x*z - y^20000", "y^20000*z - 1"], lex_key, ["y^20000*z - 1", "x - y^40000"]),
+        (["y - z^30000", "x^2 - y^2*z^10000"], block_key(2), ["y - z^30000", "x^2 - z^70000"]),
         (["x*z - y^20000", "y^20000*z - 1"], block_key(1), ["y^20000*z - 1", "x - y^40000"]),
     ):
         basis = buchberger([ring.parse(g).terms for g in gens], key)
         assert basis == [ring.parse(g).terms for g in expected]
 
 
-def test_lex_basis_hand_example():
-    # hand Buchberger run: {y - x^2, w - y} under lex w > y > x
+def test_block_basis_hand_example():
+    # hand Buchberger run: {y - x^2, w - y} under block_key(2), which
+    # eliminates w and y: the leading terms are y and w, and w - y
+    # reduces to w - x^2
     ring = PolyRing(("w", "y", "x"))
     gens = [ring.parse("y - x^2").terms, ring.parse("w - y").terms]
-    basis = {Polynomial(ring, t) for t in buchberger(gens, lex_key)}
+    basis = {Polynomial(ring, t) for t in buchberger(gens, block_key(2))}
     assert basis == {ring.parse("w - x^2"), ring.parse("y - x^2")}
 
 
@@ -305,12 +327,12 @@ def test_zero_and_unit_ideals():
     assert Ideal(ring, ["x", "x + 1"]).is_unit()
 
 
-def _spoly_of(f, g, key):
-    fl, fc = f.lead(key)
-    gl, gc = g.lead(key)
+def _spoly_of(f, g):
+    fl, fc = f.lead()
+    gl, gc = g.lead()
     lcm = monomial_lcm(fl, gl)
-    mf = f.ring.monomial(monomial_div(lcm, fl), Fraction(1, fc))
-    mg = f.ring.monomial(monomial_div(lcm, gl), Fraction(1, gc))
+    mf = _monomial(f.ring, monomial_div(lcm, fl), Fraction(1, fc))
+    mg = _monomial(f.ring, monomial_div(lcm, gl), Fraction(1, gc))
     return mf * f - mg * g
 
 
@@ -322,10 +344,9 @@ def test_buchberger_completeness_random(seed):
     gens = [random_polynomial(ring, rng) for _ in range(rng.randint(2, 3))]
     I = Ideal(ring, gens)
     basis = I.groebner()
-    key = ring.key()
     for i in range(len(basis)):
         for j in range(i):
-            s = _spoly_of(basis[i], basis[j], key)
+            s = _spoly_of(basis[i], basis[j])
             assert I.normal_form(s).is_zero()
 
 
@@ -339,23 +360,23 @@ def test_reduction_idempotent_random(seed):
     assert I.normal_form(once) == once
 
 
-def _divide_with_certificate(p, basis, key):
+def _divide_with_certificate(p, basis):
     """Test-side division: quotients plus remainder with the identity
     p = sum(q_i * b_i) + r and no remainder term divisible by a lead."""
     work = p
     quotients = [p.ring.zero() for _ in basis]
     remainder = p.ring.zero()
-    leads = [b.lead(key) for b in basis]
+    leads = [b.lead() for b in basis]
     while not work.is_zero():
-        m, c = work.lead(key)
+        m, c = work.lead()
         for i, (lm, lc) in enumerate(leads):
             if monomial_divides(lm, m):
-                q = p.ring.monomial(monomial_div(m, lm), c / lc)
+                q = _monomial(p.ring, monomial_div(m, lm), Fraction(c) / lc)
                 quotients[i] = quotients[i] + q
                 work = work - q * basis[i]
                 break
         else:
-            mono = p.ring.monomial(m, c)
+            mono = _monomial(p.ring, m, c)
             remainder = remainder + mono
             work = work - mono
     return quotients, remainder
@@ -369,12 +390,11 @@ def test_membership_agrees_with_division_certificate(seed):
     basis = list(I.groebner())
     if not basis:
         return
-    key = ring.key()
     # a known combination must be a member, and the certificate must agree
     combo = ring.zero()
     for b in basis:
         combo = combo + random_polynomial(ring, rng, max_degree=1) * b
-    quotients, remainder = _divide_with_certificate(combo, basis, key)
+    quotients, remainder = _divide_with_certificate(combo, basis)
     rebuilt = remainder
     for q, b in zip(quotients, basis):
         rebuilt = rebuilt + q * b
@@ -382,7 +402,7 @@ def test_membership_agrees_with_division_certificate(seed):
     assert remainder.is_zero() == I.contains(combo)
     # and a generic low-degree polynomial agrees both ways
     probe = random_polynomial(ring, rng, max_degree=2)
-    _, r2 = _divide_with_certificate(probe, basis, key)
+    _, r2 = _divide_with_certificate(probe, basis)
     assert r2.is_zero() == I.contains(probe)
 
 
@@ -1075,8 +1095,7 @@ def test_algebra_cache_scope_nests_and_ends():
 def test_groebner_basis_order_argument():
     ring = PolyRing(("x", "y"))
     gens = [ring.parse("x^2 - y").terms, ring.parse("y^2 - x").terms]
-    # lex with x > y, and the block order with x alone in the lead block,
-    # both eliminate x in one basis element: y^4 - y
-    for key in (lex_key, block_key(1)):
-        basis = [Polynomial(ring, t) for t in buchberger(gens, key)]
-        assert ring.parse("y^4 - y") in basis
+    # the block order with x alone in the lead block (lex with x > y)
+    # eliminates x in one basis element: y^4 - y
+    basis = [Polynomial(ring, t) for t in buchberger(gens, block_key(1))]
+    assert ring.parse("y^4 - y") in basis

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from levo.errors import PolynomialParseError, RingMismatchError
-from levo.poly import PolyRing, Polynomial, block_key, grevlex_key, lex_key
+from levo.poly import PolyRing, Polynomial, block_key, grevlex_key
 
 
 @pytest.fixture
@@ -127,10 +127,6 @@ def test_grevlex_order():
     assert grevlex_key((2, 1, 0)) > grevlex_key((1, 0, 2))
     # degree dominates
     assert grevlex_key((0, 0, 3)) > grevlex_key((1, 1, 0))
-
-
-def test_lex_order():
-    assert lex_key((1, 0, 0)) > lex_key((0, 5, 5))
 
 
 def test_block_order_separates():
