@@ -19,10 +19,11 @@ order in use (`_Packing`): int comparison is the order, a product is an
 add and a divisibility test one subtract and one mask test.  A basis
 entry is a pair (packed leading monomial, packed term dict) with leading
 coefficient 1, and Buchberger's output is reduced in one sweep in
-ascending leading-monomial order.  An `Ideal` keeps its reduced basis
-only as such entries.  Exponent tuples are encoded and decoded only at
-the kernel boundary: `buchberger` takes and returns tuple-keyed term
-dicts, and `Ideal` encodes what it reduces and decodes what it returns.
+ascending leading-monomial order.  Exponent tuples are encoded and
+decoded only at the kernel boundary: `buchberger` takes and returns
+tuple-keyed term dicts.  An `Ideal` keeps its reduced basis as
+`buchberger` returns it and packs it only when it first reduces against
+it.
 A packed field is 16 bits at first, 15 for a value up to 32767 and a
 guard bit.  A monomial that does not fit, an input whose total degree
 exceeds that or a product that sets a guard bit, makes the call run
@@ -232,7 +233,7 @@ def _in_fields(key, n, run, width=_WIDTH):
 
 def _reduce_terms(terms, basis, P):
     """Full normal form of a packed term dict against monic packed basis
-    entries (lm, terms)."""
+    entries (lm, terms); it lists its terms in descending order."""
     one, guard = P.one, P.guard
     work = dict(terms)
     remainder = {}
@@ -298,7 +299,9 @@ def buchberger(generators, key):
     """Reduced Groebner basis of the given Polynomials' term dicts.
 
     Returns a list of term dicts, monic, fully inter-reduced, sorted by
-    ascending leading monomial.  The classical algorithm with normal
+    ascending leading monomial; each dict lists its terms in strictly
+    descending order under `key`, so its first term is its leading one.
+    `Ideal` relies on this order.  The classical algorithm with normal
     selection from a heap of pairs, on monomials packed for `key`:
     grevlex_key or a block_key.  A pair of two monomials or of
     coprime leading monomials (the product criterion) is settled when it
@@ -423,7 +426,7 @@ def _reduce_basis(basis, P):
 class Ideal:
     """A finitely generated ideal with cached reduced Groebner bases."""
 
-    __slots__ = ("ring", "gens", "_packing", "_entries", "_key", "_dim")
+    __slots__ = ("ring", "gens", "_gb", "_packed", "_key", "_dim")
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -436,48 +439,48 @@ class Ideal:
             if not g.is_zero():
                 clean.append(g)
         self.gens = tuple(clean)
-        self._packing = None
-        self._entries = None
+        self._gb = None
+        self._packed = None
         self._key = None
         self._dim = None
 
     # -- Groebner ------------------------------------------------------------
 
     def _basis(self):
-        """The packing and the packed entries (lm, terms) of the reduced
-        grevlex basis; the ideal keeps only these."""
-        if self._entries is None:
-            dicts = buchberger([g.terms for g in self.gens], grevlex_key)
-            self._packing, self._entries = _in_fields(
-                grevlex_key,
-                self.ring.nvars,
-                lambda P: (P, tuple(_entry(P.encode_terms(t)) for t in dicts)),
-            )
-        return self._packing, self._entries
+        """The reduced grevlex basis as `buchberger` returns it: monic term
+        dicts in ascending leading-monomial order, each listing its terms
+        in descending order.  The ideal keeps it as it is."""
+        if self._gb is None:
+            self._gb = buchberger([g.terms for g in self.gens], grevlex_key)
+        return self._gb
 
     def groebner(self):
         """The reduced grevlex Groebner basis, in ascending leading-monomial
         order."""
-        P, entries = self._basis()
-        return tuple(
-            Polynomial(self.ring, P.decode_terms(t), _clean=False) for _, t in entries
-        )
+        return tuple(Polynomial(self.ring, t, _clean=False) for t in self._basis())
 
     def leading_monomials(self):
         """The leading monomials of the reduced basis, in its order."""
-        P, entries = self._basis()
-        return [P.decode(lm) for lm, _ in entries]
+        return [next(iter(t)) for t in self._basis()]
 
     def normal_form(self, p):
+        """The full normal form of p.  The basis is packed at the first
+        call, in the narrowest fields that hold it, and kept; a reduction
+        that needs wider fields packs it again for them."""
         if p.ring != self.ring:
             raise RingMismatchError("polynomial not in the ideal's ring")
-        P, entries = self._basis()
+        basis = self._basis()
+
+        def pack(Q):
+            return Q, [_entry(Q.encode_terms(t)) for t in basis]
+
+        if self._packed is None:
+            self._packed = _in_fields(grevlex_key, self.ring.nvars, pack)
+        P, entries = self._packed
 
         def run(Q):
-            basis = entries
-            if Q is not P:
-                basis = [_entry(Q.encode_terms(P.decode_terms(t))) for _, t in entries]
-            return Q.decode_terms(_reduce_terms(Q.encode_terms(p.terms), basis, Q))
+            packed = entries if Q is P else pack(Q)[1]
+            return Q.decode_terms(_reduce_terms(Q.encode_terms(p.terms), packed, Q))
 
         terms = _in_fields(grevlex_key, self.ring.nvars, run, P.width)
         return Polynomial(self.ring, terms, _clean=False)
@@ -490,24 +493,17 @@ class Ideal:
         return all(self.contains(g) for g in other.gens)
 
     def is_zero(self):
-        return not self._basis()[1]
+        return not self._basis()
 
     def is_unit(self):
-        P, entries = self._basis()
-        return len(entries) == 1 and entries[0][0] == P.one
+        basis = self._basis()
+        return len(basis) == 1 and not any(next(iter(basis[0])))
 
     # -- identity --------------------------------------------------------------
 
     def key(self):
         if self._key is None:
-            P, entries = self._basis()
-            self._key = (
-                self.ring._key(),
-                tuple(
-                    tuple((P.decode(m), t[m]) for m in sorted(t, reverse=True))
-                    for _, t in entries
-                ),
-            )
+            self._key = (self.ring._key(), tuple(tuple(t.items()) for t in self._basis()))
         return self._key
 
     def __eq__(self, other):
@@ -517,7 +513,7 @@ class Ideal:
         return hash(self.key())
 
     def __repr__(self):
-        return "Ideal(%s)" % ", ".join(str(g) for g in self.groebner())
+        return "Ideal(%s)" % ", ".join(self.generator_strings())
 
     def generator_strings(self):
         return [str(g) for g in self.groebner()]
