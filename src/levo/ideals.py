@@ -53,7 +53,7 @@ from math import lcm
 from operator import itemgetter, mul
 
 from .errors import InternalError, RingMismatchError
-from .poly import PolyRing, Polynomial, block_key, grevlex_key, rational
+from .poly import PolyRing, Polynomial, block_key, grevlex_key, rational, terms_to_str
 
 # ---------------------------------------------------------------------------
 # per-run algebra cache
@@ -516,7 +516,8 @@ class Ideal:
         return "Ideal(%s)" % ", ".join(self.generator_strings())
 
     def generator_strings(self):
-        return [str(g) for g in self.groebner()]
+        """The text of each reduced basis element, in the basis order."""
+        return [terms_to_str(self.ring.vars, t.items()) for t in self._basis()]
 
     # -- numerical invariants ----------------------------------------------------
 

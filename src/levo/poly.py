@@ -379,31 +379,29 @@ def _coeff_str(c):
 
 
 def poly_to_str(p):
-    if not p.terms:
-        return "0"
-    names = p.ring.vars
-    pieces = []
-    for m in sorted(p.terms, key=grevlex_key, reverse=True):
-        c = p.terms[m]
-        factors = []
-        for i, e in enumerate(m):
-            if e == 1:
-                factors.append(names[i])
-            elif e > 1:
-                factors.append("%s^%d" % (names[i], e))
+    terms = p.terms
+    return terms_to_str(
+        p.ring.vars, [(m, terms[m]) for m in sorted(terms, key=grevlex_key, reverse=True)]
+    )
+
+
+def terms_to_str(names, terms):
+    """The text of the (monomial, coefficient) pairs `terms`, written in
+    the order given: descending grevlex is the order of `poly_to_str`."""
+    out = ""
+    for m, c in terms:
+        factors = [names[i] if e == 1 else "%s^%d" % (names[i], e) for i, e in enumerate(m) if e]
         if not factors:
             body = _coeff_str(abs(c))
         elif abs(c) == 1:
             body = "*".join(factors)
         else:
             body = _coeff_str(abs(c)) + "*" + "*".join(factors)
-        sign = "-" if c < 0 else "+"
-        pieces.append((sign, body))
-    first_sign, first_body = pieces[0]
-    out = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in pieces[1:]:
-        out += " %s %s" % (sign, body)
-    return out
+        if out:
+            out += (" - " if c < 0 else " + ") + body
+        else:
+            out = ("-" if c < 0 else "") + body
+    return out or "0"
 
 
 # ---------------------------------------------------------------------------
