@@ -32,7 +32,7 @@ from levo.ideals import (
     saturate_ideal,
     split_components,
 )
-from levo.poly import PolyRing, Polynomial, block_key, grevlex_key, monomial_mul
+from levo.poly import PolyRing, Polynomial, block_key, grevlex_key, monomial_mul, poly_to_str
 
 
 def section7_ring():
@@ -185,6 +185,39 @@ def test_settled_pairs_serve_the_chain_criterion():
         basis = buchberger([ring.parse("3*x*y").terms, ring.parse("4*y*z + 3*z").terms], grevlex_key)
         assert (cache.spairs, cache.zero_reductions) == (1, 0)
     assert {str(Polynomial(ring, t)) for t in basis} == {"x*y", "x*z", "y*z + 3/4*z"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(2, 3))
+def test_basis_dicts_list_their_terms_in_descending_order(seed, nvars):
+    # an Ideal keeps buchberger's dicts as they are and reads their order:
+    # the first term is the leading one, and key() and the generator
+    # strings take the terms as listed; the references re-sort them
+    rng = random.Random(seed)
+    ring = PolyRing(("x", "y", "z")[:nvars])
+    gens = [
+        random_polynomial(ring, rng, max_degree=3, max_terms=4)
+        for _ in range(rng.randint(1, 4))
+    ]
+    terms = [g.terms for g in gens]
+    for key in (grevlex_key, block_key(1), block_key(2)):
+        with algebra_cache() as cache:
+            misses = []
+            for _ in range(2):  # misses, then only hits
+                for t in buchberger(terms, key):
+                    order = [key(m) for m in t]
+                    assert all(a > b for a, b in zip(order, order[1:]))
+                I = Ideal(ring, gens)
+                gb = I.groebner()
+                lms = [max(g.terms, key=grevlex_key) for g in gb]
+                assert I.leading_monomials() == lms == sorted(lms, key=grevlex_key)
+                assert I.key() == (ring._key(), tuple(
+                    tuple((m, g.terms[m]) for m in sorted(g.terms, key=grevlex_key, reverse=True))
+                    for g in gb
+                ))
+                assert I.generator_strings() == [poly_to_str(g) for g in gb]
+                misses.append(cache.misses["buchberger"])
+            assert misses[0] == misses[1]
 
 
 _NON_MONIC = ("2*x - 1", "3*x*y - 2", "4*y^2 + 6*x - 2", "-5*x*y^2 + 3*y")
