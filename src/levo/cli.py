@@ -41,7 +41,7 @@ from .errors import (
 from .gecc import SheafSpec, StratumSpec, build_gecc, critical_locus, support_of_gecc
 from .geom import conormal_ideal
 from .ideals import Ideal, algebra_cache, eliminate, radical_member, rational_point_of
-from .poly import PolyRing, Polynomial, rational
+from .poly import NAME, PolyRing, Polynomial, rational
 from .vogel import decompose_all_degrees, polar_support_sets
 
 EXIT_CERTIFIED = 0
@@ -220,9 +220,12 @@ def parse_config(text_or_dict):
     if (
         not isinstance(variables, list)
         or not variables
-        or not all(isinstance(v, str) and v for v in variables)
+        or not all(isinstance(v, str) for v in variables)
     ):
         _fail("variables", "expected a non-empty list of names")
+    for i, v in enumerate(variables):
+        if not re.fullmatch(NAME, v):
+            _fail("variables[%d]" % i, "expected a name matching %s" % NAME)
     if len(set(variables)) != len(variables):
         _fail("variables", "names must be unique")
     n = len(variables)

@@ -410,9 +410,9 @@ def terms_to_str(names, terms):
 # Grammar (ASCII): variables, integer/rational literals, + - * ^ and
 # parentheses; '^' binds tighter than '*'; '-' may be unary.
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*^()/]))"
-)
+NAME = r"[A-Za-z_][A-Za-z_0-9]*"  # a variable name the grammar reads
+
+_TOKEN = re.compile(r"\s*(?:(?P<num>\d+)|(?P<name>%s)|(?P<op>[-+*^()/]))" % NAME)
 
 _MINUS_VARIANTS = {"−": "-", "–": "-", "—": "-"}
 

@@ -536,6 +536,11 @@ BAD_FIELDS = [
     ("dimension-string", lambda d: _stratum(d, dimension="2"), "sheaf.strata[0].dimension"),
     ("strata-number", lambda d: dict(d, sheaf={"strata": 5}), "sheaf.strata"),
     ("conormal-number", lambda d: _stratum(d, conormal=5), "sheaf.strata[0].conormal"),
+    # a name the polynomial grammar cannot write back
+    ("variables-space", lambda d: dict(d, variables=["x", "x y"]), "variables[1]"),
+    ("variables-leading-digit", lambda d: dict(d, variables=["2", "y"]), "variables[0]"),
+    ("variables-star", lambda d: dict(d, variables=["x", "*"]), "variables[1]"),
+    ("variables-empty", lambda d: dict(d, variables=["", "y"]), "variables[0]"),
 ]
 
 
