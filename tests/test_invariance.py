@@ -1,4 +1,5 @@
-"""Invariance relations over the golden strata jobs.
+"""Invariance relations over the golden strata jobs, and a coordinate
+invariance gate over singular plane curves.
 
 Each rewrite of a job names the same sheaf, function and point in other
 words, so it must keep the exit code, the point modules and the
@@ -7,6 +8,10 @@ golden test varies: the order of the strata, the generators of a
 closure, the function up to a unit and a constant, and the coordinates
 up to a translation.  They guard the memo keys, the split order and the
 canonical term orders that make reports deterministic.
+
+The gate runs polar mode on a list of singular plane curves under the
+identity and several unimodular coordinate changes.  Polar modules are
+generic values, so the certified runs of a curve must agree.
 """
 
 import contextlib
@@ -100,3 +105,70 @@ def test_rewrite_keeps_the_golden_outcome(name, argv, exit_code, rewrite, tmp_pa
         code = main(["compute", "--input", str(path)] + argv)
     golden = json.loads((GOLDEN / (name + ".stdout")).read_text(encoding="utf-8"))
     assert _outcome(code, json.loads(out.getvalue())) == _outcome(exit_code, golden)
+
+
+# ---------------------------------------------------------------------------
+# coordinate invariance over singular plane curves
+
+# polar mode on C^2: the curve with morse degree 1 of rank 1, the origin
+# with degree 0 of rank 1, under the identity and five unimodular matrices
+MATRICES = (
+    [[1, 0], [0, 1]],
+    [[1, 1], [0, 1]],
+    [[2, 1], [1, 1]],
+    [[1, 0], [3, 1]],
+    [[3, 2], [1, 1]],
+    [[1, -2], [1, -1]],
+)
+
+CURVES = [
+    "y^2 - x^3",
+    "y^3 - x^4",
+    "y^2 - x^4",
+    pytest.param(
+        "y^2 - x^2 - x^3",
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+            "ROADMAP item 1: under [[1, 1], [0, 1]] the first coordinate "
+            "hyperplane is tangent to a branch, yet the run certifies j=1 rank 3"
+        )),
+    ),
+    pytest.param(
+        "x*y",
+        marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+            "ROADMAP items 3 and 10: under the identity and [[1, 0], [3, 1]] "
+            "the reducible curve exits 5"
+        )),
+    ),
+]
+
+
+def _curve_job(curve, matrix):
+    return {
+        "variables": ["x", "y"],
+        "sheaf": {"strata": [
+            {"closure": [curve], "morse": {"1": {"rank": 1}}},
+            {"closure": ["x", "y"], "morse": {"0": {"rank": 1}}},
+        ]},
+        "point": [0, 0],
+        "coordinate_order": matrix,
+    }
+
+
+@pytest.mark.parametrize("curve", CURVES)
+def test_certified_polar_modules_do_not_depend_on_the_coordinates(curve, tmp_path):
+    # every certified run reports the same modules; any other run is a
+    # genericity failure or says why it is uncertified
+    path = tmp_path / "job.json"
+    certified = []
+    for matrix in MATRICES:
+        path.write_text(json.dumps(_curve_job(curve, matrix)), encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["compute", "--input", str(path)])
+        if code == 0:
+            certified.append(json.loads(out.getvalue())["polar_modules"])
+        elif code == 2:
+            assert json.loads(out.getvalue())["certificate"]["status"] == "proper-uncertified"
+        else:
+            assert code == 3, (matrix, code)
+    assert certified and all(modules == certified[0] for modules in certified)
