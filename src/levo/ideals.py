@@ -472,14 +472,14 @@ class Ideal:
         basis = self._basis()
 
         def pack(Q):
-            return Q, [_entry(Q.encode_terms(t)) for t in basis]
+            return [_entry(Q.encode_terms(t)) for t in basis]
 
         if self._packed is None:
-            self._packed = _in_fields(grevlex_key, self.ring.nvars, pack)
+            self._packed = _in_fields(grevlex_key, self.ring.nvars, lambda Q: (Q, pack(Q)))
         P, entries = self._packed
 
         def run(Q):
-            packed = entries if Q is P else pack(Q)[1]
+            packed = entries if Q is P else pack(Q)
             return Q.decode_terms(_reduce_terms(Q.encode_terms(p.terms), packed, Q))
 
         terms = _in_fields(grevlex_key, self.ring.nvars, run, P.width)
