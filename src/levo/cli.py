@@ -10,10 +10,8 @@ Exit codes: 0 certified, 2 ran-but-uncertified, 3 genericity failure,
 4 input error, 5 internal invariant violation.
 """
 
-from __future__ import annotations
-
 import argparse
-import dataclasses
+import collections
 import json
 import random
 import re
@@ -41,7 +39,7 @@ from .errors import (
 from .gecc import SheafSpec, StratumSpec, build_gecc, critical_locus, support_of_gecc
 from .geom import conormal_ideal
 from .ideals import Ideal, algebra_cache, eliminate, radical_member, rational_point_of
-from .poly import NAME, PolyRing, Polynomial, rational
+from .poly import NAME, PolyRing, rational
 from .vogel import decompose_all_degrees, polar_support_sets
 
 EXIT_CERTIFIED = 0
@@ -55,21 +53,15 @@ EXIT_INTERNAL = 5
 # configuration
 
 
-@dataclasses.dataclass(frozen=True)
-class JobConfig:
-    """A validated job document; `raw` is the document as given."""
+class JobConfig(collections.namedtuple("JobConfig", (
+    "variables", "sheaf", "function", "point", "matrix", "seed", "fmt",
+    "rank_only", "expected_euler", "af_partition", "raw",
+))):
+    """A validated job document; `raw` is the document as given.
+    `matrix` is a list of rows; `expected_euler` and `af_partition` may
+    be None."""
 
-    variables: tuple
-    sheaf: dict
-    function: str
-    point: tuple
-    matrix: list
-    seed: int
-    fmt: str
-    rank_only: bool
-    expected_euler: int | None
-    af_partition: list | None
-    raw: dict
+    __slots__ = ()
 
 
 def _fail(path, message):
@@ -316,24 +308,21 @@ def randomize_coordinates(cfg, seed):
         R = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         if _mat_inverse(R) is not None:
             break
-    return dataclasses.replace(cfg, matrix=_mat_mul(R, cfg.matrix))
+    return cfg._replace(matrix=_mat_mul(R, cfg.matrix))
 
 
 # ---------------------------------------------------------------------------
 # building the working job (after the coordinate change)
 
 
-@dataclasses.dataclass(frozen=True)
-class PreparedJob:
-    """A job in the working coordinates, ready for the pipeline."""
+class PreparedJob(collections.namedtuple("PreparedJob", (
+    "ring", "base", "spec", "f", "point", "af_partition", "cfg",
+))):
+    """A job in the working coordinates, ready for the pipeline: `ring`
+    with its base ring `base`, a SheafSpec `spec`, `f` on `base`, and the
+    JobConfig `cfg` it came from."""
 
-    ring: PolyRing
-    base: PolyRing
-    spec: SheafSpec
-    f: Polynomial
-    point: tuple
-    af_partition: list | None
-    cfg: JobConfig
+    __slots__ = ()
 
 
 def _cotangent_names(variables):
@@ -732,7 +721,7 @@ def _load_config(path, seed_override=None, fmt_override=None):
     return cfg
 
 
-def main(argv=None):
+def _build_parser():
     parser = argparse.ArgumentParser(
         prog="levo",
         description="Symbolic engine for enriched characteristic cycles and "
@@ -757,8 +746,16 @@ def main(argv=None):
 
     p_gecc = sub.add_parser("gecc", help="print the characteristic cycle and supports")
     common(p_gecc)
+    return parser
 
-    args = parser.parse_args(argv)
+
+# built once per process: a parser is a graph of reference cycles, so one
+# per call would leave garbage that only the cyclic collector frees
+_PARSER = _build_parser()
+
+
+def main(argv=None):
+    args = _PARSER.parse_args(argv)
     try:
         cfg = _load_config(args.input, args.seed, args.format)
         if args.command == "compute":
@@ -805,7 +802,7 @@ def main(argv=None):
     except EngineError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
-    parser.error("unknown command")
+    _PARSER.error("unknown command")
 
 
 def _emit(report, fmt):

@@ -549,24 +549,22 @@ def krull_dimension(ideal):
     for s in sorted(supports, key=len):
         if not any(t <= s for t in minimal):
             minimal.append(s)
-    n = ideal.ring.nvars
-    best = 0
+    return _largest_free_set(ideal.ring.nvars, minimal, frozenset(), 0)
 
-    def recurse(remaining, excluded):
-        nonlocal best
-        if n - len(excluded) <= best:
-            return
-        if not remaining:
-            best = max(best, n - len(excluded))
-            return
-        s = remaining[0]
-        if s & excluded:
-            recurse(remaining[1:], excluded)
-            return
-        for v in sorted(s):
-            recurse([t for t in remaining[1:] if v not in t], excluded | {v})
 
-    recurse(minimal, frozenset())
+def _largest_free_set(n, remaining, excluded, best):
+    """The larger of `best` and the largest n - |T| over the sets T of
+    variables that contain `excluded` and meet every support in
+    `remaining`; a branch that cannot beat the best found so far is cut."""
+    if n - len(excluded) <= best:
+        return best
+    if not remaining:
+        return n - len(excluded)
+    s = remaining[0]
+    if s & excluded:
+        return _largest_free_set(n, remaining[1:], excluded, best)
+    for v in sorted(s):
+        best = _largest_free_set(n, [t for t in remaining[1:] if v not in t], excluded | {v}, best)
     return best
 
 
