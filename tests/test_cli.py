@@ -1,5 +1,8 @@
 """Configuration parsing, pipeline orchestration, and the command line."""
 
+import argparse
+import collections
+import gc
 import json
 import re
 import os
@@ -705,6 +708,52 @@ def _fresh_interpreter(code, env=None):
 
 def test_import_leaves_sympy_unloaded():
     assert _fresh_interpreter("import sys, levo, levo.cli\n" + SYMPY_LOADED) == "False\n"
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # dataclasses imports inspect, ast, dis and tokenize: start-up time
+    # and memory that every run would pay
+    code = "import sys, levo, levo.cli\nprint(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    assert _fresh_interpreter(code) == "[]\n"
+
+
+def test_pipeline_runs_leave_no_reference_cycles():
+    jobs = []
+    for name, argv, _ in JOBS:
+        cfg = parse_config((GOLDEN / (name + ".json")).read_text(encoding="utf-8"))
+        jobs.append((cfg, int(argv[argv.index("--retry") + 1]) if "--retry" in argv else 0))
+
+    def run_all():
+        for cfg, retries in jobs:
+            with ideals.algebra_cache():
+                run_pipeline(cfg, retries=retries)
+
+    run_all()  # the first runs fill module-level memos and lazy imports
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_all()
+        gc.collect()
+        left = collections.Counter(type(obj).__name__ for obj in gc.garbage)
+        assert not left, left.most_common(5)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+def test_main_builds_no_parser_per_call(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    job = str(GOLDEN / "isolated_milnor.json")
+    assert [main(["compute", "--input", job]) for _ in range(2)] == [EXIT_CERTIFIED] * 2
+    assert built == []
 
 
 def test_polar_job_with_only_linear_factorizations_runs_without_sympy():
