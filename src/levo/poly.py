@@ -93,7 +93,7 @@ class PolyRing:
         return (self.base_vars, self.cotangent_vars)
 
     def __eq__(self, other):
-        return isinstance(other, PolyRing) and self._key() == other._key()
+        return self is other or (isinstance(other, PolyRing) and self._key() == other._key())
 
     def __hash__(self):
         return hash(self._key())
