@@ -265,8 +265,10 @@ def parse_config(text_or_dict):
             _fail("coordinate_order", "expected a permutation or a matrix")
 
     seed = doc.get("seed", 0)
-    if not _is_int(seed):
-        _fail("seed", "expected an integer")
+    # each retry multiplies the seed by 7919: a wide one soon has more
+    # digits than an int may print (sys.get_int_max_str_digits)
+    if not _is_int(seed) or not -2**63 <= seed < 2**63:
+        _fail("seed", "expected an integer in [-2^63, 2^63)")
 
     fmt = doc.get("format", "json")
     if fmt not in ("json", "text"):
@@ -278,11 +280,12 @@ def parse_config(text_or_dict):
 
     af_partition = doc.get("af_partition")
     if af_partition is not None:
-        if not isinstance(af_partition, list) or not all(
+        # an empty partition would pass the transversality upgrade vacuously
+        if not isinstance(af_partition, list) or not af_partition or not all(
             isinstance(s, list) and all(isinstance(g, str) for g in s)
             for s in af_partition
         ):
-            _fail("af_partition", "expected a list of generator-string lists")
+            _fail("af_partition", "expected a non-empty list of generator-string lists")
 
     return JobConfig(
         variables=tuple(variables),
@@ -721,8 +724,17 @@ def _load_config(path, seed_override=None, fmt_override=None):
     return cfg
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse ending a usage error, in a subcommand too, with the input
+    error's exit code; argparse's own 2 is the uncertified exit."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, "%s: error: %s\n" % (self.prog, message))
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="levo",
         description="Symbolic engine for enriched characteristic cycles and "
         "their inductive decompositions along a gradient graph.",
@@ -788,7 +800,7 @@ def main(argv=None):
             if cfg.fmt == "text":
                 sys.stdout.write("\n".join(_gecc_lines(subset["gecc"])) + "\n")
             else:
-                sys.stdout.write(json.dumps(subset, sort_keys=True, indent=2) + "\n")
+                sys.stdout.write(report_to_json(subset))
             return EXIT_CERTIFIED
     except InputError as exc:
         print("input error: %s" % exc, file=sys.stderr)
@@ -806,11 +818,8 @@ def main(argv=None):
 
 
 def _emit(report, fmt):
-    if fmt == "text":
-        sys.stdout.write(report_to_text(report) if "mode" in report
-                         else json.dumps(report, sort_keys=True, indent=2) + "\n")
-    else:
-        sys.stdout.write(report_to_json(report))
+    text = fmt == "text" and "mode" in report
+    sys.stdout.write(report_to_text(report) if text else report_to_json(report))
 
 
 if __name__ == "__main__":

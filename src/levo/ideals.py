@@ -538,34 +538,29 @@ class Ideal:
 # dimension and quotient dimension
 
 
+def _free_sets(ideal):
+    """The largest sets of variables that carry no leading monomial of
+    the reduced basis, as bit masks; their common size is the Krull
+    dimension.  Empty for the unit ideal, whose leading monomial 1 lies
+    in every set.  Free sets are closed under taking subsets, so each free
+    set of size k + 1 is one of size k plus a variable above its highest:
+    each level is grown from the free sets of the last."""
+    supports = [sum(1 << i for i, e in enumerate(lm) if e) for lm in ideal.leading_monomials()]
+    n = ideal.ring.nvars
+    found, level = [], [0]
+    while True:
+        # m carries a leading monomial when some support s lies in it,
+        # that is when s & ~m is 0
+        level = [m for m in level if all(map((~m).__and__, supports))]
+        if not level:
+            return found
+        found = level
+        level = [m | 1 << v for m in level for v in range(m.bit_length(), n)]
+
+
 def krull_dimension(ideal):
-    if ideal.is_zero():
-        return ideal.ring.nvars
-    if ideal.is_unit():
-        return -1
-    supports = [frozenset(i for i, e in enumerate(lm) if e) for lm in ideal.leading_monomials()]
-    # drop supersets; they are hit whenever their subset is hit
-    minimal = []
-    for s in sorted(supports, key=len):
-        if not any(t <= s for t in minimal):
-            minimal.append(s)
-    return _largest_free_set(ideal.ring.nvars, minimal, frozenset(), 0)
-
-
-def _largest_free_set(n, remaining, excluded, best):
-    """The larger of `best` and the largest n - |T| over the sets T of
-    variables that contain `excluded` and meet every support in
-    `remaining`; a branch that cannot beat the best found so far is cut."""
-    if n - len(excluded) <= best:
-        return best
-    if not remaining:
-        return n - len(excluded)
-    s = remaining[0]
-    if s & excluded:
-        return _largest_free_set(n, remaining[1:], excluded, best)
-    for v in sorted(s):
-        best = _largest_free_set(n, [t for t in remaining[1:] if v not in t], excluded | {v}, best)
-    return best
+    free = _free_sets(ideal)
+    return free[0].bit_count() if free else -1
 
 
 def degree(ideal):
@@ -573,23 +568,15 @@ def degree(ideal):
     affine Hilbert polynomial of ring/ideal; 0 for the unit ideal.
 
     A graded order keeps the affine Hilbert function, so this is the
-    degree of the ideal of leading monomials: the sum, over the sets S
-    of dim variables that carry no leading monomial, of the number of
+    degree of the ideal of leading monomials: the sum, over the largest
+    sets S of variables that carry no leading monomial, of the number of
     standard monomials in the other variables once those in S are set
     to 1.
     """
-    d = ideal.dimension()
-    if d < 0:
-        return 0
     lms = ideal.leading_monomials()
     n = ideal.ring.nvars
-    # a set S carries a leading monomial when some support mask lies in S
-    supports = [sum(1 << i for i, e in enumerate(lm) if e) for lm in lms]
     total = 0
-    for free in itertools.combinations(range(n), d):
-        mask = sum(1 << i for i in free)
-        if any(not s & ~mask for s in supports):
-            continue
+    for mask in _free_sets(ideal):
         rest = [i for i in range(n) if not mask >> i & 1]
         total += _standard_count([tuple(lm[i] for i in rest) for lm in lms], len(rest))
     return total

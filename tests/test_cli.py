@@ -145,6 +145,28 @@ def test_integer_past_the_digit_limit_is_an_input_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("input error: invalid JSON: ")
 
 
+def test_seed_whose_retries_outgrow_the_digit_limit_is_an_input_error(tmp_path, capsys):
+    # a 4299-digit seed prints, but its first retry seed, seed * 7919 + 1,
+    # has more digits than an int may print
+    doc = json.loads((GOLDEN / "retry.json").read_text(encoding="utf-8"))
+    doc["seed"] = int("1" * 4299)
+    job = _write_config(tmp_path, doc)
+    assert main(["compute", "--input", job, "--retry", "3"]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error: seed: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute"],
+    ["compute", "--input", "job.json", "--retry", "abc"],
+], ids=["missing-input", "retry-not-an-int"])
+def test_usage_error_exits_as_an_input_error(capsys, argv):
+    # argparse's own exit code, 2, is the uncertified exit
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == EXIT_INPUT
+    assert "error: " in capsys.readouterr().err
+
+
 def test_permutation_coordinate_order():
     # the first working coordinate reads the old y, so the cusp becomes
     # y-leading: x^2 + y^3 with (x, y) swapped
@@ -516,6 +538,10 @@ BAD_FIELDS = [
     ("label-list", lambda d: _stratum(d, label=["a"]), "sheaf.strata[0].label"),
     ("label-repeated", _second_stratum_labelled_s, "sheaf.strata[1].label"),
     ("seed-true", lambda d: dict(d, seed=True), "seed"),
+    ("seed-past-64-bits", lambda d: dict(d, seed=2**63), "seed"),
+    ("seed-below-64-bits", lambda d: dict(d, seed=-2**63 - 1), "seed"),
+    # no stratum to check would certify vacuously
+    ("af_partition-empty", lambda d: dict(d, af_partition=[]), "af_partition"),
     ("expected_euler-true", lambda d: dict(d, expected_euler=True), "expected_euler"),
     ("point-true", lambda d: dict(d, point=[True, 0]), "point[0]"),
     ("point-exponent", lambda d: dict(d, point=["1e2", 0]), "point[0]"),

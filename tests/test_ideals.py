@@ -770,6 +770,56 @@ def test_krull_dimension_matches_sympy_elimination(seed, nvars):
     assert krull_dimension(Ideal(ring, gens)) == _sympy_krull_dimension(gens)
 
 
+@st.composite
+def _monomial_ideal(draw):
+    """A monomial ideal in 4 to 9 variables with its generators' exponent
+    vectors; its reduced basis is its minimal generators.  No generators
+    give the zero ideal, an empty support the unit ideal."""
+    n = draw(st.integers(4, 9))
+    supports = st.dictionaries(st.integers(0, n - 1), st.integers(1, 3), max_size=3)
+    exps = [tuple(s.get(i, 0) for i in range(n)) for s in draw(st.lists(supports, max_size=8))]
+    ring = PolyRing(tuple("abcdefghk"[:n]))
+    return Ideal(ring, [_monomial(ring, e, 1) for e in exps]), exps
+
+
+def _monomial_dimension(n, exps):
+    """The largest number of variables that contain no generator's
+    support; -1 when none qualifies (a generator is 1)."""
+    supports = [{i for i, e in enumerate(m) if e} for m in exps]
+    return max(
+        (k for k in range(n + 1) for S in itertools.combinations(range(n), k)
+         if not any(s <= set(S) for s in supports)),
+        default=-1,
+    )
+
+
+def _combinations_degree(ideal, d):
+    """The scan of every set of d variables for the free ones, as
+    reference for the enumeration of the largest free sets."""
+    if d < 0:
+        return 0
+    lms = ideal.leading_monomials()
+    n = ideal.ring.nvars
+    supports = [sum(1 << i for i, e in enumerate(lm) if e) for lm in lms]
+    total = 0
+    for free in itertools.combinations(range(n), d):
+        mask = sum(1 << i for i in free)
+        if any(not s & ~mask for s in supports):
+            continue
+        rest = [i for i in range(n) if not mask >> i & 1]
+        total += ideals._standard_count([tuple(lm[i] for i in rest) for lm in lms], len(rest))
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_monomial_ideal())
+def test_free_set_enumeration_matches_the_combinations_scan(case):
+    I, exps = case
+    d = _monomial_dimension(I.ring.nvars, exps)
+    assert krull_dimension(I) == d
+    assert degree(I) == _combinations_degree(I, d)
+
+
 # ---------------------------------------------------------------------------
 # component splitting
 
