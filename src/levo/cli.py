@@ -18,6 +18,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .abgroups import AbGroup
 from .cycles import EnrichedCycle, GradedEnrichedCycle
@@ -280,12 +281,16 @@ def parse_config(text_or_dict):
 
     af_partition = doc.get("af_partition")
     if af_partition is not None:
-        # an empty partition would pass the transversality upgrade vacuously
+        # an empty partition, or an empty stratum, would pass the
+        # transversality upgrade vacuously
         if not isinstance(af_partition, list) or not af_partition or not all(
             isinstance(s, list) and all(isinstance(g, str) for g in s)
             for s in af_partition
         ):
             _fail("af_partition", "expected a non-empty list of generator-string lists")
+        for i, s in enumerate(af_partition):
+            if not s:
+                _fail("af_partition[%d]" % i, "expected at least one generator")
 
     return JobConfig(
         variables=tuple(variables),
@@ -456,6 +461,9 @@ def prepare_job(cfg):
                          for j, g in enumerate(gens)])
             for i, gens in enumerate(cfg.af_partition)
         ]
+        for i, closure in enumerate(af_partition):
+            if not closure.gens:
+                _fail("af_partition[%d]" % i, "every generator is zero")
     return PreparedJob(ring, base, spec, f, point, af_partition, cfg)
 
 
@@ -506,33 +514,45 @@ def _support_assertions(job, G, support, crit):
 
 
 def run_pipeline(cfg, retries=0):
-    """Full run: characteristic cycle, supports, critical locus, inductive
-    decomposition, point modules, diagnostics.  On a genericity failure
-    with retries left, rerun under a seeded random coordinate change.
-    The attempts share one algebra cache, which ends with the run."""
+    """Full run: characteristic cycle, inductive decomposition, point
+    modules, supports, critical locus, diagnostics.  On a genericity
+    failure with retries left, rerun under a seeded random coordinate
+    change.  An attempt that a retry replaces runs only the
+    decomposition; the report sections are built for the attempt whose
+    report is returned.  The attempts share one algebra cache, which
+    ends with the run."""
     with algebra_cache():
         job = prepare_job(cfg)
-        report, code = _run_once(job)
+        G, packages = _decompose(job)
         attempts = []
         attempt_seed = cfg.seed
-        while code == EXIT_GENERICITY and retries > 0:
+        while isinstance(packages, GenericityError) and retries > 0:
             retries -= 1
             attempt_seed = attempt_seed * 7919 + 1
             attempts.append(attempt_seed)
-            retry_cfg = randomize_coordinates(cfg, attempt_seed)
-            job = prepare_job(retry_cfg)
-            report, code = _run_once(job)
-            report["retry"] = {
-                "seeds": list(attempts),
-                "matrix": _matrix_json(retry_cfg.matrix),
-            }
+            job = prepare_job(randomize_coordinates(cfg, attempt_seed))
+            G, packages = _decompose(job)
+        report, code = _report(job, G, packages)
+        if attempts:
+            report["retry"] = {"seeds": attempts, "matrix": _matrix_json(job.cfg.matrix)}
     return report, code
 
 
-def _run_once(job):
+def _decompose(job):
+    """The job's characteristic cycle and its decomposition in every
+    degree, or the GenericityError that ended the decomposition."""
+    G = build_gecc(job.spec)
+    try:
+        return G, decompose_all_degrees(G, job.f, job.point)
+    except GenericityError as exc:
+        return G, exc
+
+
+def _report(job, G, packages):
+    """The report of one attempt and its exit code, from its
+    characteristic cycle G and the outcome of `_decompose`."""
     cfg = job.cfg
     mode = "polar" if job.f.is_zero() else "levo"
-    G = build_gecc(job.spec)
     support = support_of_gecc(G)
     crit = critical_locus(G, job.f)
     n = len(job.ring.base_vars) - 1
@@ -566,17 +586,15 @@ def _run_once(job):
         "warnings": [],
     }
 
-    try:
-        packages = decompose_all_degrees(G, job.f, job.point)
-    except GenericityError as exc:
-        cert = failed_certificate(exc.stage)
-        report["certificate"] = cert.to_json()
-        report["failure"] = str(exc)
+    if isinstance(packages, GenericityError):
+        report["certificate"] = failed_certificate(packages.stage).to_json()
+        report["failure"] = str(packages)
         return report, EXIT_GENERICITY
 
     cert = isolating_certificate(packages, job.point)
 
-    if job.af_partition is not None:
+    # only a proper-uncertified certificate reads the conormals
+    if job.af_partition is not None and cert.status == "proper-uncertified":
         conormals = [
             ("stratum_%d" % i, conormal_ideal(closure, job.ring))
             for i, closure in enumerate(job.af_partition)
@@ -584,11 +602,10 @@ def _run_once(job):
         upgraded, detail = upgrade_by_transversality(
             cert, conormals, job.point, job.ring
         )
-        if upgraded.status == "certified" and cert.status != "certified":
+        if upgraded.status == "certified":
             report["certificate_route"] = "essential-transversality"
         cert = upgraded
-        if detail is not None:
-            report["af_partition_transversality"] = detail
+        report["af_partition_transversality"] = detail
 
     flat = {}
     cycles_json = {}
@@ -636,7 +653,53 @@ def _run_once(job):
 
 
 def report_to_json(report):
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    """The bytes of json.dumps(report, sort_keys=True, indent=2) and a
+    newline.  json.dumps with an indent runs the stdlib's pure-Python
+    encoder, whose closures refer to one another, so every call would
+    leave garbage that only the cyclic collector frees."""
+    out = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline, out):
+    """Append the indented JSON text of value to out; `newline` is a
+    newline and the indent of value's own line."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep)
+            out.append(encode_basestring_ascii(key))
+            out.append(": ")
+            _write_json(value[key], inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        out.append(json.dumps(value))
 
 
 def _cycle_lines(components):

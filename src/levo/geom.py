@@ -52,10 +52,13 @@ def _local_length(Q, W, others):
     """Length of ring/Q localized at its component W, where `others` are
     the other components of V(Q).
 
-    Saturating Q by one witness polynomial per other component leaves W
-    as the only top-dimensional associated prime, so the degree of the
-    saturation is the length times the degree of W.
+    When Q is W itself the local ring is a field and the length is 1.
+    Otherwise saturating Q by one witness polynomial per other component
+    leaves W as the only top-dimensional associated prime, so the degree
+    of the saturation is the length times the degree of W.
     """
+    if Q == W:
+        return 1
     for h in _witnesses(W, others):
         Q = saturate(Q, h)
     if Q.dimension() != W.dimension():
@@ -76,11 +79,12 @@ def multiplicity_along(P, g, W, others=None):
         g = P.ring.parse(g)
     if P.contains(g):
         raise ImproperIntersectionError(P, g)
+    Q = P.plus([g])
     if others is None:
-        others = [c.ideal for c in split_components(P.plus([g])) if c.ideal != W]
+        others = [c.ideal for c in split_components(Q) if c.ideal != W]
     if W.dimension() < 0:
         raise InputError("component is empty")
-    return _local_length(P.plus([g]), W, others)
+    return _local_length(Q, W, others)
 
 
 class IntersectionRecord:
@@ -125,11 +129,12 @@ def intersect_hypersurface(E, g):
     for P, coeff in E.items():
         if P.contains(g):
             raise ImproperIntersectionError(P, g)
-        comps = split_components(P.plus([g]))
+        Q = P.plus([g])
+        comps = split_components(Q)
         ideals = [c.ideal for c in comps]
         for comp in comps:
             W = comp.ideal
-            m = multiplicity_along(P, g, W, others=[J for J in ideals if J != W])
+            m = _local_length(Q, W, [J for J in ideals if J is not W])
             group = coeff.tensor(AbGroup(m))
             acc[W] = acc[W].dsum(group) if W in acc else group
             records.append(IntersectionRecord(P, W, m, comp.certified))

@@ -2,7 +2,9 @@
 
 import argparse
 import collections
+import contextlib
 import gc
+import io
 import json
 import re
 import os
@@ -346,6 +348,28 @@ def test_run_pipeline_cache_ends_with_the_run(cache_calls):
     assert caches[0] is not None and caches[0] is not caches[1]
 
 
+def test_only_the_reported_attempt_builds_report_sections(monkeypatch):
+    calls = []
+
+    def spy(G, m, _original=cli.polar_support_sets):
+        calls.append(m)
+        return _original(G, m)
+
+    monkeypatch.setattr(cli, "polar_support_sets", spy)
+    # the first attempt fails genericity and the second one is reported
+    cfg = parse_config(json.dumps(cusp_config(function="x^2*y^2", seed=3)))
+    report, code = run_pipeline(cfg, retries=3)
+    assert code == EXIT_CERTIFIED and len(report["retry"]["seeds"]) == 1
+    assert calls == [0, 1]
+    # a failure with no retry left keeps every section
+    calls.clear()
+    report, code = run_pipeline(cfg)
+    assert code == EXIT_GENERICITY and calls == [0, 1]
+    for key in ("support", "critical_locus", "polar_supports", "polar_varieties",
+                "transversality", "support_assertions", "certificate", "failure"):
+        assert key in report
+
+
 def test_each_visible_stratum_conormal_is_computed_once(monkeypatch):
     closures = []
 
@@ -436,6 +460,27 @@ def test_af_partition_route_upgrades_certificate():
         assert report["certificate_route"] == "essential-transversality"
         assert report["levo_modules"] == {"4": {"3": {"rank": 1, "torsion": []}}}
         assert code == EXIT_CERTIFIED
+
+
+def test_af_partition_conormals_are_computed_only_for_the_upgrade(monkeypatch):
+    calls = []
+
+    def spy(I, full_ring, _original=cli.conormal_ideal):
+        calls.append(I)
+        return _original(I, full_ring)
+
+    monkeypatch.setattr(cli, "conormal_ideal", spy)
+    # a certified run has no use for the partition's conormals
+    doc = two_plane_config(af_partition=[["u", "x"], ["y", "z"]])
+    report, code = run_pipeline(parse_config(json.dumps(doc)))
+    assert code == EXIT_CERTIFIED and "af_partition_transversality" not in report
+    assert calls == []
+    # a proper-uncertified one reads them and reports the route
+    report = json.loads((GOLDEN / "polar_af_partition.stdout").read_text(encoding="utf-8"))
+    assert report["af_partition_transversality"]
+    report, _ = run_pipeline(parse_config((GOLDEN / "polar_af_partition.json").read_text(
+        encoding="utf-8")))
+    assert "af_partition_transversality" in report and calls
 
 
 def test_support_assertions_present():
@@ -542,6 +587,9 @@ BAD_FIELDS = [
     ("seed-below-64-bits", lambda d: dict(d, seed=-2**63 - 1), "seed"),
     # no stratum to check would certify vacuously
     ("af_partition-empty", lambda d: dict(d, af_partition=[]), "af_partition"),
+    ("af_partition-empty-stratum", lambda d: dict(d, af_partition=[[]]), "af_partition[0]"),
+    ("af_partition-zero-stratum", lambda d: dict(d, af_partition=[["x"], ["0"]]),
+     "af_partition[1]"),
     ("expected_euler-true", lambda d: dict(d, expected_euler=True), "expected_euler"),
     ("point-true", lambda d: dict(d, point=[True, 0]), "point[0]"),
     ("point-exponent", lambda d: dict(d, point=["1e2", 0]), "point[0]"),
@@ -766,6 +814,48 @@ def test_pipeline_runs_leave_no_reference_cycles():
     finally:
         gc.set_debug(flags)
         gc.garbage.clear()
+
+
+def test_golden_jobs_through_main_leave_no_garbage():
+    runs = [["compute", "--input", str(GOLDEN / (name + ".json"))] + argv
+            for name, argv, _ in JOBS]
+
+    def run_all():
+        with contextlib.redirect_stdout(io.StringIO()):
+            for argv in runs:
+                main(argv)
+
+    run_all()  # the first runs fill module-level memos and lazy imports
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run_all()
+        gc.collect()
+        left = collections.Counter(type(obj).__name__ for obj in gc.garbage)
+        assert not left, left.most_common(5)
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+
+
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(st.characters(), max_size=8)
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(st.characters(), max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_report_json_matches_json_dumps(value):
+    # st.characters() draws non-ASCII, control and surrogate code points
+    assert report_to_json(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 def test_main_builds_no_parser_per_call(monkeypatch, capsys):

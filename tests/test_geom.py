@@ -14,6 +14,7 @@ from conftest import (
     random_polynomial,
     sliced_multiplicity,
 )
+from levo import geom
 from levo.abgroups import Z, Zmod
 from levo.cli import parse_config, run_pipeline
 from levo.cycles import EnrichedCycle, empty_cycle
@@ -120,6 +121,19 @@ def test_multiplicity_of_the_node_conormal_cut_through_both_branches():
         for comp in split_components(P.plus([g])):
             W = comp.ideal
             assert multiplicity_along(P, g, W) == sliced_multiplicity(P, g, W, random.Random(0))
+
+
+def test_a_prime_cut_has_length_one_without_saturating(monkeypatch):
+    # P + (g) equal to its component W: the local ring at W is a field
+    def fail(*args):
+        raise AssertionError("a prime cut needs no degree or saturation")
+
+    monkeypatch.setattr(geom, "degree", fail)
+    monkeypatch.setattr(geom, "saturate", fail)
+    ring = plane()
+    Q = Ideal(ring, ["w_0", "w_1", "y - x^2"])
+    assert geom._local_length(Q, Q, []) == 1
+    assert multiplicity_along(Ideal(ring, ["w_0", "w_1"]), ring.parse("y - x^2"), Q) == 1
 
 
 def test_multiplicity_rejects_improper():
