@@ -675,9 +675,7 @@ def _write_json(value, newline, out):
         inner = newline + "  "
         sep = "{" + inner
         for key in sorted(value):
-            out.append(sep)
-            out.append(encode_basestring_ascii(key))
-            out.append(": ")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
             _write_json(value[key], inner, out)
             sep = "," + inner
         out.append(newline + "}")
