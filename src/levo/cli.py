@@ -17,8 +17,8 @@ import random
 import re
 import sys
 import time
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from math import gcd, lcm
 
 from .abgroups import AbGroup
 from .cycles import EnrichedCycle, GradedEnrichedCycle
@@ -130,22 +130,26 @@ def _mat_mul(A, B):
 
 
 def _mat_inverse(M):
-    """The inverse by exact Gauss-Jordan on [M | I]; None when M is
-    singular."""
+    """The inverse by Gauss-Jordan on [s*M | I] over the integers, s the
+    common denominator of M's entries, each row kept primitive; None
+    when M is singular.  Row i ends as d_i times unit row i beside
+    d_i/s times row i of the inverse."""
     n = len(M)
-    rows = [[Fraction(x) for x in row + e] for row, e in zip(M, _identity(n))]
+    s = lcm(*(x.denominator for row in M for x in row))
+    rows = [[int(x * s) for x in row] + e for row, e in zip(M, _identity(n))]
     for c in range(n):
         pivot = next((i for i in range(c, n) if rows[i][c]), None)
         if pivot is None:
             return None
         rows[c], rows[pivot] = rows[pivot], rows[c]
-        inv = rows[c][c]
-        rows[c] = [x / inv for x in rows[c]]
+        p = rows[c]
         for i in range(n):
-            if i != c and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    return [row[n:] for row in rows]
+            f = rows[i][c]
+            if i != c and f:
+                row = [p[c] * a - f * b for a, b in zip(rows[i], p)]
+                g = gcd(*row)  # positive: [s*M | I] has rank n
+                rows[i] = [x // g for x in row]
+    return [[rational(x * s, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
 
 
 def _load_json(text):

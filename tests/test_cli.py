@@ -10,9 +10,11 @@ import re
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +33,7 @@ from levo.cli import (
     run_pipeline,
 )
 from levo.errors import InputError
+from levo.poly import rational
 from test_golden import GOLDEN, JOBS
 
 
@@ -381,6 +384,26 @@ def test_each_visible_stratum_conormal_is_computed_once(monkeypatch):
         monkeypatch.setattr(module, "conormal_ideal", spy)
     run_pipeline(parse_config(json.dumps(two_plane_config())))
     assert len(closures) == 3 and len(set(closures)) == 3
+
+
+MATRICES = st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.fractions(-9, 9, max_denominator=4), min_size=n, max_size=n),
+    min_size=n, max_size=n,
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(MATRICES)
+def test_matrix_inverse_matches_sympy(M):
+    M = [[rational(x) for x in row] for row in M]
+    reference = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row]
+                              for row in M])
+    inverse = cli._mat_inverse(M)
+    if reference.det() == 0:
+        assert inverse is None
+    else:
+        assert inverse == [[Fraction(int(x.p), int(x.q)) for x in row]
+                           for row in reference.inv().tolist()]
 
 
 def test_randomize_coordinates_deterministic():
