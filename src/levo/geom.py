@@ -1,9 +1,10 @@
 """Intersection theory on the cotangent ring.
 
 Intersection multiplicities along components and at rational points,
-both exact local lengths from one routine (degree ratios after removing
-the other components), conormal and relative-conormal ideals, and
-push-forward along the gradient graph.  Nothing here is random.
+both exact local lengths from one routine (1 for a cut that is its own
+component, else degree ratios after removing the other components),
+conormal and relative-conormal ideals, and push-forward along the
+gradient graph.  Nothing here is random.
 """
 
 from __future__ import annotations
