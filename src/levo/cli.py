@@ -37,9 +37,16 @@ from .errors import (
     InternalError,
     PolynomialParseError,
 )
-from .gecc import SheafSpec, StratumSpec, build_gecc, critical_locus, support_of_gecc
+from .gecc import (
+    SheafSpec,
+    StratumSpec,
+    build_gecc,
+    critical_locus,
+    support_assertions,
+    support_of_gecc,
+)
 from .geom import conormal_ideal
-from .ideals import Ideal, algebra_cache, eliminate, radical_member, rational_point_of
+from .ideals import Ideal, algebra_cache
 from .poly import NAME, PolyRing, rational
 from .vogel import decompose_all_degrees, polar_support_sets
 
@@ -270,8 +277,9 @@ def parse_config(text_or_dict):
             _fail("coordinate_order", "expected a permutation or a matrix")
 
     seed = doc.get("seed", 0)
-    # each retry multiplies the seed by 7919: a wide one soon has more
-    # digits than an int may print (sys.get_int_max_str_digits)
+    # each retry multiplies the seed by 7919: from a seed in 64 bits,
+    # MAX_RETRIES retries keep every retry seed under 640 digits, the
+    # least limit sys.set_int_max_str_digits allows an int to print
     if not _is_int(seed) or not -2**63 <= seed < 2**63:
         _fail("seed", "expected an integer in [-2^63, 2^63)")
 
@@ -479,44 +487,6 @@ def _matrix_json(M):
     return [[str(x) if x.denominator != 1 else str(x.numerator) for x in row] for row in M]
 
 
-def _support_assertions(job, G, support, crit):
-    """Report-level support facts: the critical locus sits inside the
-    support, and a rational point whose full cotangent space carries a
-    summand, with critical value, shows up in the critical locus."""
-    crit_inside = all(
-        any(all(radical_member(g, c.ideal) for g in S.gens) for S in support.total)
-        for c in crit
-    )
-    ring = job.ring
-    point_summands = True
-    checked = []
-    for P in G.components():
-        img = eliminate(P, ring.cotangent_vars)
-        if img.dimension() != 0:
-            continue
-        point = rational_point_of(img)
-        if point is None:
-            continue
-        full_cotangent = Ideal(
-            ring, [ring.var(z) - c for z, c in zip(ring.base_vars, point)]
-        )
-        if P != full_cotangent:
-            continue
-        if job.f.eval_point(point) != 0 and not job.f.is_zero():
-            continue
-        hit = any(c.ideal.vanishes_at(point) for c in crit)
-        checked.append({"point": [str(c) for c in point], "in_critical_locus": hit})
-        point_summands = point_summands and hit
-    return [
-        {"name": "critical-locus-inside-support", "holds": crit_inside},
-        {
-            "name": "point-conormal-summands-reach-the-critical-locus",
-            "holds": point_summands,
-            "points": checked,
-        },
-    ]
-
-
 def run_pipeline(cfg, retries=0):
     """Full run: characteristic cycle, inductive decomposition, point
     modules, supports, critical locus, diagnostics.  On a genericity
@@ -572,8 +542,6 @@ def _report(job, G, packages):
         per_i, verdict = essential_transversality(con, job.point, job.ring)
         transversality[stratum.label] = {"per_index": per_i, "verdict": verdict}
 
-    assertions = _support_assertions(job, G, support, crit)
-
     report = {
         "config": cfg.raw,
         "seed": cfg.seed,
@@ -586,7 +554,7 @@ def _report(job, G, packages):
         "polar_supports": theta,
         "polar_varieties": gamma,
         "transversality": transversality,
-        "support_assertions": assertions,
+        "support_assertions": support_assertions(support, crit, job.f),
         "warnings": [],
     }
 
@@ -798,6 +766,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, "%s: error: %s\n" % (self.prog, message))
 
 
+MAX_RETRIES = 100
+
+
+def _retry_count(text):
+    if not re.fullmatch(r"[0-9]{1,3}", text) or int(text) > MAX_RETRIES:
+        raise argparse.ArgumentTypeError("expected 0 to %d, got %r" % (MAX_RETRIES, text))
+    return int(text)
+
+
 def _build_parser():
     parser = _Parser(
         prog="levo",
@@ -813,8 +790,8 @@ def _build_parser():
 
     p_compute = sub.add_parser("compute", help="run the full pipeline")
     common(p_compute)
-    p_compute.add_argument("--retry", type=int, default=0,
-                           help="random coordinate retries on genericity failure")
+    p_compute.add_argument("--retry", type=_retry_count, default=0,
+                           help="coordinate retries on genericity failure, 0 to %d" % MAX_RETRIES)
     p_compute.add_argument("--timing", action="store_true",
                            help="print elapsed time and algebra cache hits to stderr")
 

@@ -14,27 +14,20 @@ failed certificate carrying its stage.
 
 from __future__ import annotations
 
+import collections
+
 from .abgroups import ZERO_GROUP
 from .gecc import base_images
 from .poly import rational
 
 
-class GenericityCertificate:
-    __slots__ = ("status", "d", "failing_stage", "checks")
-
-    def __init__(self, status, d, failing_stage, checks):
-        self.status = status
-        self.d = d
-        self.failing_stage = failing_stage
-        self.checks = checks
+class GenericityCertificate(collections.namedtuple(
+    "GenericityCertificate", ("status", "d", "failing_stage", "checks")
+)):
+    __slots__ = ()
 
     def to_json(self):
-        return {
-            "status": self.status,
-            "d": self.d,
-            "failing_stage": self.failing_stage,
-            "checks": self.checks,
-        }
+        return self._asdict()
 
 
 def _stage_json(stage):
@@ -128,10 +121,7 @@ def upgrade_by_transversality(certificate, conormals, point, full_ring):
         detail[label] = verdict
         if not verdict:
             return certificate, detail
-    upgraded = GenericityCertificate(
-        "certified", certificate.d, None, certificate.checks
-    )
-    return upgraded, detail
+    return certificate._replace(status="certified"), detail
 
 
 # ---------------------------------------------------------------------------

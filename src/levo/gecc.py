@@ -9,6 +9,8 @@ points, and the critical locus.
 
 from __future__ import annotations
 
+import collections
+
 from .abgroups import ZERO_GROUP, AbGroup
 from .cycles import EnrichedCycle, GradedEnrichedCycle
 from .errors import GenericityError, InputError
@@ -20,7 +22,16 @@ from .geom import (
     local_multiplicity_at_point,
     relative_conormal_ideal,
 )
-from .ideals import _dedupe, eliminate, map_poly, maximal_loci, split_components
+from .ideals import (
+    Ideal,
+    _dedupe,
+    eliminate,
+    map_poly,
+    maximal_loci,
+    radical_member,
+    rational_point_of,
+    split_components,
+)
 
 
 class StratumSpec:
@@ -112,13 +123,14 @@ def build_gecc(spec):
     )
 
 
-class SupportReport:
-    __slots__ = ("per_degree", "essential", "total")
+class SupportReport(collections.namedtuple(
+    "SupportReport", ("per_degree", "essential", "total", "images")
+)):
+    """The base images of a cycle's components: per degree, all of them
+    (`essential`), the maximal ones (`total`), and `images`, each distinct
+    component's image keyed by the component in `G.components()` order."""
 
-    def __init__(self, per_degree, essential, total):
-        self.per_degree = per_degree
-        self.essential = essential
-        self.total = total
+    __slots__ = ()
 
     def to_json(self):
         return {
@@ -132,17 +144,47 @@ class SupportReport:
 
 
 def support_of_gecc(G):
-    """Project each component to the base: the essential subvarieties.
+    """Project each distinct component to the base once: the essential subvarieties.
 
     `total` keeps only maximal subvarieties (those not inside another),
     whose union is the support.
     """
     cot = G.ring.cotangent_vars
+    images = {P: eliminate(P, cot) for P in G.components()}
     per_degree = {
-        k: _dedupe(eliminate(P, cot) for P in G.piece(k).support()) for k in G.degrees()
+        k: _dedupe(images[P] for P in G.piece(k).components) for k in G.degrees()
     }
     essential = _dedupe(I for ideals in per_degree.values() for I in ideals)
-    return SupportReport(per_degree, essential, maximal_loci(essential))
+    return SupportReport(per_degree, essential, maximal_loci(essential), images)
+
+
+def support_assertions(support, crit, f):
+    """The report's checks of the support against the critical locus
+    `crit` of f: the critical locus lies inside the support, and each
+    rational point whose full cotangent space is a component, with f = 0
+    there, lies on the critical locus.  Reads the images `support` kept."""
+    crit_inside = all(
+        any(all(radical_member(g, c.ideal) for g in S.gens) for S in support.total)
+        for c in crit
+    )
+    checked = []
+    for P, img in support.images.items():
+        point = rational_point_of(img)
+        if point is None or f.eval_point(point) != 0:
+            continue
+        ring = P.ring
+        if P != Ideal(ring, [ring.var(z) - c for z, c in zip(ring.base_vars, point)]):
+            continue
+        hit = any(c.ideal.vanishes_at(point) for c in crit)
+        checked.append({"point": [str(c) for c in point], "in_critical_locus": hit})
+    return [
+        {"name": "critical-locus-inside-support", "holds": crit_inside},
+        {
+            "name": "point-conormal-summands-reach-the-critical-locus",
+            "holds": all(p["in_critical_locus"] for p in checked),
+            "points": checked,
+        },
+    ]
 
 
 def base_images(ideals, extra, skip_zero_section=False):
@@ -238,13 +280,8 @@ def isolated_vanishing_stalk(G, f, point):
     return out
 
 
-class CriticalComponent:
-    __slots__ = ("ideal", "dim", "value")
-
-    def __init__(self, ideal, dim, value):
-        self.ideal = ideal
-        self.dim = dim
-        self.value = value
+class CriticalComponent(collections.namedtuple("CriticalComponent", ("ideal", "dim", "value"))):
+    __slots__ = ()
 
     def to_json(self):
         return {

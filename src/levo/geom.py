@@ -9,6 +9,7 @@ gradient graph.  Nothing here is random.
 
 from __future__ import annotations
 
+import collections
 import itertools
 
 from .abgroups import AbGroup
@@ -106,12 +107,7 @@ class IntersectionRecord:
         }
 
 
-class IntersectionResult:
-    __slots__ = ("cycle", "records")
-
-    def __init__(self, cycle, records):
-        self.cycle = cycle
-        self.records = records
+IntersectionResult = collections.namedtuple("IntersectionResult", ("cycle", "records"))
 
 
 def intersect_hypersurface(E, g):

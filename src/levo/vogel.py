@@ -11,6 +11,8 @@ zero specializes the whole machine to the absolute polar package.
 
 from __future__ import annotations
 
+import collections
+
 from .abgroups import ZERO_GROUP
 from .cycles import EnrichedCycle
 from .errors import (
@@ -245,13 +247,7 @@ def _through_point(cycle, point):
 # degree-indexed driver shared by the relative and absolute modes
 
 
-class DegreePackage:
-    __slots__ = ("decomposition", "cycles", "modules")
-
-    def __init__(self, decomposition, cycles, modules):
-        self.decomposition = decomposition
-        self.cycles = cycles
-        self.modules = modules
+DegreePackage = collections.namedtuple("DegreePackage", ("decomposition", "cycles", "modules"))
 
 
 def decompose_all_degrees(G, f, point):

@@ -163,13 +163,25 @@ def test_seed_whose_retries_outgrow_the_digit_limit_is_an_input_error(tmp_path, 
 @pytest.mark.parametrize("argv", [
     ["compute"],
     ["compute", "--input", "job.json", "--retry", "abc"],
-], ids=["missing-input", "retry-not-an-int"])
+    ["compute", "--input", "job.json", "--retry", "-1"],
+    ["compute", "--input", "job.json", "--retry", "101"],
+], ids=["missing-input", "retry-not-an-int", "retry-negative", "retry-above-the-bound"])
 def test_usage_error_exits_as_an_input_error(capsys, argv):
     # argparse's own exit code, 2, is the uncertified exit
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
     assert excinfo.value.code == EXIT_INPUT
     assert "error: " in capsys.readouterr().err
+
+
+def test_retry_bound_keeps_every_retry_seed_printable():
+    for n in (0, cli.MAX_RETRIES):
+        assert cli._PARSER.parse_args(["compute", "--input", "j", "--retry", str(n)]).retry == n
+    # 640 digits is the least limit sys.set_int_max_str_digits allows
+    for seed in (-2**63, 2**63 - 1):
+        for _ in range(cli.MAX_RETRIES):
+            seed = seed * 7919 + 1
+        assert len(str(abs(seed))) < 640
 
 
 def test_permutation_coordinate_order():
@@ -511,6 +523,29 @@ def test_support_assertions_present():
         "critical-locus-inside-support": True,
         "point-conormal-summands-reach-the-critical-locus": True,
     }
+
+
+def test_report_projects_each_cycle_component_once(monkeypatch):
+    # polar_gecc names each of its two components in two degrees: the
+    # support projects each distinct component once, and the support
+    # assertions read those images.  `base_images` projects the
+    # components of cuts, not the cycle's, so its calls are not counted.
+    cfg = parse_config((GOLDEN / "polar_gecc.json").read_text(encoding="utf-8"))
+    components = [P.key() for P in gecc.build_gecc(prepare_job(cfg).spec).components()]
+    projected = []
+
+    def spy(ideal, drop_vars, _real=ideals.eliminate):
+        frame = sys._getframe(1)
+        while frame is not None and frame.f_code.co_name != "base_images":
+            frame = frame.f_back
+        if frame is None and ideal.key() in components:
+            projected.append(components.index(ideal.key()))
+        return _real(ideal, drop_vars)
+
+    monkeypatch.setattr(gecc, "eliminate", spy)
+    monkeypatch.setattr(cli, "eliminate", spy, raising=False)
+    run_pipeline(cfg)
+    assert sorted(projected) == [0, 1]
 
 
 def test_text_format_prints_cycles():

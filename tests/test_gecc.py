@@ -7,15 +7,17 @@ from levo.abgroups import Z
 from levo.cycles import EnrichedCycle, GradedEnrichedCycle
 from levo.errors import GenericityError, InputError
 from levo.gecc import (
+    CriticalComponent,
     SheafSpec,
     StratumSpec,
     build_gecc,
     critical_locus,
     isolated_vanishing_stalk,
     nearby_gecc,
+    support_assertions,
     support_of_gecc,
 )
-from levo.ideals import Ideal
+from levo.ideals import Ideal, eliminate
 from levo.poly import PolyRing
 
 
@@ -87,6 +89,56 @@ def test_support_empty():
     ring = PolyRing(("x",), ("w_0",))
     report = support_of_gecc(GradedEnrichedCycle(ring, {}))
     assert report.total == [] and report.essential == []
+
+
+def test_support_keeps_each_component_image_once(space_ring):
+    G = build_gecc(two_plane_spec(space_ring))
+    report = support_of_gecc(G)
+    assert list(report.images) == G.components()
+    for P, image in report.images.items():
+        assert image == eliminate(P, space_ring.cotangent_vars)
+
+
+def _points_cycle(ring, points):
+    """Degree-0 cycle of the full cotangent spaces at rational points."""
+    comps = {
+        Ideal(ring, ["%s - %s" % (z, c) for z, c in zip(ring.base_vars, p)]): Z(1)
+        for p in points
+    }
+    return GradedEnrichedCycle(ring, {0: EnrichedCycle(ring, comps)})
+
+
+def _holds(assertions):
+    return {a["name"]: a["holds"] for a in assertions}
+
+
+def test_support_assertions_flag_a_point_summand_off_the_critical_locus(plane_ring):
+    base = plane_ring.base_ring()
+    G = _points_cycle(plane_ring, [(0, 0), (1, 0), (0, 1)])
+    # the critical locus misses (1, 0); f = y is not 0 at (0, 1), so that
+    # point is not checked
+    crit = [CriticalComponent(Ideal(base, ["x", "y"]), 0, 0)]
+    out = support_assertions(support_of_gecc(G), crit, base.parse("y"))
+    assert _holds(out) == {
+        "critical-locus-inside-support": True,
+        "point-conormal-summands-reach-the-critical-locus": False,
+    }
+    assert out[1]["points"] == [
+        {"point": ["0", "0"], "in_critical_locus": True},
+        {"point": ["1", "0"], "in_critical_locus": False},
+    ]
+
+
+def test_support_assertions_flag_a_critical_component_outside_the_support(plane_ring):
+    base = plane_ring.base_ring()
+    G = _points_cycle(plane_ring, [(0, 0)])
+    crit = [CriticalComponent(Ideal(base, ["y"]), 1, 0)]
+    out = support_assertions(support_of_gecc(G), crit, base.zero())
+    assert _holds(out) == {
+        "critical-locus-inside-support": False,
+        "point-conormal-summands-reach-the-critical-locus": True,
+    }
+    assert out[1]["points"] == [{"point": ["0", "0"], "in_critical_locus": True}]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Intersection theory: multiplicities, conormals, push-forward, blow-up."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from conftest import (
 )
 from levo import geom
 from levo.abgroups import Z, Zmod
-from levo.cli import parse_config, run_pipeline
+from levo.cli import parse_config, prepare_job, run_pipeline
 from levo.cycles import EnrichedCycle, empty_cycle
 from levo.errors import ImproperIntersectionError, InputError
 from levo.geom import (
@@ -32,12 +33,15 @@ from levo.geom import (
 from levo.ideals import (
     Ideal,
     eliminate,
+    map_ideal,
     map_poly,
     quotient_dimension,
     rational_point_of,
+    saturate_ideal,
     split_components,
 )
 from levo.poly import PolyRing
+from test_golden import GOLDEN, JOBS
 
 
 def plane():
@@ -379,6 +383,92 @@ def test_conormal_of_linear_ideal_matches_null_space(seed, nvars):
         rows.append([rng.randint(-2, 2) * p + rng.randint(-2, 2) * q for p, q in zip(a, b)])
     closure = _linear_closure(rows, point, ring.base_ring())
     assert conormal_ideal(closure, ring) == _nullspace_conormal(closure, rows, ring)
+
+
+def _leibniz_det(m):
+    """Determinant as the signed sum over permutations."""
+    total = m[0][0].ring.zero()
+    for perm in itertools.permutations(range(len(m))):
+        term = m[0][0].ring.one()
+        for i, j in enumerate(perm):
+            term = term * m[i][j]
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total = total - term if inversions % 2 else total + term
+    return total
+
+
+def _lagrange_conormal(I, ring):
+    """The conormal of V(I) by Lagrange multipliers: I + (w - sum_i l_i grad g_i)
+    over the generators g_i, the l_i eliminated, saturated by the nonzero
+    codim-minors of the Jacobian of the g_i."""
+    n = len(ring.base_vars)
+    jac = [[g.diff(z) for z in ring.base_vars] for g in I.gens]
+    lams = tuple("l_%d" % i for i in range(len(I.gens)))
+    ext = PolyRing(lams + ring.vars)
+    gens = [map_poly(g, ext) for g in I.gens]
+    for j, w in enumerate(ring.cotangent_vars):
+        gens.append(ext.var(w) - sum(
+            (ext.var(l) * map_poly(row[j], ext) for l, row in zip(lams, jac)), ext.zero()
+        ))
+    K = eliminate(Ideal(ext, gens), lams)
+    codim = n - I.dimension()
+    minors = [
+        _leibniz_det([[jac[r][c] for c in cols] for r in rows])
+        for rows in itertools.combinations(range(len(jac)), codim)
+        for cols in itertools.combinations(range(n), codim)
+    ] if codim else []
+    minors = [map_poly(d, K.ring) for d in minors if not d.is_zero()]
+    if minors:
+        K = saturate_ideal(K, Ideal(K.ring, minors))
+    return map_ideal(K, ring)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10**6),
+    shape=st.sampled_from([(2, (3,)), (3, (2,)), (3, (2, 2)), (4, (1, 2))]),
+)
+def test_conormal_matches_lagrange_multipliers(seed, shape):
+    # the bordered-Jacobian route against the Lagrange form on random
+    # curves and surfaces: (n, degrees) is one generator per degree, of
+    # at most that degree, in C^n.  Two quadrics in C^4 are left out: a
+    # few of them take 20 s
+    n, degrees = shape
+    rng = random.Random(seed)
+    names = ("x", "y", "z", "u")[:n]
+    ring = PolyRing(names, tuple("w_%d" % i for i in range(n)))
+    base = ring.base_ring()
+    I = Ideal(base, [random_polynomial(base, rng, max_degree=d, max_terms=4) for d in degrees])
+    assume(not I.is_unit() and I.dimension() == n - len(degrees))
+    assert conormal_ideal(I, ring) == _lagrange_conormal(I, ring)
+
+
+@pytest.mark.parametrize("names,gens", [
+    ("xy", ["y^2 - x^2 - x^3"]),
+    ("xy", ["x^2 - y^3"]),
+    ("xy", ["x*y"]),
+    ("xyz", ["z^2 - x^2 - y^2"]),
+    ("xyz", ["y - x^2", "z - x^3"]),
+    ("xyz", ["x^2 - y^2*z"]),
+    ("xyz", ["y^2 - x^3", "z"]),
+    ("xyz", ["x*y", "z"]),
+    ("uxyz", ["x*u - y*z"]),
+], ids=["node", "cusp", "xy", "cone", "twisted-cubic", "umbrella", "cusp-in-c3",
+        "axes-in-c3", "quadric-cone-in-c4"])
+def test_conormal_of_curved_strata_matches_lagrange_multipliers(names, gens):
+    ring = PolyRing(tuple(names), tuple("w_%d" % i for i in range(len(names))))
+    I = Ideal(ring.base_ring(), gens)
+    assert conormal_ideal(I, ring) == _lagrange_conormal(I, ring)
+
+
+@pytest.mark.parametrize("name", [name for name, _, _ in JOBS])
+def test_conormal_of_golden_strata_matches_lagrange_multipliers(name):
+    job = prepare_job(parse_config((GOLDEN / (name + ".json")).read_text(encoding="utf-8")))
+    for stratum in job.spec.strata or []:
+        if not stratum.closure.is_unit():
+            assert conormal_ideal(stratum.closure, job.ring) == _lagrange_conormal(
+                stratum.closure, job.ring
+            )
 
 
 def test_relative_conormal_examples():
