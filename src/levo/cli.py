@@ -99,8 +99,8 @@ def _as_group(obj, path, rank_only=False):
         _fail(path, "expected {rank, torsion[]}")
     rank = obj.get("rank", 0)
     torsion = obj.get("torsion", [])
-    if not _is_int(rank) or rank < 0:
-        _fail(path + ".rank", "expected a non-negative integer")
+    if not _is_int(rank) or not 0 <= rank < 2**63:  # a tensor repeats torsion rank times
+        _fail(path + ".rank", "expected an integer in [0, 2^63)")
     if not isinstance(torsion, list) or not all(
         _is_int(d) and d >= 2 for d in torsion
     ):
@@ -528,18 +528,15 @@ def _report(job, G, packages):
     cfg = job.cfg
     mode = "polar" if job.f.is_zero() else "levo"
     support = support_of_gecc(G)
-    crit = critical_locus(G, job.f)
-    n = len(job.ring.base_vars) - 1
-    theta = {}
-    gamma = {}
-    for m in range(n + 1):
-        ths, gms = polar_support_sets(G, m)
+    crit = critical_locus(G, job.f, support.images)
+    theta, gamma = {}, {}
+    for m, (ths, gms) in enumerate(polar_support_sets(G, support.images)):
         theta[str(m)] = [I.generator_strings() for I in ths]
         gamma[str(m)] = [I.generator_strings() for I in gms]
 
     transversality = {}
     for stratum, con in job.spec.conormals:
-        per_i, verdict = essential_transversality(con, job.point, job.ring)
+        per_i, verdict = essential_transversality(con, job.point, job.ring, support.images)
         transversality[stratum.label] = {"per_index": per_i, "verdict": verdict}
 
     report = {
@@ -572,7 +569,7 @@ def _report(job, G, packages):
             for i, closure in enumerate(job.af_partition)
         ]
         upgraded, detail = upgrade_by_transversality(
-            cert, conormals, job.point, job.ring
+            cert, conormals, job.point, job.ring, support.images
         )
         if upgraded.status == "certified":
             report["certificate_route"] = "essential-transversality"

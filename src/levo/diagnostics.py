@@ -79,32 +79,28 @@ def isolating_certificate(packages, point):
     return GenericityCertificate("proper-uncertified", d, None, checks)
 
 
-def essential_transversality(conormal, point, full_ring):
+def essential_transversality(conormal, point, full_ring, images):
     """Per-index transversality of the coordinate flag to one stratum.
 
     For each i the conormal is cut by the vanishing of the trailing
     cotangent coordinates and the leading coordinate hyperplanes; after
     discarding the zero-section part, the base image must be isolated at
-    the point.
+    the point.  `images` is the support section's table (`base_images`).
     """
-    base = full_ring.base_ring()
     point = tuple(map(rational, point))
-    n = len(base.vars) - 1
     cot = full_ring.cotangent_vars
     per_i = []
-    for i in range(n + 1):
+    for i in range(len(cot)):
         cut = [full_ring.var(w) for w in cot[i + 1 :]]
-        slices = [
-            full_ring.var(full_ring.base_vars[t]) - point[t] for t in range(i)
-        ]
-        images = base_images([conormal], cut + slices, skip_zero_section=True)
+        slices = [full_ring.var(z) - c for z, c in zip(full_ring.base_vars[:i], point)]
+        cuts = base_images([conormal], cut + slices, images, skip_zero_section=True)
         per_i.append(
-            not any(img.vanishes_at(point) and img.dimension() > 0 for img in images)
+            not any(img.vanishes_at(point) and img.dimension() > 0 for img in cuts.values())
         )
     return per_i, all(per_i)
 
 
-def upgrade_by_transversality(certificate, conormals, point, full_ring):
+def upgrade_by_transversality(certificate, conormals, point, full_ring, images):
     """Alternative certification: if the coordinate flag is essentially
     transverse to every supplied stratum at the point, a fully proper run
     is certified regardless of the support dimension.
@@ -117,7 +113,7 @@ def upgrade_by_transversality(certificate, conormals, point, full_ring):
         return certificate, None
     detail = {}
     for label, con in conormals:
-        _, verdict = essential_transversality(con, point, full_ring)
+        _, verdict = essential_transversality(con, point, full_ring, images)
         detail[label] = verdict
         if not verdict:
             return certificate, detail

@@ -187,24 +187,25 @@ def support_assertions(support, crit, f):
     ]
 
 
-def base_images(ideals, extra, skip_zero_section=False):
-    """Distinct base projections, in canonical order, of the components of
-    V(P + extra) for every P in `ideals`.
+def base_images(ideals, extra, images, skip_zero_section=False):
+    """Each distinct component of V(P + extra), for every P in `ideals`,
+    mapped to its base projection; a component of the cycle takes its
+    projection from `images`, the support section's table.
 
     With `skip_zero_section`, components inside the zero section (which
     carry no projective direction) are discarded before projecting.
     """
-    images = []
+    out = {}
     for P in ideals:
         J = P.plus(extra)
         if J.is_unit():
             continue
         cot = J.ring.cotangent_vars
-        for comp in split_components(J):
-            if skip_zero_section and all(comp.ideal.contains(J.ring.var(w)) for w in cot):
+        for C in (comp.ideal for comp in split_components(J)):
+            if C in out or skip_zero_section and all(C.contains(J.ring.var(w)) for w in cot):
                 continue
-            images.append(eliminate(comp.ideal, cot))
-    return _dedupe(images)
+            out[C] = images[C] if C in images else eliminate(C, cot)
+    return out
 
 
 def nearby_gecc(spec, f):
@@ -291,12 +292,12 @@ class CriticalComponent(collections.namedtuple("CriticalComponent", ("ideal", "d
         }
 
 
-def critical_locus(G, f):
+def critical_locus(G, f, images):
     """Base components where the support meets the gradient graph, with
     the value of f on each (None when irrational or non-unique)."""
     graph = graph_ideal(f, G.ring)
     out = []
-    for I in maximal_loci(base_images(G.components(), graph.gens)):
+    for I in maximal_loci(base_images(G.components(), graph.gens, images).values()):
         constant, value = constant_value_on(I, f)
         out.append(CriticalComponent(I, I.dimension(), value if constant else None))
     return out

@@ -273,22 +273,27 @@ def polar_package(G, point):
 # projectivized support sets
 
 
-def polar_support_sets(G, m):
-    """Base projection of the projectivized support cut by the vanishing
-    of the last cotangent coordinates w_{m+1}..w_n.
+def polar_support_sets(G, images):
+    """Base projections of the projectivized support cut by the vanishing
+    of the last cotangent coordinates w_{m+1}..w_n: (all components, the
+    m-dimensional ones) for m = 0..n, from one walk down from m = n.
 
-    Components inside the zero section carry no projective direction and
-    are discarded.  Returns (all components, the m-dimensional ones).
+    Each level splits the components of the level above cut by one more
+    w.  Every component of V(P + (w_{m+1}..w_n)), P in G, is among these
+    splits and every other split lies inside one of those, so the maximal
+    projections are those of cutting each P afresh.  Components inside
+    the zero section carry no projective direction and are discarded, as
+    are their cuts; `images` is the support section's table.
     """
     ring = G.ring
     cot = ring.cotangent_vars
-    n = len(ring.base_vars) - 1
-    if not 0 <= m <= n:
-        raise InputError("index out of range")
-    cut = [ring.var(w) for w in cot[m + 1 :]]
-    ideals = maximal_loci(base_images(G.components(), cut, skip_zero_section=True))
-    m_dimensional = [I for I in ideals if I.dimension() == m]
-    return ideals, m_dimensional
+    level, out = G.components(), []
+    for m in reversed(range(len(cot))):
+        cut = [ring.var(w) for w in cot[m + 1 : m + 2]]
+        level = base_images(level, cut, images, skip_zero_section=True)
+        ideals = maximal_loci(level.values())
+        out.append((ideals, [I for I in ideals if I.dimension() == m]))
+    return out[::-1]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from levo.diagnostics import (
     upgrade_by_transversality,
 )
 from levo.errors import GenericityError
-from levo.gecc import build_gecc, isolated_vanishing_stalk
+from levo.gecc import build_gecc, isolated_vanishing_stalk, support_of_gecc
 from levo.geom import (
     conormal_ideal,
     graph_ideal,
@@ -286,7 +286,7 @@ def test_criterion_5_two_route_equivalence():
                 if cert.status == "proper-uncertified":
                     conormals = [(s.label, con) for s, con in trial.spec.conormals]
                     cert, _ = upgrade_by_transversality(
-                        cert, conormals, trial.point, trial.ring
+                        cert, conormals, trial.point, trial.ring, support_of_gecc(G).images
                     )
                 if cert.status == "certified":
                     job = (trial, packages)
@@ -474,15 +474,15 @@ def test_criterion_7_genericity_behavior():
         base = ring.base_ring()
         point = (0, 0, 0, 0)
         per_i, verdict = essential_transversality(
-            conormal_ideal(Ideal(base, ["u", "x"]), ring), point, ring
+            conormal_ideal(Ideal(base, ["u", "x"]), ring), point, ring, {}
         )
         assert verdict is False and per_i[0] is False
         _, verdict2 = essential_transversality(
-            conormal_ideal(Ideal(base, ["y", "z"]), ring), point, ring
+            conormal_ideal(Ideal(base, ["y", "z"]), ring), point, ring, {}
         )
         assert verdict2 is True
         _, verdict3 = essential_transversality(
-            conormal_ideal(Ideal(base, ["u", "x", "y", "z"]), ring), point, ring
+            conormal_ideal(Ideal(base, ["u", "x", "y", "z"]), ring), point, ring, {}
         )
         assert verdict3 is True
 

@@ -12,7 +12,7 @@ from levo.diagnostics import (
     zawatsky_complex,
 )
 from levo.errors import GenericityError
-from levo.gecc import build_gecc
+from levo.gecc import build_gecc, support_of_gecc
 from levo.geom import conormal_ideal
 from levo.ideals import Ideal
 from levo.poly import PolyRing
@@ -75,17 +75,20 @@ def test_transversality_two_plane_strata():
     ring = space()
     base = ring.base_ring()
     point = (0, 0, 0, 0)
+    # the strata's conormals are components of the two-plane cycle, whose
+    # support table holds their images
+    images = support_of_gecc(build_gecc(two_plane_spec(ring))).images
     con_ux = conormal_ideal(Ideal(base, ["u", "x"]), ring)
-    per_i, verdict = essential_transversality(con_ux, point, ring)
+    per_i, verdict = essential_transversality(con_ux, point, ring, images)
     assert verdict is False
     assert per_i[0] is False  # the base projection is two-dimensional
 
     con_yz = conormal_ideal(Ideal(base, ["y", "z"]), ring)
-    per_i2, verdict2 = essential_transversality(con_yz, point, ring)
+    per_i2, verdict2 = essential_transversality(con_yz, point, ring, images)
     assert verdict2 is True and all(per_i2)
 
     con_origin = conormal_ideal(Ideal(base, ["u", "x", "y", "z"]), ring)
-    per_i3, verdict3 = essential_transversality(con_origin, point, ring)
+    per_i3, verdict3 = essential_transversality(con_origin, point, ring, images)
     assert verdict3 is True and all(per_i3)
 
 

@@ -241,7 +241,7 @@ def test_critical_locus_two_planes(space_ring):
     G = build_gecc(two_plane_spec(space_ring))
     a, b, gm, dl, tau = 2, 2, 2, 2, 2
     f = base.parse("(u^%d + x^%d)^%d + y^%d + z^%d" % (a, b, tau, gm, dl))
-    crit = critical_locus(G, f)
+    crit = critical_locus(G, f, support_of_gecc(G).images)
     assert len(crit) == 1
     assert crit[0].ideal == Ideal(base, ["u^2 + x^2", "y", "z"])
     assert crit[0].dim == 1
@@ -251,13 +251,13 @@ def test_critical_locus_two_planes(space_ring):
 def test_critical_locus_empty_for_submersion(plane_ring):
     base = plane_ring.base_ring()
     G = build_gecc(constant_sheaf_spec(plane_ring))
-    assert critical_locus(G, base.parse("x")) == []
+    assert critical_locus(G, base.parse("x"), support_of_gecc(G).images) == []
 
 
 def test_critical_locus_of_zero_function_is_support(space_ring):
     base = space_ring.base_ring()
     G = build_gecc(two_plane_spec(space_ring))
-    crit = critical_locus(G, base.zero())
+    crit = critical_locus(G, base.zero(), support_of_gecc(G).images)
     assert {c.ideal for c in crit} == {
         Ideal(base, ["u", "x"]),
         Ideal(base, ["y", "z"]),

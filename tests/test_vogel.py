@@ -4,12 +4,12 @@ import pytest
 
 from conftest import constant_sheaf_spec, milnor_number, two_plane_spec
 from levo.abgroups import Z, ZERO_GROUP, Zmod
-from levo.cli import parse_config, run_pipeline
+from levo.cli import parse_config, prepare_job, run_pipeline
 from levo.cycles import EnrichedCycle, GradedEnrichedCycle
 from levo.errors import GenericityError, InputError
-from levo.gecc import SheafSpec, StratumSpec, build_gecc
+from levo.gecc import SheafSpec, StratumSpec, build_gecc, support_of_gecc
 from levo.geom import graph_ideal
-from levo.ideals import Ideal, split_components
+from levo.ideals import Ideal, eliminate, maximal_loci, split_components
 from levo.poly import PolyRing
 from levo.vogel import (
     decompose_all_degrees,
@@ -18,6 +18,7 @@ from levo.vogel import (
     polar_support_sets,
     vogel_decompose,
 )
+from test_golden import GOLDEN, JOBS
 
 
 def plane():
@@ -347,15 +348,17 @@ def test_certified_polar_modules_of_the_node_agree_across_coordinates():
 # projectivized support sets
 
 
+def support_sets(G):
+    return polar_support_sets(G, support_of_gecc(G).images)
+
+
 def test_support_sets_line_bad_coordinates():
     ring = plane()
     base = ring.base_ring()
     spec = SheafSpec(ring, strata=[StratumSpec(Ideal(base, ["x"]), {1: Z(1)})])
-    G = build_gecc(spec)
-    theta0, gamma0 = polar_support_sets(G, 0)
+    (theta0, gamma0), (_, gamma1) = support_sets(build_gecc(spec))
     assert [I.generator_strings() for I in theta0] == [["x"]]
     assert gamma0 == []
-    theta1, gamma1 = polar_support_sets(G, 1)
     assert [I.generator_strings() for I in gamma1] == [["x"]]
 
 
@@ -376,7 +379,7 @@ def test_support_sets_two_plane_vanishing_data():
             2: EnrichedCycle(ring, {curve_con: Z(1), point_con: Z(4)}),
         },
     )
-    theta1, gamma1 = polar_support_sets(G, 1)
+    theta1, gamma1 = support_sets(G)[1]
     assert [I.generator_strings() for I in theta1] == [["z", "y", "u^2 + x^2"]]
     assert [I.generator_strings() for I in gamma1] == [["z", "y", "u^2 + x^2"]]
 
@@ -384,7 +387,7 @@ def test_support_sets_two_plane_vanishing_data():
 def test_support_sets_top_index_gives_support():
     ring = space()
     G = build_gecc(two_plane_spec(ring))
-    theta3, _ = polar_support_sets(G, 3)
+    theta3, _ = support_sets(G)[3]
     base = ring.base_ring()
     assert set(theta3) == {Ideal(base, ["u", "x"]), Ideal(base, ["y", "z"])}
 
@@ -392,15 +395,45 @@ def test_support_sets_top_index_gives_support():
 def test_support_sets_zero_section_discarded():
     ring = plane()
     G = build_gecc(constant_sheaf_spec(ring))
-    theta, gamma = polar_support_sets(G, 0)
-    assert theta == [] and gamma == []
+    assert support_sets(G) == [([], []), ([], [])]
 
 
-def test_support_sets_range_check():
+def support_sets_from_scratch(G, m):
+    # the per-index construction: cut every component by w_{m+1}..w_n,
+    # split, drop the zero-section components, project, keep the maximal
+    ring = G.ring
+    cot = ring.cotangent_vars
+    cut = [ring.var(w) for w in cot[m + 1 :]]
+    images = []
+    for P in G.components():
+        J = P.plus(cut)
+        if J.is_unit():
+            continue
+        for comp in split_components(J):
+            if not all(comp.ideal.contains(ring.var(w)) for w in cot):
+                images.append(eliminate(comp.ideal, cot))
+    ideals = maximal_loci(images)
+    return ideals, [I for I in ideals if I.dimension() == m]
+
+
+def axis_conormals():
+    # one component that is not prime, the conormals of both axes: the
+    # support table holds the image V(x*y) of the whole, so the walk
+    # must split it before reading the table
     ring = plane()
-    G = build_gecc(constant_sheaf_spec(ring))
-    with pytest.raises(InputError):
-        polar_support_sets(G, 5)
+    P = Ideal(ring, ["x*y", "x*w_0", "y*w_1", "w_0*w_1"])
+    return GradedEnrichedCycle(ring, {0: EnrichedCycle(ring, {P: Z(1)})})
+
+
+@pytest.mark.parametrize("name", [j[0] for j in JOBS] + ["axis-conormals"])
+def test_support_sets_walk_matches_each_index_from_scratch(name):
+    if name == "axis-conormals":
+        G = axis_conormals()
+    else:
+        text = (GOLDEN / (name + ".json")).read_text(encoding="utf-8")
+        G = build_gecc(prepare_job(parse_config(text)).spec)
+    expected = [support_sets_from_scratch(G, m) for m in range(len(G.ring.base_vars))]
+    assert support_sets(G) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 Runs, through `levo.cli.main` in process, every golden job of
 `tests/test_golden.py` under `compute --timing`, `compute --format text`,
-`check` and `gecc`, two input errors (a `--retry` out of range and a
-repeated key), and the first two passes at seed 1 of each bench workload
+`check` and `gecc`, a `--retry` out of range, every malformed-field and
+repeated-key case of `tests/test_cli.py` (`BAD_FIELDS`, `REPEATED_KEYS`)
+and the first two passes at seed 1 of each bench workload
 (`bench/corpus.py`).  `sys.setprofile`, set before levo is imported,
 records each code object entered.  Then it prints every function defined
 in `src/levo` that no run entered and that ALLOWED does not name, and
@@ -108,6 +109,7 @@ def entered():
     sys.setprofile(profiler)
     try:
         from levo.cli import main
+        from test_cli import BAD_FIELDS, REPEATED_KEYS, cusp_config
         from test_golden import GOLDEN, JOBS
 
         for name, argv, _ in JOBS:
@@ -117,10 +119,13 @@ def entered():
             _run(main, ["check", "--input", path])
             _run(main, ["gecc", "--input", path])
         _run(main, ["compute", "--input", str(GOLDEN / "retry.json"), "--retry", "101"])
+        bad = [json.dumps(change(cusp_config())) for _, change, _ in BAD_FIELDS]
+        bad += [json.dumps(cusp_config()).replace(old, new) for _, old, new, _ in REPEATED_KEYS]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp, "job.json")
-            path.write_text('{"variables": ["x"], "variables": ["x"]}', encoding="utf-8")
-            _run(main, ["compute", "--input", str(path)])
+            for text in bad:
+                path.write_text(text, encoding="utf-8")
+                _run(main, ["compute", "--input", str(path)])
             for workload in WORKLOADS:
                 for job in (j for p in corpus(workload, 1, 2) for j in p):
                     path.write_text(json.dumps(job.doc), encoding="utf-8")
