@@ -58,6 +58,7 @@ from .vogel import (
     decompose_all_degrees,
     levo_cycles,
     levo_modules,
+    polar_levels,
     polar_modules_iterative,
     polar_package,
     polar_support_sets,
@@ -113,6 +114,7 @@ __all__ = [
     "decompose_all_degrees",
     "levo_cycles",
     "levo_modules",
+    "polar_levels",
     "polar_modules_iterative",
     "polar_package",
     "polar_support_sets",

@@ -83,12 +83,10 @@ class AbGroup:
         Rank multiplies; free x torsion copies the torsion; cyclic torsion
         pairs contribute their gcd.
         """
-        torsion = []
-        torsion.extend(self.torsion * other.rank)
-        torsion.extend(other.torsion * self.rank)
-        for a in self.torsion:
-            for b in other.torsion:
-                torsion.append(gcd(a, b))
+        torsion = [gcd(a, b) for a in self.torsion for b in other.torsion]
+        for factors, rank in ((self.torsion, other.rank), (other.torsion, self.rank)):
+            if factors:  # even an empty tuple cannot repeat 2^63 or more times
+                torsion.extend(factors * rank)
         return AbGroup(self.rank * other.rank, torsion)
 
     def elementary_divisors(self):

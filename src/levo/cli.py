@@ -530,13 +530,14 @@ def _report(job, G, packages):
     support = support_of_gecc(G)
     crit = critical_locus(G, job.f, support.images)
     theta, gamma = {}, {}
-    for m, (ths, gms) in enumerate(polar_support_sets(G, support.images)):
+    sets, walks = polar_support_sets(G, support.images)
+    for m, (ths, gms) in enumerate(sets):
         theta[str(m)] = [I.generator_strings() for I in ths]
         gamma[str(m)] = [I.generator_strings() for I in gms]
 
     transversality = {}
     for stratum, con in job.spec.conormals:
-        per_i, verdict = essential_transversality(con, job.point, job.ring, support.images)
+        per_i, verdict = essential_transversality(walks[con], job.point, job.ring, support.images)
         transversality[stratum.label] = {"per_index": per_i, "verdict": verdict}
 
     report = {

@@ -19,6 +19,7 @@ import collections
 from .abgroups import ZERO_GROUP
 from .gecc import base_images
 from .poly import rational
+from .vogel import polar_levels
 
 
 class GenericityCertificate(collections.namedtuple(
@@ -79,24 +80,22 @@ def isolating_certificate(packages, point):
     return GenericityCertificate("proper-uncertified", d, None, checks)
 
 
-def essential_transversality(conormal, point, full_ring, images):
+def essential_transversality(levels, point, full_ring, images):
     """Per-index transversality of the coordinate flag to one stratum.
 
-    For each i the conormal is cut by the vanishing of the trailing
-    cotangent coordinates and the leading coordinate hyperplanes; after
-    discarding the zero-section part, the base image must be isolated at
-    the point.  `images` is the support section's table (`base_images`).
+    `levels` is the stratum conormal's `vogel.polar_levels` walk.  Index i
+    cuts each level-i component by the hyperplanes z_0..z_{i-1} through
+    the point (level 0 is read as it is); it holds when no base image of
+    the cuts off the zero section is positive-dimensional at the point.
+    `images` is the support section's table (`base_images`).
     """
     point = tuple(map(rational, point))
-    cot = full_ring.cotangent_vars
     per_i = []
-    for i in range(len(cot)):
-        cut = [full_ring.var(w) for w in cot[i + 1 :]]
-        slices = [full_ring.var(z) - c for z, c in zip(full_ring.base_vars[:i], point)]
-        cuts = base_images([conormal], cut + slices, images, skip_zero_section=True)
-        per_i.append(
-            not any(img.vanishes_at(point) and img.dimension() > 0 for img in cuts.values())
-        )
+    for i, level in enumerate(levels):
+        if i:
+            slices = [full_ring.var(z) - c for z, c in zip(full_ring.base_vars[:i], point)]
+            level = base_images(level, slices, images, skip_zero_section=True)
+        per_i.append(not any(I.vanishes_at(point) and I.dimension() > 0 for I in level.values()))
     return per_i, all(per_i)
 
 
@@ -113,7 +112,7 @@ def upgrade_by_transversality(certificate, conormals, point, full_ring, images):
         return certificate, None
     detail = {}
     for label, con in conormals:
-        _, verdict = essential_transversality(con, point, full_ring, images)
+        _, verdict = essential_transversality(polar_levels(con, images), point, full_ring, images)
         detail[label] = verdict
         if not verdict:
             return certificate, detail
@@ -124,7 +123,9 @@ def upgrade_by_transversality(certificate, conormals, point, full_ring, images):
 # chain complexes and Euler values
 
 
-class ZawatskyComplex:
+class ZawatskyComplex(collections.namedtuple(
+    "ZawatskyComplex", ("degree", "top", "modules", "constraints", "alternating_sum")
+)):
     """The degree-k chain complex of point modules, highest index first.
 
     Boundary maps are not computable from cycle data; only the shape, the
@@ -132,14 +133,7 @@ class ZawatskyComplex:
     alternating sum are emitted.
     """
 
-    __slots__ = ("degree", "top", "modules", "constraints", "alternating_sum")
-
-    def __init__(self, degree, top, modules, constraints, alternating_sum):
-        self.degree = degree
-        self.top = top
-        self.modules = modules
-        self.constraints = constraints
-        self.alternating_sum = alternating_sum
+    __slots__ = ()
 
     def to_json(self):
         return {

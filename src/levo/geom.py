@@ -89,14 +89,10 @@ def multiplicity_along(P, g, W, others=None):
     return _local_length(Q, W, others)
 
 
-class IntersectionRecord:
-    __slots__ = ("parent", "component", "multiplicity", "certified")
-
-    def __init__(self, parent, component, multiplicity, certified):
-        self.parent = parent
-        self.component = component
-        self.multiplicity = multiplicity
-        self.certified = certified
+class IntersectionRecord(collections.namedtuple(
+    "IntersectionRecord", ("parent", "component", "multiplicity", "certified")
+)):
+    __slots__ = ()
 
     def to_json(self):
         return {

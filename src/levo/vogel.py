@@ -39,7 +39,10 @@ from .ideals import eliminate, map_poly, maximal_loci, split_components
 from .poly import rational
 
 
-class VogelDecomposition:
+class VogelDecomposition(collections.namedtuple(
+    "VogelDecomposition",
+    ("degree", "residual", "distinguished", "dropped", "disjoint", "records"),
+)):
     """Result of the inductive process for one degree.
 
     residual[j] are the carried cycles (j = n+1 .. 0) and
@@ -48,15 +51,7 @@ class VogelDecomposition:
     never meet it, and `records` the properness log as (stage, record).
     """
 
-    __slots__ = ("degree", "residual", "distinguished", "dropped", "disjoint", "records")
-
-    def __init__(self, degree, residual, distinguished, dropped, disjoint, records):
-        self.degree = degree
-        self.residual = residual
-        self.distinguished = distinguished
-        self.dropped = dropped
-        self.disjoint = disjoint
-        self.records = records
+    __slots__ = ()
 
     @property
     def warnings(self):
@@ -273,27 +268,39 @@ def polar_package(G, point):
 # projectivized support sets
 
 
-def polar_support_sets(G, images):
-    """Base projections of the projectivized support cut by the vanishing
-    of the last cotangent coordinates w_{m+1}..w_n: (all components, the
-    m-dimensional ones) for m = 0..n, from one walk down from m = n.
+def polar_levels(P, images):
+    """One component P's walk down the cotangent coordinates: for
+    m = 0..n-1, a dict from each component of V(P + w_{m+1}..w_{n-1})
+    off the zero section to its base image (read from `images`, the
+    support section's table, when it is there).
 
-    Each level splits the components of the level above cut by one more
-    w.  Every component of V(P + (w_{m+1}..w_n)), P in G, is among these
-    splits and every other split lies inside one of those, so the maximal
-    projections are those of cutting each P afresh.  Components inside
-    the zero section carry no projective direction and are discarded, as
-    are their cuts; `images` is the support section's table.
+    Level n-1 splits P and each lower level splits the level above cut by
+    one more w.  A component of V(P + w_{m+1}..) off the zero section is a
+    component of V(C + w_{m+1}) for the C above that contains it, and
+    every other split lies inside one of those.  This holds after any
+    further cut too, such as coordinate slices, so the maximal images, and
+    whether a positive-dimensional image meets a point, are those of
+    cutting P afresh.  Zero-section components carry no projective
+    direction and are discarded with their cuts.
     """
-    ring = G.ring
-    cot = ring.cotangent_vars
-    level, out = G.components(), []
-    for m in reversed(range(len(cot))):
-        cut = [ring.var(w) for w in cot[m + 1 : m + 2]]
-        level = base_images(level, cut, images, skip_zero_section=True)
-        ideals = maximal_loci(level.values())
-        out.append((ideals, [I for I in ideals if I.dimension() == m]))
-    return out[::-1]
+    cot = P.ring.cotangent_vars
+    levels = [base_images([P], [], images, skip_zero_section=True)]
+    for w in reversed(cot[1:]):
+        levels.append(base_images(levels[-1], [P.ring.var(w)], images, skip_zero_section=True))
+    return levels[::-1]
+
+
+def polar_support_sets(G, images):
+    """(the maximal base images of the projectivized support cut by
+    w_{m+1}..w_{n-1}, the m-dimensional ones) for m = 0..n-1, merged from
+    the `polar_levels` walks of G's components, and those walks by
+    component; `images` is the support section's table."""
+    walks = {P: polar_levels(P, images) for P in G.components()}
+    sets = []
+    for m in range(len(G.ring.cotangent_vars)):
+        ideals = maximal_loci(img for levels in walks.values() for img in levels[m].values())
+        sets.append((ideals, [I for I in ideals if I.dimension() == m]))
+    return sets, walks
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,12 @@ from levo.geom import (
 )
 from levo.ideals import Ideal, quotient_dimension, split_components
 from levo.poly import PolyRing
-from levo.vogel import decompose_all_degrees, polar_modules_iterative, polar_package
+from levo.vogel import (
+    decompose_all_degrees,
+    polar_levels,
+    polar_modules_iterative,
+    polar_package,
+)
 
 
 @contextmanager
@@ -473,17 +478,16 @@ def test_criterion_7_genericity_behavior():
         ring = PolyRing(("u", "x", "y", "z"), ("w_0", "w_1", "w_2", "w_3"))
         base = ring.base_ring()
         point = (0, 0, 0, 0)
-        per_i, verdict = essential_transversality(
-            conormal_ideal(Ideal(base, ["u", "x"]), ring), point, ring, {}
-        )
+
+        def transversality(closure):
+            levels = polar_levels(conormal_ideal(Ideal(base, closure), ring), {})
+            return essential_transversality(levels, point, ring, {})
+
+        per_i, verdict = transversality(["u", "x"])
         assert verdict is False and per_i[0] is False
-        _, verdict2 = essential_transversality(
-            conormal_ideal(Ideal(base, ["y", "z"]), ring), point, ring, {}
-        )
+        _, verdict2 = transversality(["y", "z"])
         assert verdict2 is True
-        _, verdict3 = essential_transversality(
-            conormal_ideal(Ideal(base, ["u", "x", "y", "z"]), ring), point, ring, {}
-        )
+        _, verdict3 = transversality(["u", "x", "y", "z"])
         assert verdict3 is True
 
         report, code = run_pipeline(

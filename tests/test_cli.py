@@ -710,6 +710,17 @@ def test_the_largest_morse_rank_runs(tmp_path):
     assert main(["compute", "--input", _write_config(tmp_path, doc)]) == EXIT_CERTIFIED
 
 
+@pytest.mark.parametrize("torsion", [[], [4]], ids=["free", "torsion"])
+def test_ranks_that_sum_past_63_bits_run(tmp_path, capsys, torsion):
+    # each rank is inside the per-field bound; the cycle adds them
+    doc = json.loads((GOLDEN / "polar_gecc.json").read_text(encoding="utf-8"))
+    entry = {"ideal": ["z", "w_0", "w_1"], "module": {"rank": 2**63 - 1, "torsion": torsion}}
+    doc["sheaf"]["gecc"]["0"] = [entry, entry]
+    assert main(["compute", "--input", _write_config(tmp_path, doc)]) == EXIT_CERTIFIED
+    module = json.loads(capsys.readouterr().out)["polar_modules"]["0"]["2"]
+    assert module == {"rank": 2**64 - 2, "torsion": torsion * 2}
+
+
 # (case, text of the cusp job, its replacement naming a key twice, path
 # of the object that names it)
 REPEATED_KEYS = [

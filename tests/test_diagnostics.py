@@ -16,7 +16,7 @@ from levo.gecc import build_gecc, support_of_gecc
 from levo.geom import conormal_ideal
 from levo.ideals import Ideal
 from levo.poly import PolyRing
-from levo.vogel import decompose_all_degrees
+from levo.vogel import decompose_all_degrees, polar_levels
 
 
 def plane():
@@ -79,16 +79,19 @@ def test_transversality_two_plane_strata():
     # support table holds their images
     images = support_of_gecc(build_gecc(two_plane_spec(ring))).images
     con_ux = conormal_ideal(Ideal(base, ["u", "x"]), ring)
-    per_i, verdict = essential_transversality(con_ux, point, ring, images)
+    levels = polar_levels(con_ux, images)
+    per_i, verdict = essential_transversality(levels, point, ring, images)
     assert verdict is False
     assert per_i[0] is False  # the base projection is two-dimensional
 
     con_yz = conormal_ideal(Ideal(base, ["y", "z"]), ring)
-    per_i2, verdict2 = essential_transversality(con_yz, point, ring, images)
+    levels = polar_levels(con_yz, images)
+    per_i2, verdict2 = essential_transversality(levels, point, ring, images)
     assert verdict2 is True and all(per_i2)
 
     con_origin = conormal_ideal(Ideal(base, ["u", "x", "y", "z"]), ring)
-    per_i3, verdict3 = essential_transversality(con_origin, point, ring, images)
+    levels = polar_levels(con_origin, images)
+    per_i3, verdict3 = essential_transversality(levels, point, ring, images)
     assert verdict3 is True and all(per_i3)
 
 

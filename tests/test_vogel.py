@@ -1,18 +1,22 @@
 """The inductive decomposition, its point modules, and the oracle route."""
 
+import json
+
 import pytest
 
 from conftest import constant_sheaf_spec, milnor_number, two_plane_spec
 from levo.abgroups import Z, ZERO_GROUP, Zmod
 from levo.cli import parse_config, prepare_job, run_pipeline
 from levo.cycles import EnrichedCycle, GradedEnrichedCycle
+from levo.diagnostics import essential_transversality
 from levo.errors import GenericityError, InputError
 from levo.gecc import SheafSpec, StratumSpec, build_gecc, support_of_gecc
-from levo.geom import graph_ideal
+from levo.geom import conormal_ideal, graph_ideal
 from levo.ideals import Ideal, eliminate, maximal_loci, split_components
-from levo.poly import PolyRing
+from levo.poly import PolyRing, rational
 from levo.vogel import (
     decompose_all_degrees,
+    polar_levels,
     polar_modules_iterative,
     polar_package,
     polar_support_sets,
@@ -349,7 +353,8 @@ def test_certified_polar_modules_of_the_node_agree_across_coordinates():
 
 
 def support_sets(G):
-    return polar_support_sets(G, support_of_gecc(G).images)
+    sets, _walks = polar_support_sets(G, support_of_gecc(G).images)
+    return sets
 
 
 def test_support_sets_line_bad_coordinates():
@@ -368,8 +373,6 @@ def test_support_sets_two_plane_vanishing_data():
     ring = space()
     base = ring.base_ring()
     a, b = 2, 2
-    from levo.geom import conormal_ideal
-
     curve_con = conormal_ideal(Ideal(base, ["u^%d + x^%d" % (a, b), "y", "z"]), ring)
     point_con = Ideal(ring, ["u", "x", "y", "z"])
     G = GradedEnrichedCycle(
@@ -434,6 +437,70 @@ def test_support_sets_walk_matches_each_index_from_scratch(name):
         G = build_gecc(prepare_job(parse_config(text)).spec)
     expected = [support_sets_from_scratch(G, m) for m in range(len(G.ring.base_vars))]
     assert support_sets(G) == expected
+
+
+def test_an_empty_cycle_has_empty_support_sets():
+    doc = {"variables": ["x", "y"], "sheaf": {"gecc": {}}, "point": [0, 0]}
+    report, _code = run_pipeline(parse_config(json.dumps(doc)))
+    assert report["polar_supports"] == {"0": [], "1": []}
+    assert report["transversality"] == {}
+
+
+def transversality_from_scratch(conormal, point):
+    # the per-index construction: cut the conormal afresh by
+    # w_{i+1}..w_{n-1} and the slices z_0..z_{i-1} = p for every i, split,
+    # drop the zero-section components and look at the projections
+    ring = conormal.ring
+    cot = ring.cotangent_vars
+    point = tuple(map(rational, point))
+    per_i = []
+    for i in range(len(cot)):
+        cut = [ring.var(w) for w in cot[i + 1 :]]
+        cut += [ring.var(z) - c for z, c in zip(ring.base_vars[:i], point)]
+        J = conormal.plus(cut)
+        comps = [] if J.is_unit() else [c.ideal for c in split_components(J)]
+        images = [
+            eliminate(C, cot) for C in comps if not all(C.contains(ring.var(w)) for w in cot)
+        ]
+        per_i.append(not any(I.vanishes_at(point) and I.dimension() > 0 for I in images))
+    return per_i, all(per_i)
+
+
+def transversality_cases(name):
+    """(conormal, point, support table) for each conormal the case names."""
+    if name == "zero-section":
+        ring = plane()
+        G = build_gecc(constant_sheaf_spec(ring))
+        return [(P, (0, 0), support_of_gecc(G).images) for P in G.components()]
+    if name == "two-plane-conormals":
+        G = build_gecc(two_plane_spec(space()))
+        return [(P, (0, 0, 0, 0), support_of_gecc(G).images) for P in G.components()]
+    if name == "axis-conormals":
+        G = axis_conormals()
+        return [(P, (0, 0), support_of_gecc(G).images) for P in G.components()]
+    if name == "coordinate-planes":
+        # the plane V(y) of C^3 holds at index 0 only
+        ring = PolyRing(("x", "y", "z"), ("w_0", "w_1", "w_2"))
+        base = ring.base_ring()
+        return [(conormal_ideal(Ideal(base, [z]), ring), (0, 0, 0), {}) for z in base.vars]
+    job = prepare_job(parse_config((GOLDEN / (name + ".json")).read_text(encoding="utf-8")))
+    images = support_of_gecc(build_gecc(job.spec)).images
+    conormals = [con for _, con in job.spec.conormals]
+    conormals += [conormal_ideal(closure, job.ring) for closure in job.af_partition or ()]
+    return [(con, job.point, images) for con in conormals]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [j[0] for j in JOBS]
+    + ["zero-section", "two-plane-conormals", "axis-conormals", "coordinate-planes"],
+)
+def test_transversality_from_the_walk_matches_each_index_from_scratch(name):
+    cases = transversality_cases(name)
+    assert cases or name == "polar_gecc"
+    for con, point, images in cases:
+        walked = essential_transversality(polar_levels(con, images), point, con.ring, images)
+        assert walked == transversality_from_scratch(con, point)
 
 
 # ---------------------------------------------------------------------------

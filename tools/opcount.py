@@ -10,6 +10,7 @@ speed."""
 import contextlib
 import io
 import json
+import os
 import sys
 import tempfile
 from collections import Counter
@@ -59,4 +60,10 @@ def _shown(name):
 
 
 if __name__ == "__main__":
-    count(sys.argv[1] if len(sys.argv) == 2 else sys.exit("usage: opcount.py WORKLOAD"))
+    try:
+        count(sys.argv[1] if len(sys.argv) == 2 else sys.exit("usage: opcount.py WORKLOAD"))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed the pipe: stop without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
