@@ -62,18 +62,44 @@ EXIT_INTERNAL = 5
 
 
 class JobConfig(collections.namedtuple("JobConfig", (
-    "variables", "sheaf", "function", "point", "matrix", "seed", "fmt",
+    "variables", "ring", "sheaf", "function", "point", "matrix", "seed", "fmt",
     "rank_only", "expected_euler", "af_partition", "raw",
 ))):
-    """A validated job document; `raw` is the document as given.
-    `matrix` is a list of rows; `expected_euler` and `af_partition` may
-    be None."""
+    """A checked job document, its polynomials parsed on the full ring
+    `ring` and its base ring in the input coordinates; `raw` is the
+    document as given.  `sheaf` maps "strata" to a (closure, conormal,
+    {degree: group}, dimension, label) tuple per stratum, None standing
+    for an absent field, or "gecc" to (generators, group) pairs per
+    degree.  `matrix` is a list of rows; `af_partition` may be None."""
 
     __slots__ = ()
 
 
+# the keys each object of a job document may name
+TOP_KEYS = ("variables", "sheaf", "function", "point", "coordinate_order", "seed",
+            "format", "rank_only", "expected_euler", "af_partition")
+SHEAF_KEYS = ("strata", "gecc")
+STRATUM_KEYS = ("closure", "conormal", "morse", "dimension", "label")
+COMPONENT_KEYS = ("ideal", "module")
+MODULE_KEYS = ("rank", "torsion")
+
+
 def _fail(path, message):
     raise InputError("%s: %s" % (path, message))
+
+
+def _known_keys(obj, path, keys):
+    for key in obj:
+        if key not in keys:
+            _fail(path, "unknown key %r" % key)
+
+
+def _parse(ring, text, path):
+    """`text` parsed on `ring`; a malformed polynomial is an input error at `path`."""
+    try:
+        return ring.parse(text)
+    except PolynomialParseError as exc:
+        raise InputError("%s: %s" % (path, exc))
 
 
 def _is_int(value):
@@ -97,6 +123,7 @@ def _as_rational(value, path):
 def _as_group(obj, path, rank_only=False):
     if not isinstance(obj, dict):
         _fail(path, "expected {rank, torsion[]}")
+    _known_keys(obj, path, MODULE_KEYS)
     rank = obj.get("rank", 0)
     torsion = obj.get("torsion", [])
     if not _is_int(rank) or not 0 <= rank < 2**63:  # a tensor repeats torsion rank times
@@ -129,11 +156,7 @@ def _identity(n):
 
 
 def _mat_mul(A, B):
-    n = len(A)
-    return [
-        [sum(A[i][k] * B[k][j] for k in range(n)) for j in range(n)]
-        for i in range(n)
-    ]
+    return [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
 
 
 def _mat_inverse(M):
@@ -212,19 +235,17 @@ def _path_of(target, doc):
 
 
 def parse_config(text_or_dict):
-    """Validate a job document; error messages carry the offending field."""
-    if isinstance(text_or_dict, str):
-        doc = _load_json(text_or_dict)
-    else:
-        doc = text_or_dict
+    """Validate a job document and parse its polynomials on the input
+    rings, with no Groebner basis computed; error messages carry the
+    offending field."""
+    doc = _load_json(text_or_dict) if isinstance(text_or_dict, str) else text_or_dict
     if not isinstance(doc, dict):
         _fail("$", "top level must be an object")
+    _known_keys(doc, "$", TOP_KEYS)
 
     variables = doc.get("variables")
-    if (
-        not isinstance(variables, list)
-        or not variables
-        or not all(isinstance(v, str) for v in variables)
+    if not isinstance(variables, list) or not variables or not all(
+        isinstance(v, str) for v in variables
     ):
         _fail("variables", "expected a non-empty list of names")
     for i, v in enumerate(variables):
@@ -237,6 +258,7 @@ def parse_config(text_or_dict):
     sheaf = doc.get("sheaf")
     if not isinstance(sheaf, dict) or ("strata" in sheaf) == ("gecc" in sheaf):
         _fail("sheaf", "expected exactly one of {strata: [...]} or {gecc: {...}}")
+    _known_keys(sheaf, "sheaf", SHEAF_KEYS)
 
     rank_only = doc.get("rank_only", False)
     if not isinstance(rank_only, bool):
@@ -304,19 +326,85 @@ def parse_config(text_or_dict):
             if not s:
                 _fail("af_partition[%d]" % i, "expected at least one generator")
 
-    return JobConfig(
-        variables=tuple(variables),
-        sheaf=sheaf,
-        function=function,
-        point=point,
-        matrix=matrix,
-        seed=seed,
-        fmt=fmt,
-        rank_only=rank_only,
-        expected_euler=expected_euler,
-        af_partition=af_partition,
-        raw=doc,
-    )
+    ring = PolyRing(variables, _cotangent_names(variables))
+    base = ring.base_ring()
+    function = _parse(base, function, "function")
+    if "strata" in sheaf:
+        sheaf = {"strata": _parse_strata(sheaf["strata"], ring, base, rank_only)}
+    else:
+        sheaf = {"gecc": _parse_gecc(sheaf["gecc"], ring, rank_only)}
+    if af_partition is not None:
+        af_partition = [[_parse(base, g, "af_partition[%d][%d]" % (i, j))
+                         for j, g in enumerate(s)] for i, s in enumerate(af_partition)]
+        for i, s in enumerate(af_partition):
+            if all(g.is_zero() for g in s):
+                _fail("af_partition[%d]" % i, "every generator is zero")
+
+    return JobConfig(tuple(variables), ring, sheaf, function, point, matrix, seed, fmt,
+                     rank_only, expected_euler, af_partition, doc)
+
+
+def _cotangent_names(variables):
+    names = tuple("w_%d" % i for i in range(len(variables)))
+    if set(names) & set(variables):
+        raise InputError("variables clash with reserved cotangent names w_0..w_n")
+    return names
+
+
+def _parse_strata(strata, ring, base, rank_only):
+    if not isinstance(strata, list):
+        _fail("sheaf.strata", "expected a list of strata")
+    out = []
+    for idx, s in enumerate(strata):
+        path = "sheaf.strata[%d]" % idx
+        if not isinstance(s, dict):
+            _fail(path, "expected an object")
+        _known_keys(s, path, STRATUM_KEYS)
+        closure = s.get("closure")
+        if not isinstance(closure, list):
+            _fail(path + ".closure", "expected a list of generator strings")
+        closure = [_parse(base, g, path + ".closure[%d]" % i) for i, g in enumerate(closure)]
+        conormal = s.get("conormal")
+        if conormal is not None:
+            if not isinstance(conormal, list):
+                _fail(path + ".conormal", "expected a list of generator strings")
+            conormal = [_parse(ring, g, path + ".conormal") for g in conormal]
+        morse = s.get("morse", {})
+        if not isinstance(morse, dict):
+            _fail(path + ".morse", "expected {degree: module}")
+        degrees = set()
+        morse = {_as_degree(k, path + ".morse", degrees):
+                 _as_group(m, path + ".morse[%s]" % k, rank_only) for k, m in morse.items()}
+        dim = s.get("dimension")
+        if dim is not None and not _is_int(dim):
+            _fail(path + ".dimension", "expected an integer")
+        label = s.get("label")
+        if label is not None and not isinstance(label, str):
+            _fail(path + ".label", "expected a string")
+        out.append((closure, conormal, morse, dim, label))
+    return out
+
+
+def _parse_gecc(gecc, ring, rank_only):
+    if not isinstance(gecc, dict):
+        _fail("sheaf.gecc", "expected {degree: [components]}")
+    by_degree, degrees = {}, set()
+    for key, comp_list in gecc.items():
+        k = _as_degree(key, "sheaf.gecc", degrees)
+        if not isinstance(comp_list, list):
+            _fail("sheaf.gecc[%s]" % key, "expected a list of components")
+        by_degree[k] = []
+        for i, c in enumerate(comp_list):
+            path = "sheaf.gecc[%s][%d]" % (key, i)
+            if not isinstance(c, dict):
+                _fail(path, "expected {ideal, module}")
+            _known_keys(c, path, COMPONENT_KEYS)
+            gens = c.get("ideal")
+            if not isinstance(gens, list):
+                _fail(path + ".ideal", "expected generator strings")
+            gens = [_parse(ring, g, path + ".ideal") for g in gens]
+            by_degree[k].append((gens, _as_group(c.get("module"), path + ".module", rank_only)))
+    return by_degree
 
 
 def randomize_coordinates(cfg, seed):
@@ -345,137 +433,63 @@ class PreparedJob(collections.namedtuple("PreparedJob", (
     __slots__ = ()
 
 
-def _cotangent_names(variables):
-    names = tuple("w_%d" % i for i in range(len(variables)))
-    if set(names) & set(variables):
-        raise InputError("variables clash with reserved cotangent names w_0..w_n")
-    return names
-
-
 def _coordinate_change(ring, matrix, inverse):
     """The map rewriting a polynomial on `ring` in the new coordinates:
     base variable i becomes row i of the inverse matrix applied to the
     base variables, cotangent variable i becomes column i of the matrix
     applied to the cotangent variables."""
     n = len(ring.base_vars)
-    sub = {}
-    for i, name in enumerate(ring.base_vars):
-        sub[name] = ring.linear_form(list(inverse[i]) + [0] * (ring.nvars - n))
+    sub = {name: ring.linear_form(list(row) + [0] * (ring.nvars - n))
+           for name, row in zip(ring.base_vars, inverse)}
     for i, name in enumerate(ring.cotangent_vars):
-        sub[name] = ring.linear_form([0] * n + [matrix[j][i] for j in range(n)])
+        sub[name] = ring.linear_form([0] * n + [row[i] for row in matrix])
     return lambda p: p.subs(sub)
 
 
 def prepare_job(cfg):
-    n = len(cfg.variables)
-    ring = PolyRing(cfg.variables, _cotangent_names(cfg.variables))
-    base = ring.base_ring()
-    if cfg.matrix == _identity(n):
-        transform_base = transform_full = lambda p: p
+    """The job of `cfg` in its working coordinates, those of `cfg.matrix`.
+    Raises InputError only for what needs the working bases: a declared
+    dimension, a repeated label, two equal conormals, or a conormal of
+    the wrong dimension."""
+    ring, base = cfg.ring, cfg.function.ring
+    if cfg.matrix == _identity(len(cfg.variables)):
+        to_base = to_full = lambda p: p
     else:
         Minv = _mat_inverse(cfg.matrix)
-        transform_base = _coordinate_change(base, cfg.matrix, Minv)
-        transform_full = _coordinate_change(ring, cfg.matrix, Minv)
+        to_base = _coordinate_change(base, cfg.matrix, Minv)
+        to_full = _coordinate_change(ring, cfg.matrix, Minv)
 
-    def parse_base(text, path):
-        try:
-            return transform_base(base.parse(text))
-        except PolynomialParseError as exc:
-            raise InputError("%s: %s" % (path, exc))
-
-    f = parse_base(cfg.function, "function")
-    point = tuple(
-        rational(sum(cfg.matrix[i][j] * cfg.point[j] for j in range(n))) for i in range(n)
-    )
+    f = to_base(cfg.function)
+    point = tuple(rational(sum(a * c for a, c in zip(row, cfg.point))) for row in cfg.matrix)
 
     if "strata" in cfg.sheaf:
-        strata = []
-        labelled = {}
-        if not isinstance(cfg.sheaf["strata"], list):
-            _fail("sheaf.strata", "expected a list of strata")
-        for idx, s in enumerate(cfg.sheaf["strata"]):
-            path = "sheaf.strata[%d]" % idx
-            if not isinstance(s, dict):
-                _fail(path, "expected an object")
-            closure_gens = s.get("closure")
-            if not isinstance(closure_gens, list):
-                _fail(path + ".closure", "expected a list of generator strings")
-            closure = Ideal(
-                base, [parse_base(g, path + ".closure[%d]" % i) for i, g in enumerate(closure_gens)]
-            )
-            conormal = None
-            if s.get("conormal") is not None:
-                if not isinstance(s["conormal"], list):
-                    _fail(path + ".conormal", "expected a list of generator strings")
-                try:
-                    conormal = Ideal(
-                        ring, [transform_full(ring.parse(g)) for g in s["conormal"]]
-                    )
-                except PolynomialParseError as exc:
-                    raise InputError("%s.conormal: %s" % (path, exc))
-            morse_raw = s.get("morse", {})
-            if not isinstance(morse_raw, dict):
-                _fail(path + ".morse", "expected {degree: module}")
-            degrees = set()
-            morse = {
-                _as_degree(key, path + ".morse", degrees):
-                    _as_group(mod, path + ".morse[%s]" % key, cfg.rank_only)
-                for key, mod in morse_raw.items()
-            }
-            dim = s.get("dimension")
-            if dim is not None and not _is_int(dim):
-                _fail(path + ".dimension", "expected an integer")
-            label = s.get("label")
-            if label is not None and not isinstance(label, str):
-                _fail(path + ".label", "expected a string")
+        strata, labelled = [], {}
+        for idx, (closure, conormal, morse, dim, label) in enumerate(cfg.sheaf["strata"]):
+            if conormal is not None:
+                conormal = Ideal(ring, [to_full(g) for g in conormal])
             try:
-                stratum = StratumSpec(closure, morse, conormal=conormal, dim=dim,
-                                      label=label)
+                stratum = StratumSpec(Ideal(base, [to_base(g) for g in closure]), morse,
+                                      conormal=conormal, dim=dim, label=label)
             except InputError as exc:
-                raise InputError("%s: %s" % (path, exc))
+                _fail("sheaf.strata[%d]" % idx, exc)
             if stratum.label in labelled:
-                _fail(path + ".label", "%r is also the label of sheaf.strata[%d]"
+                _fail("sheaf.strata[%d].label" % idx, "%r is also the label of sheaf.strata[%d]"
                       % (stratum.label, labelled[stratum.label]))
             labelled[stratum.label] = idx
             strata.append(stratum)
         spec = SheafSpec(ring, strata=strata)
     else:
-        gecc_raw = cfg.sheaf["gecc"]
-        if not isinstance(gecc_raw, dict):
-            _fail("sheaf.gecc", "expected {degree: [components]}")
-        by_degree, degrees = {}, set()
-        for key, comp_list in gecc_raw.items():
-            path = "sheaf.gecc[%s]" % key
-            k = _as_degree(key, "sheaf.gecc", degrees)
-            if not isinstance(comp_list, list):
-                _fail(path, "expected a list of components")
+        by_degree = {}
+        for k, components in cfg.sheaf["gecc"].items():
             comps = {}
-            for i, c in enumerate(comp_list):
-                if not isinstance(c, dict):
-                    _fail(path + "[%d]" % i, "expected {ideal, module}")
-                ideal_gens = c.get("ideal")
-                if not isinstance(ideal_gens, list):
-                    _fail(path + "[%d].ideal" % i, "expected generator strings")
-                try:
-                    gens = [transform_full(ring.parse(g)) for g in ideal_gens]
-                except PolynomialParseError as exc:
-                    raise InputError("%s[%d].ideal: %s" % (path, i, exc))
-                ideal = Ideal(ring, gens)
-                group = _as_group(c.get("module"), path + "[%d].module" % i, cfg.rank_only)
+            for gens, group in components:
+                ideal = Ideal(ring, [to_full(g) for g in gens])
                 comps[ideal] = comps[ideal].dsum(group) if ideal in comps else group
             by_degree[k] = EnrichedCycle(ring, comps)
         spec = SheafSpec(ring, direct=GradedEnrichedCycle(ring, by_degree))
 
-    af_partition = None
-    if cfg.af_partition is not None:
-        af_partition = [
-            Ideal(base, [parse_base(g, "af_partition[%d][%d]" % (i, j))
-                         for j, g in enumerate(gens)])
-            for i, gens in enumerate(cfg.af_partition)
-        ]
-        for i, closure in enumerate(af_partition):
-            if not closure.gens:
-                _fail("af_partition[%d]" % i, "every generator is zero")
+    af_partition = None if cfg.af_partition is None else [
+        Ideal(base, [to_base(g) for g in s]) for s in cfg.af_partition]
     return PreparedJob(ring, base, spec, f, point, af_partition, cfg)
 
 
@@ -671,15 +685,8 @@ def _write_json(value, newline, out):
 
 
 def _cycle_lines(components):
-    return [
-        "%s [V(%s)]" % (_group_str(c["module"]), ", ".join(c["ideal"]))
-        for c in components
-    ]
-
-
-def _group_str(mod):
-    g = AbGroup.from_json(mod)
-    return str(g)
+    return ["%s [V(%s)]" % (AbGroup.from_json(c["module"]), ", ".join(c["ideal"]))
+            for c in components]
 
 
 def _gecc_lines(gecc):
@@ -691,16 +698,12 @@ def _gecc_lines(gecc):
 
 
 def report_to_text(report):
-    out = []
-    out.append("mode: %s" % report["mode"])
-    out.extend(_gecc_lines(report["gecc"]))
+    out = ["mode: %s" % report["mode"]] + _gecc_lines(report["gecc"])
     if "critical_locus" in report:
         out.append("critical locus:")
         for c in report["critical_locus"]:
-            out.append(
-                "  V(%s)  dim %d  value %s"
-                % (", ".join(c["ideal"]), c["dimension"], c["critical_value"])
-            )
+            out.append("  V(%s)  dim %d  value %s"
+                       % (", ".join(c["ideal"]), c["dimension"], c["critical_value"]))
     for key in ("levo_cycles", "polar_cycles"):
         if key in report:
             out.append("%s:" % key.replace("_", " "))
@@ -713,20 +716,14 @@ def report_to_text(report):
             out.append("%s at the point:" % key.replace("_", " "))
             for k in sorted(report[key], key=int):
                 for j in sorted(report[key][k], key=int):
-                    out.append(
-                        "  degree %s, j=%s: %s"
-                        % (k, j, _group_str(report[key][k][j]))
-                    )
+                    out.append("  degree %s, j=%s: %s"
+                               % (k, j, AbGroup.from_json(report[key][k][j])))
     if "euler" in report:
-        out.append(
-            "euler signed sum: %d (%s)"
-            % (report["euler"]["signed_sum"], report["euler"]["verdict"])
-        )
+        out.append("euler signed sum: %d (%s)"
+                   % (report["euler"]["signed_sum"], report["euler"]["verdict"]))
     cert = report.get("certificate")
     if cert:
-        out.append(
-            "certificate: %s (d=%s)" % (cert["status"], cert["d"])
-        )
+        out.append("certificate: %s (d=%s)" % (cert["status"], cert["d"]))
     if report.get("warnings"):
         out.append("warnings:")
         for w in report["warnings"]:
@@ -744,15 +741,11 @@ def _load_config(path, seed_override=None, fmt_override=None):
             text = fh.read()
     except OSError as exc:
         raise InputError("cannot read %s: %s" % (path, exc))
-    cfg = parse_config(text)
-    if seed_override is not None or fmt_override is not None:
-        doc = dict(cfg.raw)
-        if seed_override is not None:
-            doc["seed"] = seed_override
-        if fmt_override is not None:
-            doc["format"] = fmt_override
-        cfg = parse_config(doc)
-    return cfg
+    doc = _load_json(text)
+    for key, value in (("seed", seed_override), ("format", fmt_override)):
+        if value is not None and isinstance(doc, dict):
+            doc[key] = value
+    return parse_config(doc)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -832,11 +825,7 @@ def main(argv=None):
         if args.command == "gecc":
             job = prepare_job(cfg)
             G = build_gecc(job.spec)
-            subset = {
-                "gecc": G.to_json(),
-                "support": support_of_gecc(G).to_json(),
-                "warnings": [],
-            }
+            subset = {"gecc": G.to_json(), "support": support_of_gecc(G).to_json(), "warnings": []}
             if cfg.fmt == "text":
                 sys.stdout.write("\n".join(_gecc_lines(subset["gecc"])) + "\n")
             else:

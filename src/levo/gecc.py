@@ -65,8 +65,9 @@ class SheafSpec:
 
     In strata mode `conormals` pairs each visible stratum, in input
     order, with its conormal ideal: the explicit one, or the conormal of
-    the closure, which must have the dimension of the base.  It is the
-    one place a stratum's conormal is resolved; direct mode has none.
+    its non-empty closure; either must have the dimension of the base.
+    It is the one place a stratum's conormal is resolved; direct mode
+    has none.
     """
 
     __slots__ = ("strata", "direct", "ring", "conormals")
@@ -86,17 +87,24 @@ class SheafSpec:
             if c in seen:
                 raise InputError("strata must have pairwise distinct conormals")
             seen.add(c)
+        n = len(ring.base_vars)
         for s in self.strata:
             if not s.is_visible():
                 continue
             con = s.conormal
-            if con is None:
+            if con is not None:
+                if con.dimension() != n:
+                    raise InputError("explicit conormal of %s has dimension %d, not %d"
+                                     % (s.label, con.dimension(), n))
+            elif s.dim < 0:
+                raise InputError("conormal computation failed for %s: the closure is empty"
+                                 % s.label)
+            else:
                 con = conormal_ideal(s.closure, ring)
-                if con.dimension() != len(ring.base_vars):
+                if con.dimension() != n:
                     raise InputError(
                         "conormal computation failed for %s: got dimension %d; "
-                        "supply the conormal ideal explicitly"
-                        % (s.label, con.dimension())
+                        "supply the conormal ideal explicitly" % (s.label, con.dimension())
                     )
             self.conormals.append((s, con))
 

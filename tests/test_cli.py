@@ -33,7 +33,7 @@ from levo.cli import (
     run_pipeline,
 )
 from levo.errors import InputError
-from levo.poly import rational
+from levo.poly import PolyRing, rational
 from test_golden import GOLDEN, JOBS
 
 
@@ -271,9 +271,8 @@ def test_reserved_cotangent_names_rejected():
     doc["sheaf"] = {"strata": [{"closure": [], "morse": {"2": {"rank": 1, "torsion": []}}}]}
     doc["function"] = "w_0^2 + y^2"
     doc["point"] = [0, 0]
-    cfg = parse_config(json.dumps(doc))
     with pytest.raises(InputError):
-        prepare_job(cfg)
+        parse_config(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -646,8 +645,35 @@ def _direct_gecc_repeating_a_degree(doc):
     return doc
 
 
+def _rename(doc, path, old, new):
+    """doc with the key `old` of the object at `path` renamed `new`."""
+    target = doc
+    for key in path:
+        target = target[key]
+    target[new] = target.pop(old)
+    return doc
+
+
+def _direct_gecc_with_an_unknown_key(doc):
+    doc["sheaf"] = {"gecc": {"2": [{"ideal": ["w_0", "w_1"], "module": {"rank": 1},
+                                    "label": "zero section"}]}}
+    return doc
+
+
 # (case, change to the cusp job, path the message must start with)
 BAD_FIELDS = [
+    # a misspelt key would drop what it names and the job would run
+    ("stratum-key-misspelt", lambda d: _rename(d, ("sheaf", "strata", 0), "morse", "mores"),
+     "sheaf.strata[0]"),
+    ("module-key-torsion-misspelt",
+     lambda d: _rename(d, ("sheaf", "strata", 0, "morse", "2"), "torsion", "torsoin"),
+     "sheaf.strata[0].morse[2]"),
+    ("module-key-rank-misspelt",
+     lambda d: _rename(d, ("sheaf", "strata", 0, "morse", "2"), "rank", "rnak"),
+     "sheaf.strata[0].morse[2]"),
+    ("top-level-key-misspelt", lambda d: dict(d, coordinate_ordr=["y", "x"]), "$"),
+    ("sheaf-key-unknown", lambda d: dict(d, sheaf=dict(d["sheaf"], dimension=2)), "sheaf"),
+    ("gecc-component-key-unknown", _direct_gecc_with_an_unknown_key, "sheaf.gecc[2][0]"),
     ("rank_only-string", lambda d: dict(d, rank_only="false"), "rank_only"),
     ("label-number", lambda d: _stratum(d, label=5), "sheaf.strata[0].label"),
     ("label-list", lambda d: _stratum(d, label=["a"]), "sheaf.strata[0].label"),
@@ -701,6 +727,77 @@ def test_malformed_field_is_an_input_error_naming_its_path(tmp_path, capsys, cha
     doc = change(cusp_config())
     assert main(["compute", "--input", _write_config(tmp_path, doc)]) == EXIT_INPUT
     assert capsys.readouterr().err.startswith("input error: %s: " % path)
+
+
+@pytest.fixture
+def no_groebner_basis(monkeypatch):
+    def refuse(generators, key):
+        raise AssertionError("a Groebner basis was computed")
+
+    monkeypatch.setattr(ideals, "_buchberger", refuse)
+
+
+# a repeated label needs the strata in working coordinates; no other case does
+PARSE_TIME = [c for c in BAD_FIELDS if c[0] != "label-repeated"]
+
+
+@pytest.mark.parametrize("change, path", [c[1:] for c in PARSE_TIME],
+                         ids=[c[0] for c in PARSE_TIME])
+def test_malformed_field_fails_in_parse_config_before_any_algebra(no_groebner_basis, change,
+                                                                   path):
+    with pytest.raises(InputError) as excinfo:
+        parse_config(json.dumps(change(cusp_config())))
+    assert str(excinfo.value).startswith("%s: " % path)
+
+
+def test_unknown_key_message_names_the_key():
+    doc = _rename(cusp_config(), ("sheaf", "strata", 0), "morse", "mores")
+    with pytest.raises(InputError, match=r"^sheaf\.strata\[0\]: unknown key 'mores'$"):
+        parse_config(json.dumps(doc))
+
+
+def test_af_partition_typo_fails_before_the_conormals_are_built(no_groebner_basis):
+    # the conormal of the first stratum, two quadrics in C^4, takes seconds
+    doc = {
+        "variables": ["x", "y", "z", "u"],
+        "sheaf": {"strata": [
+            {"closure": ["2*x^2 + 2*x*y + 4*z^2", "y*z + z*u - 4*y"],
+             "morse": {"0": {"rank": 1}}},
+            {"closure": ["x", "y", "z", "u"], "morse": {"0": {"rank": 1}}},
+        ]},
+        "point": [0, 0, 0, 0],
+        "af_partition": [["x^"]],
+    }
+    with pytest.raises(InputError, match=r"^af_partition\[0\]\[0\]: "):
+        parse_config(json.dumps(doc))
+
+
+def test_each_polynomial_string_is_parsed_once_under_retry(monkeypatch, capsys):
+    parsed = []
+
+    def counting(ring, text, _original=PolyRing.parse):
+        parsed.append(text)
+        return _original(ring, text)
+
+    monkeypatch.setattr(PolyRing, "parse", counting)
+    job = str(GOLDEN / "retry.json")
+    assert main(["compute", "--input", job, "--retry", "3"]) == EXIT_CERTIFIED
+    assert json.loads(capsys.readouterr().out)["retry"]["seeds"]
+    assert parsed == ["x^2*y"]
+
+
+@pytest.mark.parametrize("command", ["compute", "gecc"])
+@pytest.mark.parametrize("fields, message", [
+    ({"conormal": []}, "explicit conormal of V() has dimension 4, not 2"),
+    ({"conormal": ["1"]}, "explicit conormal of V() has dimension -1, not 2"),
+    ({"closure": ["1"]}, "conormal computation failed for V(1): the closure is empty"),
+], ids=["conormal-zero-ideal", "conormal-unit-ideal", "closure-unit-ideal"])
+def test_stratum_conormal_of_the_wrong_dimension_is_an_input_error(tmp_path, capsys, command,
+                                                                   fields, message):
+    # found while the sheaf is specified, before any decomposition
+    doc = _stratum(cusp_config(), **fields)
+    assert main([command, "--input", _write_config(tmp_path, doc)]) == EXIT_INPUT
+    assert capsys.readouterr().err == "input error: %s\n" % message
 
 
 def test_the_largest_morse_rank_runs(tmp_path):

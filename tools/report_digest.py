@@ -8,8 +8,11 @@ writes one line per run to OUT: workload, seed, job name, exit code and
 the sha256 of its stdout.  Each golden job also runs as `compute
 --format text`, `compute --seed 7` (a seed override parses the job a
 second time), `check` and `gecc`, with workloads golden-text,
-golden-seed7, golden-check and golden-gecc.  `diff` of two checkouts'
-OUT files is the byte-identity check of their reports.
+golden-seed7, golden-check and golden-gecc.  Workload bad-input runs
+every malformed-field and repeated-key case of `tests/test_cli.py`
+(`BAD_FIELDS`, `REPEATED_KEYS`) and a `--retry` out of range, and hashes
+stderr instead of stdout.  `diff` of two checkouts' OUT files is the
+byte-identity check of their reports and error messages.
 """
 
 import contextlib
@@ -25,14 +28,20 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
 from corpus import WORKLOADS, corpus  # noqa: E402
 from levo.cli import main  # noqa: E402
+from test_cli import BAD_FIELDS, REPEATED_KEYS, cusp_config  # noqa: E402
 from test_golden import GOLDEN, JOBS  # noqa: E402
 
 
-def _digest(path, argv, command="compute"):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = main([command, "--input", str(path)] + list(argv))
-    return code, hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()
+def _digest(path, argv, command="compute", stderr=False):
+    """Exit code and sha256 of the stdout, or with `stderr` the stderr, of one run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main([command, "--input", str(path)] + list(argv))
+        except SystemExit as exc:  # a usage error
+            code = exc.code
+    text = (err if stderr else out).getvalue()
+    return code, hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def run(out_path):
@@ -45,12 +54,20 @@ def run(out_path):
         lines.append(("golden-check", "-", name) + _digest(path, [], "check"))
         lines.append(("golden-gecc", "-", name) + _digest(path, [], "gecc"))
     with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "job.json"
         for workload in WORKLOADS:
             for seed in (1, 2, 3):
                 for job in (j for p in corpus(workload, seed, 2) for j in p):
-                    path = Path(tmp) / "job.json"
                     path.write_text(json.dumps(job.doc), encoding="utf-8")
                     lines.append((workload, seed, job.name) + _digest(path, job.argv))
+        bad = [(name, json.dumps(change(cusp_config()))) for name, change, _ in BAD_FIELDS]
+        bad += [("repeated-key-" + name, json.dumps(cusp_config()).replace(old, new))
+                for name, old, new, _ in REPEATED_KEYS]
+        for name, text in bad:
+            path.write_text(text, encoding="utf-8")
+            lines.append(("bad-input", "-", name) + _digest(path, [], stderr=True))
+    retry = _digest(GOLDEN / "retry.json", ["--retry", "101"], stderr=True)
+    lines.append(("bad-input", "-", "retry-above-the-bound") + retry)
     Path(out_path).write_text("".join("%s %s %s %s %s\n" % line for line in lines))
 
 
