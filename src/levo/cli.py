@@ -42,10 +42,10 @@ from .gecc import (
     StratumSpec,
     build_gecc,
     critical_locus,
+    stratum_conormal,
     support_assertions,
     support_of_gecc,
 )
-from .geom import conormal_ideal
 from .ideals import Ideal, algebra_cache
 from .poly import NAME, PolyRing, rational
 from .vogel import decompose_all_degrees, polar_support_sets
@@ -449,8 +449,9 @@ def _coordinate_change(ring, matrix, inverse):
 def prepare_job(cfg):
     """The job of `cfg` in its working coordinates, those of `cfg.matrix`.
     Raises InputError only for what needs the working bases: a declared
-    dimension, a repeated label, two equal conormals, or a conormal of
-    the wrong dimension."""
+    dimension, a repeated label, two equal conormals, a conormal or a
+    gecc component of the wrong dimension, or an empty `af_partition`
+    locus."""
     ring, base = cfg.ring, cfg.function.ring
     if cfg.matrix == _identity(len(cfg.variables)):
         to_base = to_full = lambda p: p
@@ -479,17 +480,23 @@ def prepare_job(cfg):
             strata.append(stratum)
         spec = SheafSpec(ring, strata=strata)
     else:
-        by_degree = {}
+        by_degree, n = {}, len(cfg.variables)
         for k, components in cfg.sheaf["gecc"].items():
             comps = {}
-            for gens, group in components:
+            for i, (gens, group) in enumerate(components):
                 ideal = Ideal(ring, [to_full(g) for g in gens])
+                if ideal.dimension() != n:
+                    _fail("sheaf.gecc[%d][%d]" % (k, i), "the component has dimension %d, not %d"
+                          % (ideal.dimension(), n))
                 comps[ideal] = comps[ideal].dsum(group) if ideal in comps else group
             by_degree[k] = EnrichedCycle(ring, comps)
         spec = SheafSpec(ring, direct=GradedEnrichedCycle(ring, by_degree))
 
     af_partition = None if cfg.af_partition is None else [
         Ideal(base, [to_base(g) for g in s]) for s in cfg.af_partition]
+    for i, locus in enumerate(af_partition or ()):
+        if locus.is_unit():
+            _fail("af_partition[%d]" % i, "the locus is empty")
     return PreparedJob(ring, base, spec, f, point, af_partition, cfg)
 
 
@@ -579,10 +586,13 @@ def _report(job, G, packages):
 
     # only a proper-uncertified certificate reads the conormals
     if job.af_partition is not None and cert.status == "proper-uncertified":
-        conormals = [
-            ("stratum_%d" % i, conormal_ideal(closure, job.ring))
-            for i, closure in enumerate(job.af_partition)
-        ]
+        conormals = []
+        for i, closure in enumerate(job.af_partition):
+            label = "stratum_%d" % i
+            try:
+                conormals.append((label, stratum_conormal(closure, label, job.ring)))
+            except InputError as exc:
+                _fail("af_partition[%d]" % i, exc)
         upgraded, detail = upgrade_by_transversality(
             cert, conormals, job.point, job.ring, support.images
         )

@@ -106,10 +106,9 @@ def upgrade_by_transversality(certificate, conormals, point, full_ring, images):
 
     The caller asserts that the strata form a Whitney-a partition (for
     the relative case, the hypersurface strata of a Thom-condition
-    partition); only the transversality itself is checked here.
+    partition); only the transversality itself is checked here.  The
+    caller passes a proper-uncertified certificate.
     """
-    if certificate.status != "proper-uncertified":
-        return certificate, None
     detail = {}
     for label, con in conormals:
         _, verdict = essential_transversality(polar_levels(con, images), point, full_ring, images)

@@ -64,10 +64,8 @@ class SheafSpec:
     """Either a list of strata or a directly supplied graded cycle.
 
     In strata mode `conormals` pairs each visible stratum, in input
-    order, with its conormal ideal: the explicit one, or the conormal of
-    its non-empty closure; either must have the dimension of the base.
-    It is the one place a stratum's conormal is resolved; direct mode
-    has none.
+    order, with its conormal ideal from `stratum_conormal`; no two may
+    be equal.  Direct mode has none.
     """
 
     __slots__ = ("strata", "direct", "ring", "conormals")
@@ -87,29 +85,35 @@ class SheafSpec:
             if c in seen:
                 raise InputError("strata must have pairwise distinct conormals")
             seen.add(c)
-        n = len(ring.base_vars)
         for s in self.strata:
-            if not s.is_visible():
-                continue
-            con = s.conormal
-            if con is not None:
-                if con.dimension() != n:
-                    raise InputError("explicit conormal of %s has dimension %d, not %d"
-                                     % (s.label, con.dimension(), n))
-            elif s.dim < 0:
-                raise InputError("conormal computation failed for %s: the closure is empty"
-                                 % s.label)
-            else:
-                con = conormal_ideal(s.closure, ring)
-                if con.dimension() != n:
-                    raise InputError(
-                        "conormal computation failed for %s: got dimension %d; "
-                        "supply the conormal ideal explicitly" % (s.label, con.dimension())
-                    )
-            self.conormals.append((s, con))
+            if s.is_visible():
+                con = stratum_conormal(s.closure, s.label, ring, s.conormal)
+                if any(con == c for _, c in self.conormals):
+                    raise InputError("strata must have pairwise distinct conormals")
+                self.conormals.append((s, con))
 
     def in_strata_mode(self):
         return self.strata is not None
+
+
+def stratum_conormal(closure, label, ring, explicit=None):
+    """The conormal ideal of a stratum: `explicit` when given, else the
+    conormal of its non-empty closure.  It is the one place a stratum's
+    conormal is resolved; an empty closure, or a conormal whose dimension
+    is not that of the base, is an input error naming `label`."""
+    n = len(ring.base_vars)
+    if explicit is not None:
+        if explicit.dimension() != n:
+            raise InputError("explicit conormal of %s has dimension %d, not %d"
+                             % (label, explicit.dimension(), n))
+        return explicit
+    if closure.is_unit():
+        raise InputError("conormal computation failed for %s: the closure is empty" % label)
+    con = conormal_ideal(closure, ring)
+    if con.dimension() != n:
+        raise InputError("conormal computation failed for %s: got dimension %d, not %d"
+                         % (label, con.dimension(), n))
+    return con
 
 
 def build_gecc(spec):

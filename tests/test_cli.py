@@ -33,6 +33,8 @@ from levo.cli import (
     run_pipeline,
 )
 from levo.errors import InputError
+from levo.geom import conormal_ideal
+from levo.ideals import Ideal
 from levo.poly import PolyRing, rational
 from test_golden import GOLDEN, JOBS
 
@@ -391,8 +393,7 @@ def test_each_visible_stratum_conormal_is_computed_once(monkeypatch):
         closures.append(I)
         return _original(I, full_ring)
 
-    for module in (cli, gecc):
-        monkeypatch.setattr(module, "conormal_ideal", spy)
+    monkeypatch.setattr(gecc, "conormal_ideal", spy)
     run_pipeline(parse_config(json.dumps(two_plane_config())))
     assert len(closures) == 3 and len(set(closures)) == 3
 
@@ -499,20 +500,72 @@ def test_af_partition_route_upgrades_certificate():
 def test_af_partition_conormals_are_computed_only_for_the_upgrade(monkeypatch):
     calls = []
 
-    def spy(I, full_ring, _original=cli.conormal_ideal):
+    def spy(I, full_ring, _original=gecc.conormal_ideal):
         calls.append(I)
         return _original(I, full_ring)
 
-    monkeypatch.setattr(cli, "conormal_ideal", spy)
-    # a certified run has no use for the partition's conormals
-    doc = two_plane_config(af_partition=[["u", "x"], ["y", "z"]])
-    report, code = run_pipeline(parse_config(json.dumps(doc)))
-    assert code == EXIT_CERTIFIED and "af_partition_transversality" not in report
-    assert calls == []
-    # a proper-uncertified one reads them and reports the transversality
-    text = (GOLDEN / "polar_af_partition.json").read_text(encoding="utf-8")
-    report, _ = run_pipeline(parse_config(text))
-    assert report["af_partition_transversality"] and calls
+    monkeypatch.setattr(gecc, "conormal_ideal", spy)
+
+    def conormals_built(doc):
+        calls.clear()
+        report, _ = run_pipeline(parse_config(json.dumps(doc)))
+        return report, len(calls)
+
+    # a certified run builds the strata conormals and no partition conormal
+    report, built = conormals_built(two_plane_config(af_partition=[["u", "x"], ["y", "z"]]))
+    assert report["certificate"]["status"] == "certified"
+    assert "af_partition_transversality" not in report
+    assert built == conormals_built(two_plane_config())[1] == 3
+    # a proper-uncertified one builds one more per partition stratum
+    doc = json.loads((GOLDEN / "polar_af_partition.json").read_text(encoding="utf-8"))
+    report, built = conormals_built(doc)
+    assert report["af_partition_transversality"]
+    del doc["af_partition"]
+    assert built == conormals_built(doc)[1] + 1
+
+
+def test_af_partition_conormal_is_checked_like_a_strata_conormal(tmp_path, capsys):
+    doc = json.loads((GOLDEN / "polar_af_partition.json").read_text(encoding="utf-8"))
+
+    def run(partition):
+        path = _write_config(tmp_path, dict(doc, af_partition=partition))
+        code = main(["compute", "--input", path])
+        out, err = capsys.readouterr()
+        return code, json.loads(out)["af_partition_transversality"] if out else err
+
+    # the first hyperplane of the working coordinates is not transverse
+    hyperplane = "-3*u - 2*x + 2*y + z"
+    assert run([[hyperplane]]) == (2, {"stratum_0": False})
+    # squared, the same locus made the conormal the unit ideal, whose
+    # empty walk passed the transversality check
+    unit = "conormal computation failed for stratum_%d: got dimension -1, not 4\n"
+    squared = ["(%s)^2" % hyperplane]
+    assert run([squared]) == (EXIT_INPUT, "input error: af_partition[0]: " + unit % 0)
+    assert run([["u"], squared]) == (EXIT_INPUT, "input error: af_partition[1]: " + unit % 1)
+
+
+def test_empty_af_partition_locus_is_an_input_error_on_the_upgrade_route(tmp_path, capsys):
+    # read only on that route, it failed in geom and named no field;
+    # BAD_FIELDS holds the certified case, which never read it
+    doc = json.loads((GOLDEN / "polar_af_partition.json").read_text(encoding="utf-8"))
+    doc["af_partition"] = [["u"], ["1"]]
+    assert main(["compute", "--input", _write_config(tmp_path, doc)]) == EXIT_INPUT
+    assert capsys.readouterr().err == "input error: af_partition[1]: the locus is empty\n"
+
+
+def test_two_strata_with_one_conormal_are_an_input_error(tmp_path, capsys):
+    # one cusp stratum's conormal is computed, the other's is given
+    ring = PolyRing(["x", "y"], ("w_0", "w_1"))
+    cusp = Ideal(ring.base_ring(), ["y^2 - x^3"])
+    conormal = conormal_ideal(cusp, ring).generator_strings()
+    doc = cusp_config()
+    doc["sheaf"]["strata"] = [
+        {"closure": ["y^2 - x^3"], "morse": {"1": {"rank": 1}}},
+        {"closure": ["y^2 - x^3"], "conormal": conormal, "morse": {"1": {"rank": 2}},
+         "label": "cusp"},
+    ]
+    assert main(["compute", "--input", _write_config(tmp_path, doc)]) == EXIT_INPUT
+    assert capsys.readouterr().err == "input error: strata must have pairwise distinct conormals\n"
 
 
 def test_support_assertions_present():
@@ -645,6 +698,11 @@ def _direct_gecc_repeating_a_degree(doc):
     return doc
 
 
+def _direct_gecc_of_the_wrong_dimension(doc):
+    doc["sheaf"] = {"gecc": {"0": [{"ideal": ["x", "y", "w_0"], "module": {"rank": 1}}]}}
+    return doc
+
+
 def _rename(doc, path, old, new):
     """doc with the key `old` of the object at `path` renamed `new`."""
     target = doc
@@ -686,6 +744,8 @@ BAD_FIELDS = [
     ("af_partition-empty-stratum", lambda d: dict(d, af_partition=[[]]), "af_partition[0]"),
     ("af_partition-zero-stratum", lambda d: dict(d, af_partition=[["x"], ["0"]]),
      "af_partition[1]"),
+    ("af_partition-empty-locus", lambda d: dict(d, af_partition=[["x"], ["1"]]),
+     "af_partition[1]"),
     ("expected_euler-true", lambda d: dict(d, expected_euler=True), "expected_euler"),
     ("point-true", lambda d: dict(d, point=[True, 0]), "point[0]"),
     ("point-exponent", lambda d: dict(d, point=["1e2", 0]), "point[0]"),
@@ -699,6 +759,7 @@ BAD_FIELDS = [
     ("morse-rank-past-63-bits", lambda d: _stratum(d, morse={"2": {"rank": 2**63}}),
      "sheaf.strata[0].morse[2].rank"),
     ("gecc-rank-past-63-bits", _direct_gecc_past_the_rank_bound, "sheaf.gecc[2][0].module.rank"),
+    ("gecc-component-wrong-dimension", _direct_gecc_of_the_wrong_dimension, "sheaf.gecc[0][0]"),
     ("morse-degree-underscore", lambda d: _stratum(d, morse={"1_0": {"rank": 1}}),
      "sheaf.strata[0].morse"),
     ("gecc-degree-underscore", _direct_gecc, "sheaf.gecc"),
@@ -737,8 +798,10 @@ def no_groebner_basis(monkeypatch):
     monkeypatch.setattr(ideals, "_buchberger", refuse)
 
 
-# a repeated label needs the strata in working coordinates; no other case does
-PARSE_TIME = [c for c in BAD_FIELDS if c[0] != "label-repeated"]
+# these need the working bases: a default label is read off a basis, and
+# a dimension or an empty locus needs one; no other case does
+NEEDS_A_BASIS = ("label-repeated", "af_partition-empty-locus", "gecc-component-wrong-dimension")
+PARSE_TIME = [c for c in BAD_FIELDS if c[0] not in NEEDS_A_BASIS]
 
 
 @pytest.mark.parametrize("change, path", [c[1:] for c in PARSE_TIME],
@@ -798,6 +861,15 @@ def test_stratum_conormal_of_the_wrong_dimension_is_an_input_error(tmp_path, cap
     doc = _stratum(cusp_config(), **fields)
     assert main([command, "--input", _write_config(tmp_path, doc)]) == EXIT_INPUT
     assert capsys.readouterr().err == "input error: %s\n" % message
+
+
+def test_direct_gecc_component_of_the_wrong_dimension_is_an_input_error(tmp_path, capsys):
+    # levo gecc printed the component; compute failed inside the decomposition
+    doc = _direct_gecc_of_the_wrong_dimension(cusp_config())
+    assert main(["gecc", "--input", _write_config(tmp_path, doc)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "input error: sheaf.gecc[0][0]: the component has dimension 1, not 2\n"
+    )
 
 
 def test_the_largest_morse_rank_runs(tmp_path):
