@@ -33,7 +33,7 @@ class EnrichedCycle:
 
     def support(self):
         """Component ideals, canonically sorted."""
-        return sorted(self.components, key=lambda I: I.key())
+        return sorted(self.components, key=lambda I: I.sort_key())
 
     def coefficient(self, ideal):
         return self.components.get(ideal, ZERO_GROUP)
@@ -132,8 +132,8 @@ class GradedEnrichedCycle:
         seen = {}
         for cyc in self.by_degree.values():
             for I in cyc.components:
-                seen[I.key()] = I
-        return [seen[k] for k in sorted(seen)]
+                seen[I] = I
+        return sorted(seen.values(), key=lambda I: I.sort_key())
 
     def add(self, other):
         if self.ring != other.ring:

@@ -60,6 +60,9 @@ class StratumSpec:
         return bool(self.morse)
 
 
+_SAME_CONORMAL = "strata %s and %s have the same conormal"
+
+
 class SheafSpec:
     """Either a list of strata or a directly supplied graded cycle.
 
@@ -79,17 +82,18 @@ class SheafSpec:
         self.conormals = []
         if self.strata is None:
             return
-        seen = set()
+        seen = {}
         for s in self.strata:
             c = s.conormal.key() if s.conormal is not None else ("closure", s.closure.key())
             if c in seen:
-                raise InputError("strata must have pairwise distinct conormals")
-            seen.add(c)
+                raise InputError(_SAME_CONORMAL % (seen[c].label, s.label))
+            seen[c] = s
         for s in self.strata:
             if s.is_visible():
                 con = stratum_conormal(s.closure, s.label, ring, s.conormal)
-                if any(con == c for _, c in self.conormals):
-                    raise InputError("strata must have pairwise distinct conormals")
+                for other, c in self.conormals:
+                    if con == c:
+                        raise InputError(_SAME_CONORMAL % (other.label, s.label))
                 self.conormals.append((s, con))
 
     def in_strata_mode(self):

@@ -176,33 +176,39 @@ def graph_ideal(f, full_ring):
 
 
 def _minor_dets(matrix, size):
-    """All size x size minors of a matrix of polynomials."""
+    """All size x size minors of a matrix of polynomials, by row sets and
+    then column sets in lexicographic order.  The sub-minors of one call
+    are shared (`_det`)."""
     nrows, ncols = len(matrix), len(matrix[0]) if matrix else 0
     if size <= 0 or size > nrows or size > ncols:
         return []
-    out = []
-    for rows in itertools.combinations(range(nrows), size):
-        for cols in itertools.combinations(range(ncols), size):
-            out.append(_det([[matrix[r][c] for c in cols] for r in rows]))
-    return out
+    memo = {}
+    return [
+        _det(matrix, rows, cols, memo)
+        for rows in itertools.combinations(range(nrows), size)
+        for cols in itertools.combinations(range(ncols), size)
+    ]
 
 
-def _det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
+def _det(matrix, rows, cols, memo):
+    """The minor of `matrix` on the index tuples rows and cols, expanded
+    along its first row; `memo` keeps each minor by (rows, cols)."""
+    if len(rows) == 1:
+        return matrix[rows[0]][cols[0]]
+    if (rows, cols) in memo:
+        return memo[rows, cols]
     total = None
-    for j in range(n):
-        entry = m[0][j]
+    for j, c in enumerate(cols):
+        entry = matrix[rows[0]][c]
         if isinstance(entry, Polynomial) and entry.is_zero():
             continue
-        sub = [[row[c] for c in range(n) if c != j] for row in m[1:]]
-        term = entry * _det(sub)
+        term = entry * _det(matrix, rows[1:], cols[:j] + cols[j + 1:], memo)
         if j % 2:
             term = -term
         total = term if total is None else total + term
     if total is None:
-        return m[0][0].ring.zero()
+        total = matrix[rows[0]][cols[0]].ring.zero()
+    memo[rows, cols] = total
     return total
 
 

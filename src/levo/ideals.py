@@ -16,14 +16,17 @@ is computed, and the block orders of `poly.block_key`, under which
 basis, so equal ideals hash alike and can key cycle component maps.
 Inside the kernel a monomial is one int that packs its exponents for the
 order in use (`_Packing`): int comparison is the order, a product is an
-add and a divisibility test one subtract and one mask test.  A basis
-entry is a pair (packed leading monomial, packed term dict) with leading
-coefficient 1, and Buchberger's output is reduced in one sweep in
-ascending leading-monomial order.  Exponent tuples are encoded and
-decoded only at the kernel boundary: `buchberger` takes and returns
-tuple-keyed term dicts.  An `Ideal` keeps its reduced basis as
-`buchberger` returns it and packs it only when it first reduces against
-it.
+add and a divisibility test one subtract and one mask test.
+The kernel is fraction-free (Becker and Weispfenning, Groebner Bases,
+ch. 5): a basis entry is a pair (packed leading monomial, packed term
+dict) of ints with content 1 and a positive leading coefficient; the
+S-polynomials and reductions cross-multiply by leading coefficients.
+Buchberger's output is reduced in one sweep in ascending
+leading-monomial order.  `buchberger` takes and returns tuple-keyed term
+dicts.  An `Ideal` clears its generators of denominators when it is
+built, keeps the primitive reduced basis, unique like the monic one, as
+its identity, packs it only when it first reduces against it, and makes
+the monic form once, for output and the canonical order (`sort_key`).
 A packed field is 16 bits at first, 15 for a value up to 32767 and a
 guard bit.  A monomial that does not fit, an input whose total degree
 exceeds that or a product that sets a guard bit, makes the call run
@@ -37,7 +40,8 @@ Inside an `algebra_cache()` scope, `buchberger`, `split_components` and
 generator set and order, the reduced basis, the polynomial.  Their
 results are unique (a split up to the generators listed for each
 component), so a hit returns what a fresh call would.  Outside a scope
-nothing is cached.
+nothing is cached.  Generators are keyed cleared of denominators, so
+sets that differ only by rational factors share one `buchberger` entry.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ import struct
 from collections import Counter
 from contextlib import contextmanager
 from functools import lru_cache, reduce
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter, mul
 
 from .errors import InternalError, RingMismatchError
@@ -65,10 +69,10 @@ _CACHE_KINDS = ("buchberger", "split_components", "factor_rational")
 
 class AlgebraCache:
     """Results by (kind, canonical input), with hits and misses per kind,
-    and the S-pairs that Buchberger misses reduced, with how many of them
-    reduced to zero."""
+    the S-pairs that Buchberger misses reduced, with how many of them
+    reduced to zero, and the largest coefficient size of their bases."""
 
-    __slots__ = ("entries", "hits", "misses", "spairs", "zero_reductions")
+    __slots__ = ("entries", "hits", "misses", "spairs", "zero_reductions", "coeff_bits")
 
     def __init__(self):
         self.entries = {}
@@ -76,14 +80,16 @@ class AlgebraCache:
         self.misses = Counter()
         self.spairs = 0
         self.zero_reductions = 0
+        self.coeff_bits = 0
 
     def summary(self):
-        """One line of hits and misses per kind and the S-pair counts."""
-        return "algebra cache: %s; S-pairs %d reduced, %d to zero" % (
+        """One line of the hits, misses, coefficient size and S-pairs."""
+        return "algebra cache: %s; coefficients up to %d bits; S-pairs %d reduced, %d to zero" % (
             ", ".join(
                 "%s %d hits %d misses" % (kind, self.hits[kind], self.misses[kind])
                 for kind in _CACHE_KINDS
             ),
+            self.coeff_bits,
             self.spairs,
             self.zero_reductions,
         )
@@ -232,11 +238,13 @@ def _in_fields(key, n, run, width=_WIDTH):
 
 
 def _reduce_terms(terms, basis, P):
-    """Full normal form of a packed term dict against monic packed basis
-    entries (lm, terms); it lists its terms in descending order."""
+    """(remainder, scale): the full normal form of a packed term dict of
+    ints against primitive packed entries (lm, terms), times the positive
+    int scale.  The remainder lists its terms in descending order."""
     one, guard = P.one, P.guard
     work = dict(terms)
     remainder = {}
+    scale = 1
     while work:
         m = max(work)
         c = work.pop(m)
@@ -246,6 +254,17 @@ def _reduce_terms(terms, basis, P):
             if q & guard:
                 continue
             q -= one
+            # (b/g)*work - (c/g)*(m/blm)*entry, g = gcd(b, c), cancels c*m
+            b = bterms[blm]
+            if b != 1:
+                g = gcd(b, c)
+                if g != b:
+                    f = b // g
+                    scale *= f
+                    work = dict(zip(work, map(f.__mul__, work.values())))
+                    if remainder:
+                        remainder = dict(zip(remainder, map(f.__mul__, remainder.values())))
+                c //= g
             for bm, bc in bterms.items():
                 if bm == blm:
                     continue
@@ -260,16 +279,18 @@ def _reduce_terms(terms, basis, P):
             break
         else:
             remainder[m] = c
-    return remainder
+    return remainder, scale
 
 
 def _entry(terms):
-    """The basis entry (lm, terms) of a nonzero packed term dict, scaled to
-    leading coefficient 1."""
+    """The primitive basis entry (lm, terms) of a nonzero packed term dict
+    of ints."""
     lm = max(terms)
     lc = terms[lm]
     if lc != 1:
-        terms = {m: rational(c, lc) for m, c in terms.items()}
+        g = gcd(*terms.values()) if lc > 0 else -gcd(*terms.values())
+        if g != 1:
+            terms = dict(zip(terms, map(g.__rfloordiv__, terms.values())))
     return lm, terms
 
 
@@ -277,17 +298,20 @@ def _spoly(e1, e2, lcm, guard):
     lm1, t1 = e1
     lm2, t2 = e2
     q1, q2 = lcm - lm1, lcm - lm2  # m * (lcm / lm) is m + lcm - lm
+    a, b = t1[lm1], t2[lm2]
+    g = gcd(a, b)
+    a, b = a // g, b // g
     res = {}
     for m, c in t1.items():
         m += q1
         if m & guard:
             raise _Overflow
-        res[m] = c
+        res[m] = c * b
     for m, c in t2.items():
         m += q2
         if m & guard:
             raise _Overflow
-        s = res.get(m, 0) - c
+        s = res.get(m, 0) - c * a
         if s:
             res[m] = s
         else:
@@ -295,14 +319,24 @@ def _spoly(e1, e2, lcm, guard):
     return res
 
 
+def _cleared(terms):
+    """(terms * den, den), den the least common denominator.  Callers skip
+    it when the coefficient sum is an int: a Fraction would make it one."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
+
+
 def buchberger(generators, key):
     """Reduced Groebner basis of the given Polynomials' term dicts.
 
-    Returns a list of term dicts, monic, fully inter-reduced, sorted by
+    Returns a list of term dicts of ints, each primitive (content 1,
+    positive leading coefficient), fully inter-reduced, sorted by
     ascending leading monomial; each dict lists its terms in strictly
     descending order under `key`, so its first term is its leading one.
-    `Ideal` relies on this order.  The classical algorithm with normal
-    selection from a heap of pairs, on monomials packed for `key`:
+    `Ideal` relies on this order.  Fraction generators are cleared of
+    denominators before a run (`Ideal` and `eliminate` pass ints).  The
+    classical algorithm with normal selection from a heap of pairs, on
+    monomials packed for `key`:
     grevlex_key or a block_key.  A pair of two monomials or of
     coprime leading monomials (the product criterion) is settled when it
     is made and never enters the heap; the chain criterion runs at pop.
@@ -319,6 +353,8 @@ def buchberger(generators, key):
 def _buchberger(generators, key):
     if not generators:
         return []
+    if type(sum(map(sum, map(dict.values, generators)))) is not int:
+        generators = [_cleared(g)[0] for g in generators]
 
     def run(P):
         basis = _packed_buchberger([P.encode_terms(g) for g in generators], P)
@@ -342,7 +378,7 @@ def _packed_buchberger(generators, P):
         mono.append(len(entry[1]) == 1)
 
     for g in gens:
-        g = _reduce_terms(g, basis, P)
+        g = _reduce_terms(g, basis, P)[0]
         if g:
             note(_entry(g))
 
@@ -383,7 +419,7 @@ def _packed_buchberger(generators, P):
         pairs.discard((i, j))
         if chain_criterion(i, j, lcm):
             continue
-        s = _reduce_terms(_spoly(basis[i], basis[j], lcm, guard), basis, P)
+        s = _reduce_terms(_spoly(basis[i], basis[j], lcm, guard), basis, P)[0]
         reduced += 1
         if not s:
             zero += 1
@@ -393,17 +429,21 @@ def _packed_buchberger(generators, P):
         for k in range(new):
             add_pair(k, new)
 
+    out = _reduce_basis(basis, P)
     cache = _CACHE.get()
     if cache is not None:
         cache.spairs += reduced
         cache.zero_reductions += zero
-    return _reduce_basis(basis, P)
+        made = itertools.chain(map(itemgetter(1), basis), out)
+        top = max(map(abs, itertools.chain.from_iterable(map(dict.values, made))))
+        cache.coeff_bits = max(cache.coeff_bits, top.bit_length())
+    return out
 
 
 def _reduce_basis(basis, P):
-    """The reduced basis of the ideal a Groebner basis of monic packed
-    entries generates, as packed term dicts in ascending leading-monomial
-    order.
+    """The reduced basis of the ideal a Groebner basis of primitive packed
+    entries generates, as primitive packed term dicts in ascending
+    leading-monomial order.
 
     In that order an entry whose lm a kept lm divides is redundant, and
     every other entry is reduced against the kept ones alone: its terms
@@ -415,7 +455,7 @@ def _reduce_basis(basis, P):
     for lm, terms in sorted(basis, key=lambda e: e[0]):
         lmo = lm + one
         if all((lmo - k) & guard for k, _ in kept):
-            kept.append((lm, _reduce_terms(terms, kept, P)))
+            kept.append(_entry(_reduce_terms(terms, kept, P)[0]))
     return [terms for _, terms in kept]
 
 
@@ -426,7 +466,7 @@ def _reduce_basis(basis, P):
 class Ideal:
     """A finitely generated ideal with cached reduced Groebner bases."""
 
-    __slots__ = ("ring", "gens", "_gb", "_packed", "_key", "_dim")
+    __slots__ = ("ring", "gens", "_gb", "_packed", "_key", "_hash", "_order", "_dim")
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -434,30 +474,34 @@ class Ideal:
         for g in gens:
             if isinstance(g, str):
                 g = ring.parse(g)
-            if g.ring != ring:
+            if g.ring is not ring and g.ring != ring:
                 raise RingMismatchError("generator not in the ideal's ring")
-            if not g.is_zero():
+            if g.terms:
+                if type(sum(g.terms.values())) is not int:  # see _cleared
+                    g = Polynomial(ring, _cleared(g.terms)[0], _clean=False)
                 clean.append(g)
         self.gens = tuple(clean)
         self._gb = None
         self._packed = None
         self._key = None
+        self._hash = None
+        self._order = None
         self._dim = None
 
     # -- Groebner ------------------------------------------------------------
 
     def _basis(self):
-        """The reduced grevlex basis as `buchberger` returns it: monic term
-        dicts in ascending leading-monomial order, each listing its terms
-        in descending order.  The ideal keeps it as it is."""
+        """The reduced grevlex basis as `buchberger` returns it: primitive
+        term dicts in ascending leading-monomial order, each listing its
+        terms in descending order.  The ideal keeps it as it is."""
         if self._gb is None:
             self._gb = buchberger([g.terms for g in self.gens], grevlex_key)
         return self._gb
 
     def groebner(self):
-        """The reduced grevlex Groebner basis, in ascending leading-monomial
-        order."""
-        return tuple(Polynomial(self.ring, t, _clean=False) for t in self._basis())
+        """The reduced grevlex Groebner basis, monic, in ascending
+        leading-monomial order."""
+        return tuple(Polynomial(self.ring, dict(t), _clean=False) for t in self.sort_key()[1])
 
     def leading_monomials(self):
         """The leading monomials of the reduced basis, in its order."""
@@ -472,18 +516,23 @@ class Ideal:
         basis = self._basis()
 
         def pack(Q):
-            return [_entry(Q.encode_terms(t)) for t in basis]
+            return [(next(iter(t)), t) for t in map(Q.encode_terms, basis)]
 
         if self._packed is None:
             self._packed = _in_fields(grevlex_key, self.ring.nvars, lambda Q: (Q, pack(Q)))
         P, entries = self._packed
+        terms, den = (p.terms, 1) if type(sum(p.terms.values())) is int else _cleared(p.terms)
 
         def run(Q):
             packed = entries if Q is P else pack(Q)
-            return Q.decode_terms(_reduce_terms(Q.encode_terms(p.terms), packed, Q))
+            remainder, scale = _reduce_terms(Q.encode_terms(terms), packed, Q)
+            return Q.decode_terms(remainder), scale
 
-        terms = _in_fields(grevlex_key, self.ring.nvars, run, P.width)
-        return Polynomial(self.ring, terms, _clean=False)
+        remainder, scale = _in_fields(grevlex_key, self.ring.nvars, run, P.width)
+        den *= scale
+        if den != 1:
+            remainder = {m: rational(c, den) for m, c in remainder.items()}
+        return Polynomial(self.ring, remainder, _clean=False)
 
     def contains(self, p):
         """Ideal membership via zero normal form."""
@@ -506,18 +555,30 @@ class Ideal:
             self._key = (self.ring._key(), tuple(tuple(t.items()) for t in self._basis()))
         return self._key
 
+    def sort_key(self):
+        """The ring and the monic reduced basis as (monomial, coefficient)
+        pairs, the canonical order; the monic form is made only here."""
+        if self._order is None:
+            self._order = (self.ring._key(), tuple(
+                tuple(t.items()) if t[lm] == 1
+                else tuple((m, rational(c, t[lm])) for m, c in t.items())
+                for lm, t in zip(self.leading_monomials(), self._basis())))
+        return self._order
+
     def __eq__(self, other):
-        return isinstance(other, Ideal) and self.key() == other.key()
+        return self is other or isinstance(other, Ideal) and self.key() == other.key()
 
     def __hash__(self):
-        return hash(self.key())
+        if self._hash is None:
+            self._hash = hash(self.key())
+        return self._hash
 
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(self.generator_strings())
 
     def generator_strings(self):
-        """The text of each reduced basis element, in the basis order."""
-        return [terms_to_str(self.ring.vars, t.items()) for t in self._basis()]
+        """The text of each monic reduced basis element, in the basis order."""
+        return [terms_to_str(self.ring.vars, t) for t in self.sort_key()[1]]
 
     # -- numerical invariants ----------------------------------------------------
 
@@ -799,10 +860,8 @@ def _factor(p):
     part of what keeps reports byte-identical."""
     from . import zfactor
 
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    f = {m: c.numerator * (den // c.denominator) for m, c in p.terms.items()}
     out = []
-    for g, e in zfactor.factor(f):
+    for g, e in zfactor.factor(_cleared(p.terms)[0]):
         q = Polynomial(p.ring, {m: g[m] for m in sorted(g, reverse=True)}, _clean=False)
         out.append((q.monic(), e))
     out.sort(key=lambda fe: fe[0].canonical())
@@ -820,10 +879,8 @@ def is_irreducible(p):
 
 def _dedupe(ideals):
     """The distinct ideals in canonical order."""
-    seen = {}
-    for I in ideals:
-        seen.setdefault(I.key(), I)
-    return [seen[k] for k in sorted(seen)]
+    unique = list(dict.fromkeys(ideals))
+    return sorted(unique, key=Ideal.sort_key) if len(unique) > 1 else unique
 
 
 def maximal_loci(ideals):

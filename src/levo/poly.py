@@ -372,12 +372,6 @@ class Polynomial:
 # printing
 
 
-def _coeff_str(c):
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
-
-
 def poly_to_str(p):
     terms = p.terms
     return terms_to_str(
@@ -387,20 +381,21 @@ def poly_to_str(p):
 
 def terms_to_str(names, terms):
     """The text of the (monomial, coefficient) pairs `terms`, written in
-    the order given: descending grevlex is the order of `poly_to_str`."""
+    the order given: descending grevlex is the order of `poly_to_str`.
+    It reads each coefficient's numerator and denominator, so printing
+    does no Fraction arithmetic."""
     out = ""
     for m, c in terms:
-        factors = [names[i] if e == 1 else "%s^%d" % (names[i], e) for i, e in enumerate(m) if e]
-        if not factors:
-            body = _coeff_str(abs(c))
-        elif abs(c) == 1:
-            body = "*".join(factors)
-        else:
-            body = _coeff_str(abs(c)) + "*" + "*".join(factors)
+        num, den = c.numerator, c.denominator
+        body = "*".join([names[i] if e == 1 else "%s^%d" % (names[i], e) for i, e in enumerate(m) if e])
+        if den != 1:
+            body = "%d/%d*%s" % (abs(num), den, body) if body else "%d/%d" % (abs(num), den)
+        elif not body or num != 1 and num != -1:
+            body = "%d*%s" % (abs(num), body) if body else str(abs(num))
         if out:
-            out += (" - " if c < 0 else " + ") + body
+            out += (" - " if num < 0 else " + ") + body
         else:
-            out = ("-" if c < 0 else "") + body
+            out = ("-" if num < 0 else "") + body
     return out or "0"
 
 

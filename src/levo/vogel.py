@@ -318,11 +318,10 @@ def _strata_from_gecc(G):
     per_comp = {}
     for k in G.degrees():
         for P, coeff in G.piece(k).items():
-            entry = per_comp.setdefault(P.key(), (P, {}))
-            entry[1][k] = coeff
+            per_comp.setdefault(P, {})[k] = coeff
     strata = []
-    for key in sorted(per_comp):
-        P, morse = per_comp[key]
+    for P in sorted(per_comp, key=lambda P: P.sort_key()):
+        morse = per_comp[P]
         closure = eliminate(P, ring.cotangent_vars)
         if not _is_linear_ideal(closure):
             raise InputError(

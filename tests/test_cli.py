@@ -346,6 +346,8 @@ def test_determinism_byte_identical(tmp_path, capsys):
     assert plain.err == ""
     assert "algebra cache: buchberger " in timed.err
     assert re.search(r"; S-pairs \d+ reduced, \d+ to zero$", timed.err, re.M)
+    # the largest kernel coefficient, next to the S-pair counts
+    assert re.search(r"; coefficients up to \d+ bits; S-pairs ", timed.err)
 
 
 def test_run_pipeline_cache_ends_with_the_run(cache_calls):
@@ -565,7 +567,9 @@ def test_two_strata_with_one_conormal_are_an_input_error(tmp_path, capsys):
          "label": "cusp"},
     ]
     assert main(["compute", "--input", _write_config(tmp_path, doc)]) == EXIT_INPUT
-    assert capsys.readouterr().err == "input error: strata must have pairwise distinct conormals\n"
+    assert capsys.readouterr().err == (
+        "input error: strata V(x^3 - y^2) and cusp have the same conormal\n"
+    )
 
 
 def test_support_assertions_present():

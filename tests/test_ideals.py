@@ -1,6 +1,7 @@
 """Groebner bases, ideal operations, and component splitting."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import reduce
@@ -14,6 +15,8 @@ from sympy.polys.orderings import grevlex as sympy_grevlex
 
 from conftest import decomposition_covers, random_polynomial
 from levo import ideals
+from levo.abgroups import AbGroup
+from levo.cycles import EnrichedCycle
 from levo.errors import InternalError
 from levo.ideals import (
     Ideal,
@@ -95,6 +98,27 @@ def _term_sets(polys):
     return {frozenset(p.terms.items()) for p in polys}
 
 
+def _primitive(p):
+    """p scaled to content 1 and a positive leading coefficient under
+    grevlex."""
+    den = math.lcm(*(Fraction(c).denominator for c in p.terms.values()))
+    ints = {m: int(Fraction(c) * den) for m, c in p.terms.items()}
+    g = math.gcd(*ints.values()) * (1 if p.lead()[1] > 0 else -1)
+    return Polynomial(p.ring, {m: c // g for m, c in ints.items()})
+
+
+def _monic_basis(ring, terms, key):
+    """buchberger's basis of the term dicts, each entry checked primitive
+    (int coefficients, content 1, positive leading coefficient) and then
+    made monic under `key`."""
+    out = []
+    for t in buchberger(terms, key):
+        coeffs = list(t.values())
+        assert all(type(c) is int for c in coeffs) and math.gcd(*coeffs) == 1 and coeffs[0] > 0
+        out.append(_monic(Polynomial(ring, t), key))
+    return out
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(2, 3))
 def test_buchberger_matches_sympy_groebner(seed, nvars):
@@ -109,7 +133,7 @@ def test_buchberger_matches_sympy_groebner(seed, nvars):
     terms = [g.terms for g in gens]
     block = ProductOrder((sympy_grevlex, lambda m: m[:1]), (sympy_grevlex, lambda m: m[1:]))
     for key, order in ((grevlex_key, "grevlex"), (block_key(1), block)):
-        ours = [Polynomial(ring, t) for t in buchberger(terms, key)]
+        ours = _monic_basis(ring, terms, key)
         assert _term_sets(ours) == _term_sets(_sympy_basis(gens, order, key))
     # `ours` is now the block_key(1) basis, which eliminates the first
     # variable as lex does
@@ -120,6 +144,106 @@ def test_buchberger_matches_sympy_groebner(seed, nvars):
 def _free_of(polys, k):
     """The polynomials free of the first k variables."""
     return [p for p in polys if all(not any(m[:k]) for m in p.terms)]
+
+
+def _fraction_polynomial(ring, rng, max_degree):
+    """One to four terms of degree at most max_degree with Fraction
+    coefficients, most of them not integral."""
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * ring.nvars
+        for _ in range(rng.randint(0, max_degree)):
+            exps[rng.randrange(ring.nvars)] += 1
+        terms[tuple(exps)] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 6))
+    return Polynomial(ring, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(2, 3),
+       linear=st.booleans())
+def test_fraction_generators_give_sympy_bases_made_monic(seed, nvars, linear):
+    # generators with Fraction coefficients, linear or up to degree 3: the
+    # basis buchberger returns, made monic, is sympy's reduced basis
+    rng = random.Random(seed)
+    ring = PolyRing(("x", "y", "z")[:nvars])
+    gens = [_fraction_polynomial(ring, rng, 1 if linear else 3) for _ in range(rng.randint(1, 4))]
+    gens = [g for g in gens if not g.is_zero()]
+    assume(gens)
+    terms = [g.terms for g in gens]
+    block = ProductOrder((sympy_grevlex, lambda m: m[:1]), (sympy_grevlex, lambda m: m[1:]))
+    for key, order in ((grevlex_key, "grevlex"), (block_key(1), block)):
+        ours = [_monic(Polynomial(ring, t), key) for t in buchberger(terms, key)]
+        assert _term_sets(ours) == _term_sets(_sympy_basis(gens, order, key))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(2, 3))
+def test_ideal_identity_ignores_rational_factors(seed, nvars):
+    # scaling each generator by a nonzero rational changes neither the
+    # ideal's equality, its hash, its key nor its text
+    rng = random.Random(seed)
+    ring = PolyRing(("x", "y", "z")[:nvars])
+    gens = [_fraction_polynomial(ring, rng, 2) for _ in range(rng.randint(1, 3))]
+    scaled = [g * Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+              for g in gens]
+    I, J = Ideal(ring, gens), Ideal(ring, scaled)
+    assert I == J and hash(I) == hash(J) and I.key() == J.key()
+    assert I.generator_strings() == J.generator_strings()
+
+
+def _monic_key(I):
+    """The ring and the monic reduced basis, terms in descending grevlex
+    order: the order reports list ideals in."""
+    return (I.ring._key(), tuple(
+        tuple((m, g.terms[m]) for m in sorted(g.terms, key=grevlex_key, reverse=True))
+        for g in I.groebner()
+    ))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6))
+def test_canonical_order_is_the_monic_basis_order(seed):
+    # ideals whose monic bases differ only in a rational coefficient, or
+    # that share leading terms: the canonical order of `_dedupe` and of a
+    # cycle's support is the order of their monic bases
+    rng = random.Random(seed)
+    ring = PolyRing(("x", "y"))
+    found = []
+    for _ in range(8):
+        a, b = (Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(2))
+        gens = [ring.parse("x") * rng.randint(1, 4) - ring.parse("y") * a + b]
+        if rng.random() < 0.5:
+            gens.append(ring.parse("y^2") * rng.randint(1, 3) + ring.parse("y") * a)
+        found.append(Ideal(ring, gens))
+    rng.shuffle(found)
+    expected = sorted(set(found), key=_monic_key)
+    assert ideals._dedupe(found) == expected
+    assert [_monic_key(I) for I in ideals._dedupe(found)] == [_monic_key(I) for I in expected]
+    cycle = EnrichedCycle(ring, {I: AbGroup(1) for I in found})
+    assert cycle.support() == expected
+
+
+def test_buchberger_on_integer_input_creates_no_fraction(monkeypatch):
+    # integer generators with leading coefficients other than 1: the
+    # kernel, the memo key and the ideal's identity stay in ints
+    made = []
+    real = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+
+    ring = PolyRing(("x", "y", "z"))
+    texts = ("3*x*y - 2*z", "4*y*z + 3*z", "2*x^2 - 5*y")
+    gens = [ring.parse(g) for g in texts]
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(spy))
+    with algebra_cache():
+        bases = [buchberger([g.terms for g in gens], key) for key in (grevlex_key, block_key(1))]
+        I, J = Ideal(ring, gens), Ideal(ring, list(reversed(gens)))
+        same = I == J and hash(I) == hash(J)
+    monkeypatch.undo()
+    assert all(bases) and same
+    assert made == []
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,7 +262,7 @@ def test_block_bases_match_sympy_in_four_variables(seed):
     for k in range(1, 4):
         key = block_key(k)
         order = ProductOrder((sympy_grevlex, lambda m: m[:k]), (sympy_grevlex, lambda m: m[k:]))
-        ours = [Polynomial(ring, t) for t in buchberger(terms, key)]
+        ours = _monic_basis(ring, terms, key)
         assert _term_sets(ours) == _term_sets(_sympy_basis(gens, order, key))
         mine = Ideal(ring, _free_of(ours, k))
         theirs = Ideal(ring, _free_of(lex, k))
@@ -164,7 +288,7 @@ def test_monomial_rich_bases_match_sympy(seed, nvars):
     terms = [g.terms for g in gens]
     block = ProductOrder((sympy_grevlex, lambda m: m[:1]), (sympy_grevlex, lambda m: m[1:]))
     for key, order in ((grevlex_key, "grevlex"), (block_key(1), block)):
-        ours = [Polynomial(ring, t) for t in buchberger(terms, key)]
+        ours = _monic_basis(ring, terms, key)
         assert _term_sets(ours) == _term_sets(_sympy_basis(gens, order, key))
 
 
@@ -184,15 +308,16 @@ def test_settled_pairs_serve_the_chain_criterion():
     with algebra_cache() as cache:
         basis = buchberger([ring.parse("3*x*y").terms, ring.parse("4*y*z + 3*z").terms], grevlex_key)
         assert (cache.spairs, cache.zero_reductions) == (1, 0)
-    assert {str(Polynomial(ring, t)) for t in basis} == {"x*y", "x*z", "y*z + 3/4*z"}
+    assert {str(Polynomial(ring, t)) for t in basis} == {"x*y", "x*z", "4*y*z + 3*z"}
 
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(2, 3))
 def test_basis_dicts_list_their_terms_in_descending_order(seed, nvars):
     # an Ideal keeps buchberger's dicts as they are and reads their order:
-    # the first term is the leading one, and key() and the generator
-    # strings take the terms as listed; the references re-sort them
+    # the first term is the leading one, and key(), sort_key() and the
+    # generator strings take the terms as listed; the references re-sort
+    # them
     rng = random.Random(seed)
     ring = PolyRing(("x", "y", "z")[:nvars])
     gens = [
@@ -211,8 +336,13 @@ def test_basis_dicts_list_their_terms_in_descending_order(seed, nvars):
                 gb = I.groebner()
                 lms = [max(g.terms, key=grevlex_key) for g in gb]
                 assert I.leading_monomials() == lms == sorted(lms, key=grevlex_key)
-                assert I.key() == (ring._key(), tuple(
+                assert I.sort_key() == (ring._key(), tuple(
                     tuple((m, g.terms[m]) for m in sorted(g.terms, key=grevlex_key, reverse=True))
+                    for g in gb
+                ))
+                assert I.key() == (ring._key(), tuple(
+                    tuple((m, _primitive(g).terms[m])
+                          for m in sorted(g.terms, key=grevlex_key, reverse=True))
                     for g in gb
                 ))
                 assert I.generator_strings() == [poly_to_str(g) for g in gb]
