@@ -16,17 +16,16 @@ is computed, and the block orders of `poly.block_key`, under which
 basis, so equal ideals hash alike and can key cycle component maps.
 Inside the kernel a monomial is one int that packs its exponents for the
 order in use (`_Packing`): int comparison is the order, a product is an
-add and a divisibility test one subtract and one mask test.
-The kernel is fraction-free (Becker and Weispfenning, Groebner Bases,
-ch. 5): a basis entry is a pair (packed leading monomial, packed term
-dict) of ints with content 1 and a positive leading coefficient; the
-S-polynomials and reductions cross-multiply by leading coefficients.
-Buchberger's output is reduced in one sweep in ascending
-leading-monomial order.  `buchberger` takes and returns tuple-keyed term
-dicts.  An `Ideal` clears its generators of denominators when it is
-built, keeps the primitive reduced basis, unique like the monic one, as
-its identity, packs it only when it first reduces against it, and makes
-the monic form once, for output and the canonical order (`sort_key`).
+add and a divisibility test one subtract and one mask test.  The kernel
+is fraction-free (Becker and Weispfenning, Groebner Bases, ch. 5): a
+basis entry is a pair (packed leading monomial, packed term dict) of
+ints with content 1 and a positive leading coefficient, and reductions
+cross-multiply by leading coefficients.  Buchberger's output is reduced
+in one sweep in ascending leading-monomial order.  `buchberger` takes
+and returns tuple-keyed term dicts.  An `Ideal` clears its generators of
+denominators when it is built, is identified by its primitive reduced
+basis, packs it only when it first reduces against it, and makes the
+monic form only for output and the canonical order (`sort_key`).
 A packed field is 16 bits at first, 15 for a value up to 32767 and a
 guard bit.  A monomial that does not fit, an input whose total degree
 exceeds that or a product that sets a guard bit, makes the call run
@@ -40,8 +39,7 @@ Inside an `algebra_cache()` scope, `buchberger`, `split_components` and
 generator set and order, the reduced basis, the polynomial.  Their
 results are unique (a split up to the generators listed for each
 component), so a hit returns what a fresh call would.  Outside a scope
-nothing is cached.  Generators are keyed cleared of denominators, so
-sets that differ only by rational factors share one `buchberger` entry.
+nothing is cached.
 """
 
 from __future__ import annotations
@@ -254,17 +252,14 @@ def _reduce_terms(terms, basis, P):
             if q & guard:
                 continue
             q -= one
-            # (b/g)*work - (c/g)*(m/blm)*entry, g = gcd(b, c), cancels c*m
             b = bterms[blm]
-            if b != 1:
+            if b != 1:  # (b/g)*work - (c/g)*(m/blm)*entry, g = gcd(b, c), cancels c*m
                 g = gcd(b, c)
-                if g != b:
-                    f = b // g
+                f, c = b // g, c // g
+                if f != 1:
                     scale *= f
-                    work = dict(zip(work, map(f.__mul__, work.values())))
-                    if remainder:
-                        remainder = dict(zip(remainder, map(f.__mul__, remainder.values())))
-                c //= g
+                    work = {k: f * v for k, v in work.items()}
+                    remainder = {k: f * v for k, v in remainder.items()}
             for bm, bc in bterms.items():
                 if bm == blm:
                     continue
@@ -327,16 +322,15 @@ def _cleared(terms):
 
 
 def buchberger(generators, key):
-    """Reduced Groebner basis of the given Polynomials' term dicts.
+    """Reduced Groebner basis of the given term dicts of ints: `Ideal`
+    clears its generators of denominators when it is built.
 
     Returns a list of term dicts of ints, each primitive (content 1,
     positive leading coefficient), fully inter-reduced, sorted by
     ascending leading monomial; each dict lists its terms in strictly
     descending order under `key`, so its first term is its leading one.
-    `Ideal` relies on this order.  Fraction generators are cleared of
-    denominators before a run (`Ideal` and `eliminate` pass ints).  The
-    classical algorithm with normal selection from a heap of pairs, on
-    monomials packed for `key`:
+    `Ideal` relies on this order.  The classical algorithm with normal
+    selection from a heap of pairs, on monomials packed for `key`:
     grevlex_key or a block_key.  A pair of two monomials or of
     coprime leading monomials (the product criterion) is settled when it
     is made and never enters the heap; the chain criterion runs at pop.
@@ -353,8 +347,6 @@ def buchberger(generators, key):
 def _buchberger(generators, key):
     if not generators:
         return []
-    if type(sum(map(sum, map(dict.values, generators)))) is not int:
-        generators = [_cleared(g)[0] for g in generators]
 
     def run(P):
         basis = _packed_buchberger([P.encode_terms(g) for g in generators], P)
@@ -434,8 +426,7 @@ def _packed_buchberger(generators, P):
     if cache is not None:
         cache.spairs += reduced
         cache.zero_reductions += zero
-        made = itertools.chain(map(itemgetter(1), basis), out)
-        top = max(map(abs, itertools.chain.from_iterable(map(dict.values, made))))
+        top = max(map(abs, itertools.chain.from_iterable(map(dict.values, out))))
         cache.coeff_bits = max(cache.coeff_bits, top.bit_length())
     return out
 
@@ -466,7 +457,7 @@ def _reduce_basis(basis, P):
 class Ideal:
     """A finitely generated ideal with cached reduced Groebner bases."""
 
-    __slots__ = ("ring", "gens", "_gb", "_packed", "_key", "_hash", "_order", "_dim")
+    __slots__ = ("ring", "gens", "_gb", "_packed", "_key", "_hash", "_order", "_text", "_dim")
 
     def __init__(self, ring, gens):
         self.ring = ring
@@ -486,6 +477,7 @@ class Ideal:
         self._key = None
         self._hash = None
         self._order = None
+        self._text = None
         self._dim = None
 
     # -- Groebner ------------------------------------------------------------
@@ -523,16 +515,15 @@ class Ideal:
         P, entries = self._packed
         terms, den = (p.terms, 1) if type(sum(p.terms.values())) is int else _cleared(p.terms)
 
-        def run(Q):
+        def run(Q):  # the remainder is den * scale times the normal form of p
             packed = entries if Q is P else pack(Q)
             remainder, scale = _reduce_terms(Q.encode_terms(terms), packed, Q)
-            return Q.decode_terms(remainder), scale
+            if den * scale != 1:
+                remainder = {m: rational(c, den * scale) for m, c in remainder.items()}
+            return Q.decode_terms(remainder)
 
-        remainder, scale = _in_fields(grevlex_key, self.ring.nvars, run, P.width)
-        den *= scale
-        if den != 1:
-            remainder = {m: rational(c, den) for m, c in remainder.items()}
-        return Polynomial(self.ring, remainder, _clean=False)
+        nf = _in_fields(grevlex_key, self.ring.nvars, run, P.width)
+        return Polynomial(self.ring, nf, _clean=False)
 
     def contains(self, p):
         """Ideal membership via zero normal form."""
@@ -559,10 +550,10 @@ class Ideal:
         """The ring and the monic reduced basis as (monomial, coefficient)
         pairs, the canonical order; the monic form is made only here."""
         if self._order is None:
-            self._order = (self.ring._key(), tuple(
-                tuple(t.items()) if t[lm] == 1
-                else tuple((m, rational(c, t[lm])) for m, c in t.items())
-                for lm, t in zip(self.leading_monomials(), self._basis())))
+            ring, basis = self.key()  # each entry's first pair is its leading term
+            self._order = ring, tuple(
+                t if t[0][1] == 1 else tuple((m, rational(c, t[0][1])) for m, c in t)
+                for t in basis)
         return self._order
 
     def __eq__(self, other):
@@ -577,8 +568,11 @@ class Ideal:
         return "Ideal(%s)" % ", ".join(self.generator_strings())
 
     def generator_strings(self):
-        """The text of each monic reduced basis element, in the basis order."""
-        return [terms_to_str(self.ring.vars, t) for t in self.sort_key()[1]]
+        """The text of each monic reduced basis element, in the basis order,
+        made once."""
+        if self._text is None:
+            self._text = tuple(terms_to_str(self.ring.vars, t) for t in self.sort_key()[1])
+        return list(self._text)
 
     # -- numerical invariants ----------------------------------------------------
 

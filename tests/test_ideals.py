@@ -107,6 +107,13 @@ def _primitive(p):
     return Polynomial(p.ring, {m: c // g for m, c in ints.items()})
 
 
+def _integral(terms):
+    """The term dict times the least common denominator of its
+    coefficients: int coefficients, as buchberger takes them."""
+    den = math.lcm(*(Fraction(c).denominator for c in terms.values()))
+    return {m: int(Fraction(c) * den) for m, c in terms.items()}
+
+
 def _monic_basis(ring, terms, key):
     """buchberger's basis of the term dicts, each entry checked primitive
     (int coefficients, content 1, positive leading coefficient) and then
@@ -162,14 +169,15 @@ def _fraction_polynomial(ring, rng, max_degree):
 @given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(2, 3),
        linear=st.booleans())
 def test_fraction_generators_give_sympy_bases_made_monic(seed, nvars, linear):
-    # generators with Fraction coefficients, linear or up to degree 3: the
-    # basis buchberger returns, made monic, is sympy's reduced basis
+    # generators with Fraction coefficients, linear or up to degree 3,
+    # cleared of denominators as `Ideal` clears them: the basis buchberger
+    # returns, made monic, is sympy's reduced basis of the Fraction ones
     rng = random.Random(seed)
     ring = PolyRing(("x", "y", "z")[:nvars])
     gens = [_fraction_polynomial(ring, rng, 1 if linear else 3) for _ in range(rng.randint(1, 4))]
     gens = [g for g in gens if not g.is_zero()]
     assume(gens)
-    terms = [g.terms for g in gens]
+    terms = [_integral(g.terms) for g in gens]
     block = ProductOrder((sympy_grevlex, lambda m: m[:1]), (sympy_grevlex, lambda m: m[1:]))
     for key, order in ((grevlex_key, "grevlex"), (block_key(1), block)):
         ours = [_monic(Polynomial(ring, t), key) for t in buchberger(terms, key)]
