@@ -26,6 +26,8 @@ and returns tuple-keyed term dicts.  An `Ideal` clears its generators of
 denominators when it is built, is identified by its primitive reduced
 basis, packs it only when it first reduces against it, and makes the
 monic form only for output and the canonical order (`sort_key`).
+Membership tests the packed remainder for zero; only `normal_form`
+divides the remainder back by its scale and decodes it.
 A packed field is 16 bits at first, 15 for a value up to 32767 and a
 guard bit.  A monomial that does not fit, an input whose total degree
 exceeds that or a product that sets a guard bit, makes the call run
@@ -499,10 +501,11 @@ class Ideal:
         """The leading monomials of the reduced basis, in its order."""
         return [next(iter(t)) for t in self._basis()]
 
-    def normal_form(self, p):
-        """The full normal form of p.  The basis is packed at the first
-        call, in the narrowest fields that hold it, and kept; a reduction
-        that needs wider fields packs it again for them."""
+    def _remainder(self, p):
+        """(Q, remainder, d): the normal form of p times the positive int d,
+        as a term dict packed by Q.  The basis is packed at the first call,
+        in the narrowest fields that hold it, and kept; a reduction that
+        needs wider fields packs it again for them."""
         if p.ring != self.ring:
             raise RingMismatchError("polynomial not in the ideal's ring")
         basis = self._basis()
@@ -515,19 +518,24 @@ class Ideal:
         P, entries = self._packed
         terms, den = (p.terms, 1) if type(sum(p.terms.values())) is int else _cleared(p.terms)
 
-        def run(Q):  # the remainder is den * scale times the normal form of p
+        def run(Q):
             packed = entries if Q is P else pack(Q)
             remainder, scale = _reduce_terms(Q.encode_terms(terms), packed, Q)
-            if den * scale != 1:
-                remainder = {m: rational(c, den * scale) for m, c in remainder.items()}
-            return Q.decode_terms(remainder)
+            return Q, remainder, den * scale
 
-        nf = _in_fields(grevlex_key, self.ring.nvars, run, P.width)
-        return Polynomial(self.ring, nf, _clean=False)
+        return _in_fields(grevlex_key, self.ring.nvars, run, P.width)
+
+    def normal_form(self, p):
+        """The full normal form of p: the packed remainder, divided back
+        and decoded."""
+        Q, remainder, d = self._remainder(p)
+        if d != 1:
+            remainder = {m: rational(c, d) for m, c in remainder.items()}
+        return Polynomial(self.ring, Q.decode_terms(remainder), _clean=False)
 
     def contains(self, p):
-        """Ideal membership via zero normal form."""
-        return self.normal_form(p).is_zero()
+        """Ideal membership: a zero packed remainder."""
+        return not self._remainder(p)[1]
 
     def contains_ideal(self, other):
         return all(self.contains(g) for g in other.gens)

@@ -161,7 +161,7 @@ class PolyRing:
 
 
 class Polynomial:
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms, _clean=True):
         self.ring = ring
@@ -173,7 +173,6 @@ class Polynomial:
                     clean[tuple(m)] = c
             terms = clean
         self.terms = terms
-        self._hash = None
 
     # -- predicates ----------------------------------------------------------
 
@@ -354,9 +353,7 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ring, self.canonical()))
-        return self._hash
+        return hash((self.ring, self.canonical()))
 
     def __bool__(self):
         return bool(self.terms)

@@ -12,6 +12,7 @@ import importlib.util
 import io
 import json
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -63,6 +64,16 @@ def test_report_digest_tool_hashes_the_golden_bytes():
     spec.loader.exec_module(tool)
     expected = hashlib.sha256((GOLDEN / "two_plane.stdout").read_bytes()).hexdigest()
     assert tool._digest(GOLDEN / "two_plane.json", []) == (0, expected)
+
+
+def test_production_coverage_gate_passes():
+    # tools/prodcov.py sets its profiler before levo is imported, so it
+    # runs in a fresh interpreter: in process, what levo runs at import
+    # (the argparse parser, the cached packings) would read as unentered
+    path = GOLDEN.parents[1] / "tools" / "prodcov.py"
+    proc = subprocess.run([sys.executable, str(path)], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 # ---------------------------------------------------------------------------

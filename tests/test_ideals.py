@@ -587,6 +587,50 @@ def test_membership_examples():
     assert not Ideal(ring, ["w_0", "w_1", "y"]).contains(ring.parse("w_0 - 2*x"))
 
 
+def test_membership_decodes_nothing(monkeypatch):
+    # contains tests the packed remainder for zero: for members and
+    # non-members it decodes no term dict, divides no coefficient back and
+    # builds no Polynomial; that includes Fraction coefficients and
+    # exponents that need fields wider than the first (x^70000) or wider
+    # than 64 bits (x^(2^64))
+    ring = PolyRing(("x", "y"))
+    cases = [  # (generators, members, non-members)
+        (["x^2 - 1/2*y", "x*y - 1/3"], ["2*x^3 - x*y", "3/2*x*y - 1/2"], ["x", "x + 1/5*y"]),
+        (["x^7 - y", "y^2"], ["x^70000"], ["x^70000 + x^13"]),
+    ]
+    for e in (70000, 2**64):
+        cases.append((["x^%d - y" % e, "y^2"], ["x^%d" % (2 * e), "1/7*x^%d*y" % e],
+                      ["x^%d" % (2 * e - 1), "x^%d + 1/2*y" % (e + 1)]))
+    ideals_and_probes = []
+    for gens, members, others in cases:
+        I = Ideal(ring, gens)
+        assert not I.is_zero()  # the basis is computed, and decoded, here
+        probes = [(ring.parse(p), True) for p in members] + [(ring.parse(p), False) for p in others]
+        ideals_and_probes.append((I, probes))
+
+    calls = []
+
+    def spy(name, original):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ideals._Packing, "decode_terms",
+                        spy("decode_terms", ideals._Packing.decode_terms))
+    monkeypatch.setattr(ideals, "rational", spy("rational", ideals.rational))
+    monkeypatch.setattr(Polynomial, "__init__", spy("Polynomial", Polynomial.__init__))
+    for I, probes in ideals_and_probes:
+        for p, member in probes:
+            assert I.contains(p) is member, (I, p)
+    assert calls == []
+    monkeypatch.undo()
+    # the decoded remainder agrees: zero exactly for the members
+    for I, probes in ideals_and_probes:
+        for p, member in probes:
+            assert I.normal_form(p).is_zero() is member
+
+
 def test_membership_section7():
     ring = section7_ring()
     a, b = 2, 3

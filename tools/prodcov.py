@@ -63,6 +63,8 @@ ALLOWED = {
     "cycles:GradedEnrichedCycle.concentrated_in": PROPERTY,
     "cycles:GradedEnrichedCycle.is_zero": "the query beside EnrichedCycle.is_zero; tests use it",
     "ideals:Ideal.is_zero": "the query beside Ideal.is_unit; tests use it",
+    "ideals:Ideal.normal_form": ("the decoded remainder, which tests and bench/spans.py name;"
+                                 " membership reads the packed remainder"),
     "abgroups:AbGroup.elementary_divisors": PROPERTY,
     "abgroups:AbGroup.summand_of": "behind EnrichedCycle.le",
     "abgroups:_factorint": "behind AbGroup.elementary_divisors",
