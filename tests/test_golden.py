@@ -68,8 +68,9 @@ def test_report_digest_tool_hashes_the_golden_bytes():
 
 def test_production_coverage_gate_passes():
     # tools/prodcov.py sets its profiler before levo is imported, so it
-    # runs in a fresh interpreter: in process, what levo runs at import
-    # (the argparse parser, the cached packings) would read as unentered
+    # runs in a fresh interpreter: in process, what ran before the tool
+    # (cli's argparse parser, built at import, and the packings that
+    # earlier tests cached) would read as never entered
     path = GOLDEN.parents[1] / "tools" / "prodcov.py"
     proc = subprocess.run([sys.executable, str(path)], capture_output=True, text=True,
                           timeout=300)
