@@ -11,9 +11,12 @@ over Q with the native factorizer over Z of `levo.zfactor`; levo has no
 third-party runtime dependency.
 
 The kernel knows two monomial orders: grevlex, under which every `Ideal`
-is computed, and the block orders of `poly.block_key`, under which
-`eliminate` runs.  Ideals are identified by the unique reduced grevlex
-basis, so equal ideals hash alike and can key cycle component maps.
+is computed, and the block orders of `poly.block_key`, named by their
+lead variables' positions.  `eliminate` runs one on the ideal's own
+generators, and the block basis elements free of the lead block are
+given to the result as its reduced grevlex basis.  Ideals are identified
+by the unique reduced grevlex basis, so equal ideals hash alike and can
+key cycle component maps.
 Inside the kernel a monomial is one int that packs its exponents for the
 order in use (`_Packing`): int comparison is the order, a product is an
 add and a divisibility test one subtract and one mask test.  The kernel
@@ -140,8 +143,8 @@ class _Overflow(Exception):
 
 class _Packing:
     """Monomials in n variables as ints, for an order made of graded
-    reverse lexicographic blocks (one block for grevlex, two for a block
-    order).
+    reverse lexicographic blocks, each a tuple of variable positions (one
+    block for grevlex, the lead block and the rest for a block order).
 
     The fields, most significant first: for each block its total degree,
     then, if the block has two or more variables, cap - e_j for its
@@ -213,14 +216,13 @@ class _Packing:
 @lru_cache(maxsize=None)
 def _packing(key, n, width):
     """The packing of monomials in n variables under the order `key`
-    (grevlex_key or a block_key) with fields of `width` bits."""
-    if key is grevlex_key:
-        blocks = [range(n)]
-    elif hasattr(key, "nlead"):
-        blocks = [range(key.nlead), range(key.nlead, n)]
-    else:
+    (grevlex_key, whose lead block is empty, or a block_key) with fields
+    of `width` bits."""
+    lead = () if key is grevlex_key else getattr(key, "lead", None)
+    if lead is None:
         raise ValueError("no packing for the monomial order %r" % (key,))
-    return _Packing([tuple(b) for b in blocks if b], width)
+    rest = tuple(j for j in range(n) if j not in lead)
+    return _Packing([b for b in (lead, rest) if b], width)
 
 
 def _in_fields(key, n, run, width=_WIDTH):
@@ -506,7 +508,7 @@ class Ideal:
         as a term dict packed by Q.  The basis is packed at the first call,
         in the narrowest fields that hold it, and kept; a reduction that
         needs wider fields packs it again for them."""
-        if p.ring != self.ring:
+        if p.ring is not self.ring and p.ring != self.ring:
             raise RingMismatchError("polynomial not in the ideal's ring")
         basis = self._basis()
 
@@ -710,9 +712,9 @@ def map_poly(p, target):
 def eliminate(ideal, drop_vars):
     """Intersect with the subring omitting `drop_vars` (a name iterable).
 
-    Uses a block order with the dropped variables dominating; the result
-    lives in the canonical subring (cotangent block kept only if the
-    base/cotangent pairing survives intact).
+    The result lives in the canonical subring (cotangent block kept only
+    if the base/cotangent pairing survives intact), whose variables keep
+    their order in the ideal's ring.
     """
     ring = ideal.ring
     drop = set(drop_vars)
@@ -720,31 +722,32 @@ def eliminate(ideal, drop_vars):
         ring.index(name)
     if not drop:
         return ideal
-    keep = [v for v in ring.vars if v not in drop]
-    target = _subring(ring, keep)
-    return _eliminate_to(ideal, drop, target)
+    base = tuple(v for v in ring.base_vars if v not in drop)
+    cot = tuple(v for v in ring.cotangent_vars if v not in drop)
+    if cot and len(cot) != len(base):  # pairing broken: flatten into base variables
+        base, cot = base + cot, ()
+    return _eliminate_to(ideal, PolyRing(base, cot))
 
 
-def _subring(ring, keep):
-    keep_base = tuple(v for v in ring.base_vars if v in keep)
-    keep_cot = tuple(v for v in ring.cotangent_vars if v in keep)
-    if keep_cot and len(keep_cot) != len(keep_base):
-        # pairing broken; flatten everything into base variables
-        return PolyRing(tuple(v for v in ring.vars if v in keep))
-    return PolyRing(keep_base, keep_cot)
-
-
-def _eliminate_to(ideal, drop, target):
+def _eliminate_to(ideal, target):
+    """The ideal meet the subring `target`, whose variables keep their
+    order in the ideal's ring.  The kernel runs on the generators as they
+    are, with the other variables as the lead block.  By the Elimination
+    Theorem (Cox, Little and O'Shea, ch. 3 sec. 1) the basis elements free
+    of that block, those whose leading monomial is, are the reduced basis
+    of the result under the target's grevlex."""
     ring = ideal.ring
-    dropped = [v for v in ring.vars if v in drop]
-    ndrop = len(dropped)
-    work = PolyRing(tuple(dropped + [v for v in ring.vars if v not in drop]))
-    dicts = buchberger([map_poly(g, work).terms for g in ideal.gens], block_key(ndrop))
-    return Ideal(target, [
-        map_poly(Polynomial(work, t, _clean=False), target)
-        for t in dicts
-        if not any(any(m[:ndrop]) for m in t)
+    keep = [ring.index(v) for v in target.vars]
+    if keep != sorted(keep):
+        raise InternalError("elimination target reorders the kept variables")
+    lead = tuple(j for j in range(ring.nvars) if j not in keep)
+    out = Ideal(target, [
+        map_poly(Polynomial(ring, t, _clean=False), target)
+        for t in buchberger([g.terms for g in ideal.gens], block_key(lead))
+        if not any(next(iter(t))[j] for j in lead)
     ])
+    out._gb = [g.terms for g in out.gens]
+    return out
 
 
 def _with_tag_var(ring):
@@ -779,7 +782,7 @@ def intersect(I, J):
     tv = ext.var(t)
     gens = [tv * map_poly(g, ext) for g in I.gens]
     gens += [(ext.one() - tv) * map_poly(g, ext) for g in J.gens]
-    return _eliminate_to(Ideal(ext, gens), {t}, I.ring)
+    return _eliminate_to(Ideal(ext, gens), I.ring)
 
 
 def saturate(I, g):
@@ -791,7 +794,7 @@ def saturate(I, g):
     if g.is_constant():
         return I
     K, t = _rabinowitsch(I, g)
-    return _eliminate_to(K, {t}, I.ring)
+    return _eliminate_to(K, I.ring)
 
 
 def saturate_ideal(I, J):

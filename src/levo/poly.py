@@ -48,20 +48,23 @@ def grevlex_key(exps):
 
 
 @lru_cache(maxsize=None)
-def block_key(nlead):
-    """Elimination order: the first `nlead` variables dominate.
+def block_key(lead):
+    """Elimination order: the variables at the positions in the tuple
+    `lead` dominate the rest, each block graded reverse lexicographic
+    (the lead block in the order listed, the rest in ring order).
 
     Any monomial involving a lead-block variable beats any monomial that
-    does not, so basis elements free of the lead block generate the
-    elimination ideal.  One function per `nlead`, so the order can key a
-    cache; it carries `nlead` as an attribute for `levo.ideals` to pack
-    monomials by.
+    does not, so basis elements free of the lead block form the reduced
+    basis of the elimination ideal under grevlex on the other variables.
+    One function per `lead`, so the order can key a cache; it carries
+    `lead` as an attribute for `levo.ideals` to pack monomials by.
     """
 
     def key(exps):
-        return (grevlex_key(exps[:nlead]), grevlex_key(exps[nlead:]))
+        rest = [e for i, e in enumerate(exps) if i not in lead]
+        return (grevlex_key([exps[i] for i in lead]), grevlex_key(rest))
 
-    key.nlead = nlead
+    key.lead = lead
     return key
 
 

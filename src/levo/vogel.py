@@ -256,14 +256,6 @@ def decompose_all_degrees(G, f, point):
     return out
 
 
-def polar_package(G, point):
-    """Absolute mode: the same process with f identically zero, so the
-    graph is the zero section and the outputs are the characteristic
-    polar cycles and modules."""
-    base = G.ring.base_ring()
-    return decompose_all_degrees(G, base.zero(), point)
-
-
 # ---------------------------------------------------------------------------
 # projectivized support sets
 

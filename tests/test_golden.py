@@ -2,14 +2,16 @@
 and exit code through the command line entry point.
 
 A change that alters a report on purpose regenerates the files with
-`PYTHONPATH=src python tests/test_golden.py` and says why in its
-changelog entry.
+`PYTHONPATH=src python tests/test_golden.py` and the pinned digest of
+`tools/report_digest.py` with `python tools/report_digest.py
+tests/golden/digest.txt`, and says why in its changelog entry.
 """
 
 import contextlib
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import random
 import subprocess
@@ -55,15 +57,21 @@ def test_golden_report(name, argv, exit_code):
     assert stdout == (GOLDEN / (name + ".stdout")).read_bytes()
 
 
-def test_report_digest_tool_hashes_the_golden_bytes():
+def test_report_digest_tool_hashes_the_golden_bytes(tmp_path):
     # tools/report_digest.py, the byte-identity check between two
-    # checkouts, imports the golden job list and the bench corpus by name
+    # checkouts, imports the golden job list and the bench corpus by name;
+    # its whole output is pinned in golden/digest.txt (about 3 s)
     path = GOLDEN.parents[1] / "tools" / "report_digest.py"
     spec = importlib.util.spec_from_file_location("report_digest", path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     expected = hashlib.sha256((GOLDEN / "two_plane.stdout").read_bytes()).hexdigest()
     assert tool._digest(GOLDEN / "two_plane.json", []) == (0, expected)
+    tool.run(tmp_path / "digest.txt")
+    got = (tmp_path / "digest.txt").read_text().splitlines()
+    pinned = (GOLDEN / "digest.txt").read_text().splitlines()
+    differ = [(a, b) for a, b in itertools.zip_longest(pinned, got) if a != b]
+    assert not differ, "pinned / now:\n" + "\n".join("%s\n%s" % pair for pair in differ)
 
 
 def test_production_coverage_gate_passes():

@@ -139,10 +139,10 @@ def test_buchberger_matches_sympy_groebner(seed, nvars):
     assume(gens)
     terms = [g.terms for g in gens]
     block = ProductOrder((sympy_grevlex, lambda m: m[:1]), (sympy_grevlex, lambda m: m[1:]))
-    for key, order in ((grevlex_key, "grevlex"), (block_key(1), block)):
+    for key, order in ((grevlex_key, "grevlex"), (block_key((0,)), block)):
         ours = _monic_basis(ring, terms, key)
         assert _term_sets(ours) == _term_sets(_sympy_basis(gens, order, key))
-    # `ours` is now the block_key(1) basis, which eliminates the first
+    # `ours` is now the block_key((0,)) basis, which eliminates the first
     # variable as lex does
     theirs = _sympy_basis(gens, "lex", lex_key)
     assert Ideal(ring, _free_of(ours, 1)) == Ideal(ring, _free_of(theirs, 1))
@@ -179,7 +179,7 @@ def test_fraction_generators_give_sympy_bases_made_monic(seed, nvars, linear):
     assume(gens)
     terms = [_integral(g.terms) for g in gens]
     block = ProductOrder((sympy_grevlex, lambda m: m[:1]), (sympy_grevlex, lambda m: m[1:]))
-    for key, order in ((grevlex_key, "grevlex"), (block_key(1), block)):
+    for key, order in ((grevlex_key, "grevlex"), (block_key((0,)), block)):
         ours = [_monic(Polynomial(ring, t), key) for t in buchberger(terms, key)]
         assert _term_sets(ours) == _term_sets(_sympy_basis(gens, order, key))
 
@@ -246,7 +246,7 @@ def test_buchberger_on_integer_input_creates_no_fraction(monkeypatch):
     gens = [ring.parse(g) for g in texts]
     monkeypatch.setattr(Fraction, "__new__", staticmethod(spy))
     with algebra_cache():
-        bases = [buchberger([g.terms for g in gens], key) for key in (grevlex_key, block_key(1))]
+        bases = [buchberger([g.terms for g in gens], key) for key in (grevlex_key, block_key((0,)))]
         I, J = Ideal(ring, gens), Ideal(ring, list(reversed(gens)))
         same = I == J and hash(I) == hash(J)
     monkeypatch.undo()
@@ -268,7 +268,7 @@ def test_block_bases_match_sympy_in_four_variables(seed):
     terms = [g.terms for g in gens]
     lex = _sympy_basis(gens, "lex", lex_key)
     for k in range(1, 4):
-        key = block_key(k)
+        key = block_key(tuple(range(k)))
         order = ProductOrder((sympy_grevlex, lambda m: m[:k]), (sympy_grevlex, lambda m: m[k:]))
         ours = _monic_basis(ring, terms, key)
         assert _term_sets(ours) == _term_sets(_sympy_basis(gens, order, key))
@@ -295,7 +295,7 @@ def test_monomial_rich_bases_match_sympy(seed, nvars):
     assume(gens)
     terms = [g.terms for g in gens]
     block = ProductOrder((sympy_grevlex, lambda m: m[:1]), (sympy_grevlex, lambda m: m[1:]))
-    for key, order in ((grevlex_key, "grevlex"), (block_key(1), block)):
+    for key, order in ((grevlex_key, "grevlex"), (block_key((0,)), block)):
         ours = _monic_basis(ring, terms, key)
         assert _term_sets(ours) == _term_sets(_sympy_basis(gens, order, key))
 
@@ -333,7 +333,7 @@ def test_basis_dicts_list_their_terms_in_descending_order(seed, nvars):
         for _ in range(rng.randint(1, 4))
     ]
     terms = [g.terms for g in gens]
-    for key in (grevlex_key, block_key(1), block_key(2)):
+    for key in (grevlex_key, block_key((0,)), block_key((0, 1))):
         with algebra_cache() as cache:
             misses = []
             for _ in range(2):  # misses, then only hits
@@ -391,16 +391,15 @@ def test_integer_leading_coefficients_never_divide_to_floats(seed, nvars):
         assert all(type(c) is int or c.denominator != 1 for c in p.terms.values())
 
 
-def _orders(n):
-    return [grevlex_key] + [block_key(k) for k in range(1, n)]
-
-
 @st.composite
 def _packing_case(draw):
-    """An order, its packing at the first field width, and three exponent
-    vectors, each of total degree at most the field capacity."""
+    """An order (grevlex or a block order whose lead block is any
+    variables, in any order), its packing at the first field width, and
+    three exponent vectors, each of total degree at most the field
+    capacity."""
     n = draw(st.integers(1, 9))
-    key = draw(st.sampled_from(_orders(n)))
+    lead = st.lists(st.integers(0, n - 1), unique=True, max_size=n).map(tuple)
+    key = draw(st.one_of(st.just(grevlex_key), lead.map(block_key)))
     P = ideals._packing(key, n, ideals._WIDTH)
     exps = st.one_of(st.integers(0, 3), st.integers(0, P.cap // n))
     vectors = [tuple(draw(st.lists(exps, min_size=n, max_size=n))) for _ in range(3)]
@@ -410,12 +409,15 @@ def _packing_case(draw):
 def _fits(key, P, exps):
     """Whether every field of the packing holds the exponent vector: each
     block's total degree is at most the capacity."""
-    n = len(exps)
-    if key is grevlex_key:
-        blocks = [range(n)]
-    else:
-        blocks = [range(key.nlead), range(key.nlead, n)]
-    return all(sum(exps[j] for j in b) <= P.cap for b in blocks)
+    lead = () if key is grevlex_key else key.lead
+    rest = [j for j in range(len(exps)) if j not in lead]
+    return all(sum(exps[j] for j in b) <= P.cap for b in (lead, rest))
+
+
+def test_packing_rejects_other_orders():
+    # the kernel packs grevlex and the block orders, and no other order
+    with pytest.raises(ValueError):
+        ideals._packing(lex_key, 2, ideals._WIDTH)
 
 
 @settings(max_examples=300, deadline=None)
@@ -452,30 +454,30 @@ def test_exponents_past_the_field_capacity():
     # a basis that fits, reducing a polynomial that does not
     small = Ideal(ring, ["x^7 - y", "y^2"])
     assert small.normal_form(ring.parse("x^70000 + x^13")) == ring.parse("x^6*y")
-    # every input fits, but: under block_key(1) (lex on two variables),
+    # every input fits, but: under block_key((0,)) (lex on two variables),
     # reducing x^3 by x - y^30000 reaches y^60000 and y^90000; under
-    # block_key(2), reducing x^2 - y^2*z^10000 by y - z^30000 reaches
-    # y*z^40000 below the leading term x^2; under block_key(1), the
+    # block_key((0, 1)), reducing x^2 - y^2*z^10000 by y - z^30000 reaches
+    # y*z^40000 below the leading term x^2; under block_key((0,)), the
     # S-polynomial of x*z - y^20000 and y^20000*z - 1 has the term y^40000
     # (x = x*y^20000*z = y^40000)
-    basis = buchberger([ring.parse("x - y^30000").terms, ring.parse("x^3").terms], block_key(1))
+    basis = buchberger([ring.parse("x - y^30000").terms, ring.parse("x^3").terms], block_key((0,)))
     assert basis == [ring.parse("y^90000").terms, ring.parse("x - y^30000").terms]
     ring = PolyRing(("x", "y", "z"))
     for gens, key, expected in (
-        (["y - z^30000", "x^2 - y^2*z^10000"], block_key(2), ["y - z^30000", "x^2 - z^70000"]),
-        (["x*z - y^20000", "y^20000*z - 1"], block_key(1), ["y^20000*z - 1", "x - y^40000"]),
+        (["y - z^30000", "x^2 - y^2*z^10000"], block_key((0, 1)), ["y - z^30000", "x^2 - z^70000"]),
+        (["x*z - y^20000", "y^20000*z - 1"], block_key((0,)), ["y^20000*z - 1", "x - y^40000"]),
     ):
         basis = buchberger([ring.parse(g).terms for g in gens], key)
         assert basis == [ring.parse(g).terms for g in expected]
 
 
 def test_block_basis_hand_example():
-    # hand Buchberger run: {y - x^2, w - y} under block_key(2), which
+    # hand Buchberger run: {y - x^2, w - y} under block_key((0, 1)), which
     # eliminates w and y: the leading terms are y and w, and w - y
     # reduces to w - x^2
     ring = PolyRing(("w", "y", "x"))
     gens = [ring.parse("y - x^2").terms, ring.parse("w - y").terms]
-    basis = {Polynomial(ring, t) for t in buchberger(gens, block_key(2))}
+    basis = {Polynomial(ring, t) for t in buchberger(gens, block_key((0, 1)))}
     assert basis == {ring.parse("w - x^2"), ring.parse("y - x^2")}
 
 
@@ -696,6 +698,68 @@ def test_eliminate_respects_containment():
         out = eliminate(I, {"z"})
         for g in out.gens:
             assert I.contains(map_poly(g, ring))
+
+
+def _listed(basis):
+    """Each term dict as its (monomial, coefficient) pairs in order."""
+    return [list(t.items()) for t in basis]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(3, 4))
+def test_eliminating_a_non_prefix_set_keeps_the_block_basis(seed, nvars):
+    # the result of eliminating variables that are not the first ones is
+    # given the block basis elements free of them as its reduced basis:
+    # buchberger's grevlex basis of its generators, listed in the same
+    # order, with the identity a fresh ideal on them has; and the result
+    # does not depend on the variable order of the source ring
+    rng = random.Random(seed)
+    names = ("x", "y", "z", "w")[:nvars]
+    ring = PolyRing(names)
+    I = Ideal(ring, [random_polynomial(ring, rng, max_degree=3) for _ in range(rng.randint(1, 3))])
+    drop = rng.sample(names, rng.randint(1, nvars - 1))
+    assume(set(drop) != set(names[:len(drop)]))
+    out = eliminate(I, drop)
+    assert out.ring.vars == tuple(v for v in names if v not in drop)
+    assert _listed(out._gb) == _listed(buchberger([g.terms for g in out.gens], grevlex_key))
+    assert out.key() == Ideal(out.ring, out.gens).key()
+    shuffled = PolyRing(rng.sample(names, nvars))
+    again = eliminate(ideals.map_ideal(I, shuffled), drop)
+    assert ideals.map_ideal(again, out.ring) == out
+
+
+def test_elimination_builds_no_ring_and_maps_only_kept_elements(monkeypatch):
+    # eliminating x and z from (x, y, z, w) runs the kernel in the ideal's
+    # own ring: no ring is made, and map_poly is called once per basis
+    # element free of x and z, to move it into the target
+    ring = PolyRing(("x", "y", "z", "w"))
+    I = Ideal(ring, ["x - y^2", "z - x*w", "z^2 - y*w + 1"])
+    target = PolyRing(("y", "w"))
+    lead = (0, 2)
+    kept = [t for t in buchberger([g.terms for g in I.gens], block_key(lead))
+            if not any(m[j] for m in t for j in lead)]
+    assert kept
+    made, mapped = [], []
+    real_init, real_map = PolyRing.__init__, ideals.map_poly
+
+    def spy_init(self, *args, **kwargs):
+        made.append(args)
+        real_init(self, *args, **kwargs)
+
+    def spy_map(p, into):
+        mapped.append((p.ring, p.terms, into))
+        return real_map(p, into)
+
+    monkeypatch.setattr(PolyRing, "__init__", spy_init)
+    monkeypatch.setattr(ideals, "map_poly", spy_map)
+    out = ideals._eliminate_to(I, target)
+    monkeypatch.undo()
+    assert made == []
+    assert mapped == [(ring, t, target) for t in kept]
+    assert out == eliminate(I, ["x", "z"]) and out.ring is target
+    # a target whose variables are out of the source's order is refused
+    with pytest.raises(InternalError):
+        ideals._eliminate_to(I, PolyRing(("w", "y")))
 
 
 # ---------------------------------------------------------------------------
@@ -1294,7 +1358,7 @@ def test_cached_results_equal_uncached(seed, nvars):
     I = _random_ideal(rng, ring)
     p = random_polynomial(ring, rng, max_degree=3) * random_polynomial(ring, rng)
     terms = [g.terms for g in I.gens]
-    key = block_key(1)
+    key = block_key((0,))
 
     def components(J):
         return [(c.ideal.key(), c.certified) for c in split_components(J)]
@@ -1362,5 +1426,5 @@ def test_groebner_basis_order_argument():
     gens = [ring.parse("x^2 - y").terms, ring.parse("y^2 - x").terms]
     # the block order with x alone in the lead block (lex with x > y)
     # eliminates x in one basis element: y^4 - y
-    basis = [Polynomial(ring, t) for t in buchberger(gens, block_key(1))]
+    basis = [Polynomial(ring, t) for t in buchberger(gens, block_key((0,)))]
     assert ring.parse("y^4 - y") in basis

@@ -130,9 +130,14 @@ def test_grevlex_order():
 
 
 def test_block_order_separates():
-    # any monomial touching the lead block beats any that does not
-    key = block_key(1)
+    # any monomial touching the lead block beats any that does not, for a
+    # lead block of any positions; each block is grevlex in ring order
+    key = block_key((0,))
     assert key((1, 0, 0)) > key((0, 7, 7))
+    key = block_key((0, 2))
+    assert key.lead == (0, 2)
+    assert key((0, 0, 1)) > key((0, 9, 0)) and key((1, 0, 0)) > key((0, 0, 1))
+    assert key((2, 5, 0)) > key((2, 0, 0)) > key((1, 0, 1)) > key((1, 9, 0))
 
 
 def test_lead_and_monic():

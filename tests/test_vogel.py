@@ -18,7 +18,6 @@ from levo.vogel import (
     decompose_all_degrees,
     polar_levels,
     polar_modules_iterative,
-    polar_package,
     polar_support_sets,
     vogel_decompose,
 )
@@ -277,7 +276,7 @@ def test_polar_line_with_generic_leading_coordinate():
     base = ring.base_ring()
     spec = SheafSpec(ring, strata=[StratumSpec(Ideal(base, ["x"]), {1: Z(1)})])
     G = build_gecc(spec)
-    packages = polar_package(G, (0, 0))
+    packages = decompose_all_degrees(G, base.zero(), (0, 0))
     pkg = packages[1]
     assert pkg.cycles == {1: pkg.cycles[1]}
     assert pkg.cycles[1].components == {Ideal(base, ["x"]): Z(1)}
@@ -289,7 +288,7 @@ def test_polar_point_conormal():
     base = ring.base_ring()
     point = Ideal(ring, ["x", "y"])
     G = GradedEnrichedCycle(ring, {0: EnrichedCycle(ring, {point: Z(1)})})
-    packages = polar_package(G, (0, 0))
+    packages = decompose_all_degrees(G, base.zero(), (0, 0))
     pkg = packages[0]
     assert pkg.cycles[0].components == {Ideal(base, ["x", "y"]): Z(1)}
     assert pkg.modules == {0: Z(1)}
@@ -307,7 +306,7 @@ def test_polar_of_directly_supplied_vanishing_data_matches_point_modules():
     vanishing_data = GradedEnrichedCycle(
         ring, {2: EnrichedCycle(ring, {Ideal(ring, ["x", "y"]): Z(2)})}
     )
-    polar = polar_package(vanishing_data, (0, 0))
+    polar = decompose_all_degrees(vanishing_data, base.zero(), (0, 0))
     assert polar[2].modules == levo[2].modules == {0: Z(2)}
 
 
@@ -315,7 +314,7 @@ def test_polar_constant_sheaf_is_empty():
     # the zero section is the whole graph of the zero function: dropped
     ring = plane()
     G = build_gecc(constant_sheaf_spec(ring))
-    packages = polar_package(G, (0, 0))
+    packages = decompose_all_degrees(G, ring.base_ring().zero(), (0, 0))
     pkg = packages[2]
     assert all(c.is_zero() for c in pkg.decomposition.distinguished.values())
     assert pkg.modules == {}
@@ -512,7 +511,7 @@ def test_iterative_oracle_matches_polar_package_line():
     base = ring.base_ring()
     spec = SheafSpec(ring, strata=[StratumSpec(Ideal(base, ["x"]), {1: Z(1)})])
     G = build_gecc(spec)
-    packages = polar_package(G, (0, 0))
+    packages = decompose_all_degrees(G, base.zero(), (0, 0))
     direct = {
         (k, j): grp for k, pkg in packages.items() for j, grp in pkg.modules.items()
     }

@@ -43,7 +43,6 @@ ALLOWED = {
     "poly:Polynomial.constant_value": "behind Polynomial == number",
     "cycles:EnrichedCycle._key": "behind EnrichedCycle.__eq__ and __hash__",
     "vogel:polar_modules_iterative": ORACLE + "; the bench checks polar jobs with it",
-    "vogel:polar_package": ORACLE,
     "vogel:_strata_from_gecc": ORACLE,
     "vogel:_is_linear_ideal": ORACLE,
     "gecc:nearby_gecc": ORACLE,
@@ -72,7 +71,7 @@ ALLOWED = {
     "abgroups:Zmod": "library shorthand of the abgroups doctest; a job builds AbGroup",
     "zfactor:_prem": "rare fallback of the integer factorizer",
     "ideals:_Packing.__init__.<locals>.unpack": "rare fallback: packed fields over 64 bits",
-    "poly:block_key.<locals>.key": "an elimination order's identity; levo packs by its nlead",
+    "poly:block_key.<locals>.key": "an elimination order's identity; levo packs by its lead positions",
 }
 
 
