@@ -18,7 +18,7 @@ import re
 import sys
 import time
 from json.encoder import encode_basestring_ascii
-from math import gcd, lcm
+from math import lcm
 
 from .abgroups import AbGroup
 from .cycles import EnrichedCycle, GradedEnrichedCycle
@@ -46,7 +46,7 @@ from .gecc import (
     support_assertions,
     support_of_gecc,
 )
-from .ideals import Ideal, algebra_cache
+from .ideals import Ideal, algebra_cache, echelon
 from .poly import NAME, PolyRing, rational
 from .vogel import decompose_all_degrees, polar_support_sets
 
@@ -160,26 +160,17 @@ def _mat_mul(A, B):
 
 
 def _mat_inverse(M):
-    """The inverse by Gauss-Jordan on [s*M | I] over the integers, s the
-    common denominator of M's entries, each row kept primitive; None
-    when M is singular.  Row i ends as d_i times unit row i beside
-    d_i/s times row i of the inverse."""
+    """The inverse, read off the `echelon` form of [s*M | I], s the common
+    denominator of M's entries: row i is d_i times unit row i beside d_i/s
+    times row i of the inverse.  None when M is singular."""
     n = len(M)
     s = lcm(*(x.denominator for row in M for x in row))
-    rows = [[int(x * s) for x in row] + e for row, e in zip(M, _identity(n))]
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if rows[i][c]), None)
-        if pivot is None:
-            return None
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        p = rows[c]
-        for i in range(n):
-            f = rows[i][c]
-            if i != c and f:
-                row = [p[c] * a - f * b for a, b in zip(rows[i], p)]
-                g = gcd(*row)  # positive: [s*M | I] has rank n
-                rows[i] = [x // g for x in row]
-    return [[rational(x * s, row[i]) for x in row[n:]] for i, row in enumerate(rows)]
+    rows = echelon([{**{j: int(x * s) for j, x in enumerate(row) if x}, n + i: 1}
+                    for i, row in enumerate(M)])
+    if [min(row) for row in rows] != list(range(n)):
+        return None
+    return [[rational(row.get(n + j, 0) * s, row[i]) for j in range(n)]
+            for i, row in enumerate(rows)]
 
 
 def _load_json(text):

@@ -240,14 +240,27 @@ def conormal_ideal(I, full_ring):
 
     Covectors at a smooth point of the top-dimensional part of V(I)
     that vanish on its tangent space: the bordered-Jacobian minors,
-    saturated by the singular-locus minors.  The zero ideal gives the
-    zero section, a linear ideal the subspace times its annihilator.
+    saturated by the singular-locus minors.  A linear ideal gives the
+    subspace times its annihilator, I plus w.v for each variable f leading
+    no monic basis element: v_f = 1, v_p = -(f's coefficient in the one p
+    leads).  The zero ideal gives the zero section.
     """
     if not full_ring.cotangent_vars:
         raise InputError("ring carries no cotangent block")
     if I.is_unit():
         raise InputError("conormal of the empty locus")
-    return _bordered_conormal(I, [], full_ring)
+    if not I.is_linear():
+        return _bordered_conormal(I, [], full_ring)
+    n, basis = I.ring.nvars, I.groebner()  # I's ring is the base ring
+    leads = [next(iter(g.terms)).index(1) for g in basis]
+    gens = list(map_ideal(I, full_ring).gens)
+    for f in [f for f in range(n) if f not in leads]:
+        unit = tuple(int(j == f) for j in range(n))
+        coeffs = [0] * (n + f) + [1] + [0] * (n - 1 - f)
+        for g, p in zip(basis, leads):
+            coeffs[n + p] = -g.terms.get(unit, 0)
+        gens.append(full_ring.linear_form(coeffs))
+    return Ideal(full_ring, gens)
 
 
 def constant_value_on(I, f):

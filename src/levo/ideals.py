@@ -17,6 +17,9 @@ generators, and the block basis elements free of the lead block are
 given to the result as its reduced grevlex basis.  Ideals are identified
 by the unique reduced grevlex basis, so equal ideals hash alike and can
 key cycle component maps.
+Linear generators skip that machinery: their reduced basis is one row
+reduction (`echelon`), and a linear ideal, prime or the unit ideal, has
+its components, dimension and radical read off it.
 Inside the kernel a monomial is one int that packs its exponents for the
 order in use (`_Packing`): int comparison is the order, a product is an
 add and a divisibility test one subtract and one mask test.  The kernel
@@ -60,7 +63,7 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 
 from .errors import InternalError, RingMismatchError
-from .poly import PolyRing, Polynomial, block_key, grevlex_key, rational, terms_to_str
+from .poly import Polynomial, block_key, grevlex_key, rational, shared_ring, terms_to_str
 
 # ---------------------------------------------------------------------------
 # per-run algebra cache
@@ -157,9 +160,10 @@ class _Packing:
     value in range exactly when a divides b).  A field in that interval
     is out of range exactly when some guard bit of the int is set, so
     one mask test detects an overflowing product or a failed division.
+    `columns` numbers the monomials of degree at most 1 in descending order.
     """
 
-    __slots__ = ("width", "cap", "one", "guard", "weights", "decode")
+    __slots__ = ("width", "cap", "one", "guard", "weights", "decode", "columns")
 
     def __init__(self, blocks, width):
         n = sum(map(len, blocks))
@@ -200,6 +204,8 @@ class _Packing:
             return pick(unpack((m ^ one).to_bytes(nbytes, "little")))
 
         self.decode = decode
+        units = [tuple(int(i == j) for i in range(n)) for block in blocks for j in block]
+        self.columns = {m: c for c, m in enumerate(units + [(0,) * n])}
 
     def encode(self, exps):
         if sum(exps) > self.cap:
@@ -325,6 +331,52 @@ def _cleared(terms):
     return {m: c.numerator * (den // c.denominator) for m, c in terms.items()}, den
 
 
+def echelon(rows):
+    """The reduced echelon form of sparse int rows {column: nonzero int}:
+    the nonzero rows, each primitive with a positive pivot (its least
+    column), by ascending pivot.  Fraction-free Gauss-Jordan, in place:
+    each row, sparsest first, is made primitive and cleared from the rest."""
+    rows = sorted(rows, key=len)
+    for i, row in enumerate(rows):
+        if not row:
+            continue
+        c = min(row)
+        g = gcd(*row.values()) if row[c] > 0 else -gcd(*row.values())
+        if g != 1:
+            rows[i] = row = {k: v // g for k, v in row.items()}
+        h = row[c]
+        for j, q in enumerate(rows):
+            if j != i and c in q:  # q = h*q - q[c]*row
+                f = q[c]
+                if h != 1:
+                    q = {k: h * v for k, v in q.items()}
+                for k, v in row.items():
+                    v = q.get(k, 0) - f * v
+                    if v:
+                        q[k] = v
+                    else:
+                        del q[k]
+                g = gcd(*q.values())  # 0 for a zero row; positive pivots stay
+                rows[j] = {k: v // g for k, v in q.items()} if g > 1 else q
+    return sorted(filter(None, rows), key=min)
+
+
+def _linear_basis(generators, key):
+    """The reduced basis of generators of degree at most 1 as `buchberger`
+    lists it, by one `echelon`; None for a generator of higher degree.
+    Buchberger would do no more: the leading monomials are distinct
+    variables or 1, so every pair is coprime and settled when made."""
+    columns = _packing(key, len(next(iter(generators[0]))), _WIDTH).columns
+    try:
+        rows = echelon([{columns[m]: c for m, c in g.items()} for g in generators])
+    except KeyError:
+        return None
+    if min(rows[-1]) == len(columns) - 1:  # a pivot on 1: the unit ideal
+        rows = rows[-1:]
+    monomials = tuple(columns)
+    return [{monomials[j]: row[j] for j in sorted(row)} for row in reversed(rows)]
+
+
 def buchberger(generators, key):
     """Reduced Groebner basis of the given term dicts of ints: `Ideal`
     clears its generators of denominators when it is built.
@@ -333,8 +385,9 @@ def buchberger(generators, key):
     positive leading coefficient), fully inter-reduced, sorted by
     ascending leading monomial; each dict lists its terms in strictly
     descending order under `key`, so its first term is its leading one.
-    `Ideal` relies on this order.  The classical algorithm with normal
-    selection from a heap of pairs, on monomials packed for `key`:
+    `Ideal` relies on this order.  Linear input is row-reduced
+    (`_linear_basis`), other input runs the classical algorithm with
+    normal selection from a heap of pairs, on monomials packed for `key`:
     grevlex_key or a block_key.  A pair of two monomials or of
     coprime leading monomials (the product criterion) is settled when it
     is made and never enters the heap; the chain criterion runs at pop.
@@ -356,7 +409,14 @@ def _buchberger(generators, key):
         basis = _packed_buchberger([P.encode_terms(g) for g in generators], P)
         return [P.decode_terms(t) for t in basis]
 
-    return _in_fields(key, len(next(iter(generators[0]))), run)
+    basis = _linear_basis(generators, key)
+    if basis is None:
+        basis = _in_fields(key, len(next(iter(generators[0]))), run)
+    cache = _CACHE.get()
+    if cache is not None:
+        top = max(map(abs, itertools.chain.from_iterable(map(dict.values, basis))))
+        cache.coeff_bits = max(cache.coeff_bits, top.bit_length())
+    return basis
 
 
 def _packed_buchberger(generators, P):
@@ -430,8 +490,6 @@ def _packed_buchberger(generators, P):
     if cache is not None:
         cache.spairs += reduced
         cache.zero_reductions += zero
-        top = max(map(abs, itertools.chain.from_iterable(map(dict.values, out))))
-        cache.coeff_bits = max(cache.coeff_bits, top.bit_length())
     return out
 
 
@@ -549,6 +607,13 @@ class Ideal:
         basis = self._basis()
         return len(basis) == 1 and not any(next(iter(basis[0])))
 
+    def is_linear(self):
+        """Whether the reduced basis has degree at most 1 (a prime or the
+        unit ideal); generators of degree at most 1 answer without it."""
+        if self._gb is None and all(sum(m) <= 1 for g in self.gens for m in g.terms):
+            return True
+        return all(sum(next(iter(t))) <= 1 for t in self._basis())
+
     # -- identity --------------------------------------------------------------
 
     def key(self):
@@ -587,9 +652,11 @@ class Ideal:
     # -- numerical invariants ----------------------------------------------------
 
     def dimension(self):
-        """Krull dimension of the vanishing locus; -1 for the unit ideal."""
+        """Krull dimension of the vanishing locus; -1 for the unit ideal.
+        A linear ideal's is the number of variables less its basis size."""
         if self._dim is None:
-            self._dim = krull_dimension(self)
+            self._dim = krull_dimension(self) if not self.is_linear() else (
+                -1 if self.is_unit() else self.ring.nvars - len(self._basis()))
         return self._dim
 
     def vanishes_at(self, point):
@@ -726,7 +793,7 @@ def eliminate(ideal, drop_vars):
     cot = tuple(v for v in ring.cotangent_vars if v not in drop)
     if cot and len(cot) != len(base):  # pairing broken: flatten into base variables
         base, cot = base + cot, ()
-    return _eliminate_to(ideal, PolyRing(base, cot))
+    return _eliminate_to(ideal, shared_ring(base, cot))
 
 
 def _eliminate_to(ideal, target):
@@ -753,7 +820,7 @@ def _eliminate_to(ideal, target):
 def _with_tag_var(ring):
     """The ring with one fresh tag variable in front, and its name."""
     (name,) = _fresh_names(set(ring.vars), "_t", 1)
-    return PolyRing((name,) + ring.vars), name
+    return shared_ring((name,) + ring.vars, ()), name
 
 
 def _rabinowitsch(I, g):
@@ -808,36 +875,24 @@ def saturate_ideal(I, J):
 
 def rational_point_of(I):
     """Coordinates of the unique rational point of a linear point ideal,
-    or None when the locus is not such a point."""
-    ring = I.ring
-    gb = I.groebner()
-    if len(gb) != ring.nvars:
-        return None
-    coords = {}
-    origin = (0,) * ring.nvars
-    for g in gb:
-        if g.total_degree() != 1:
-            return None
-        terms = dict(g.terms)
-        const = terms.pop(origin, 0)
-        if len(terms) != 1:
-            return None
-        ((mono, coeff),) = terms.items()
-        if sum(mono) != 1 or coeff != 1:
-            return None
-        coords[mono.index(1)] = -const
-    if len(coords) != ring.nvars:
-        return None
-    return tuple(coords[i] for i in range(ring.nvars))
+    or None when the locus is not such a point.  Its monic reduced basis
+    is then x_i - c_i for each variable, the last variable first."""
+    if I.is_linear() and I.dimension() == 0:
+        origin = (0,) * I.ring.nvars
+        return tuple(-g.terms.get(origin, 0) for g in reversed(I.groebner()))
+    return None
 
 
 def radical_member(g, I):
-    """Rabinowitsch test: g in rad(I)?"""
+    """Rabinowitsch test: g in rad(I)?  Membership when I is linear, as
+    its generators or a basis already made show (so prime or the unit)."""
     if isinstance(g, str):
         g = I.ring.parse(g)
     if g.is_zero():
         return True
-    return _rabinowitsch(I, g)[0].is_unit()
+    if I._gb is None and any(h.total_degree() > 1 for h in I.gens) or not I.is_linear():
+        return _rabinowitsch(I, g)[0].is_unit()
+    return I.contains(g)
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +994,8 @@ def split_components(I):
     """Minimal rational components of V(I) by recursive factorization
     with saturation between branches.
 
-    Each branch J is decided by one scan that stops at the first branch
+    A linear ideal is its own certified component, with no scan.  Each
+    other branch J is decided by one scan that stops at the first branch
     point or the first certificate.  These are the certified (prime)
     classes:
     - the zero ideal and linear ideals;
@@ -968,7 +1024,7 @@ def split_components(I):
     return _memo(
         "split_components",
         I.key(),
-        lambda: _split(I),
+        (lambda: [Component(I, True)]) if I.is_linear() else (lambda: _split(I)),
         lambda comps: [Component(c.ideal, c.certified) for c in comps],
     )
 

@@ -123,7 +123,7 @@ class PolyRing:
 
     def base_ring(self):
         """The ring on the base variables alone."""
-        return PolyRing(self.base_vars)
+        return shared_ring(self.base_vars, ())
 
     # -- element constructors ------------------------------------------------
 
@@ -161,6 +161,10 @@ class PolyRing:
         if constant:
             terms[(0,) * self.nvars] = constant
         return Polynomial(self, terms)
+
+
+# one ring per (base, cotangent) pair of variable tuples, shared by derived ideals
+shared_ring = lru_cache(maxsize=None)(PolyRing)
 
 
 class Polynomial:

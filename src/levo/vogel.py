@@ -299,10 +299,6 @@ def polar_support_sets(G, images):
 # independent iterated-slice oracle
 
 
-def _is_linear_ideal(I):
-    return all(g.total_degree() <= 1 for g in I.groebner())
-
-
 def _strata_from_gecc(G):
     """Reconstruct strata from a cycle whose components are certified
     conormals of smooth (linear) closures; the oracle's precondition."""
@@ -315,7 +311,7 @@ def _strata_from_gecc(G):
     for P in sorted(per_comp, key=lambda P: P.sort_key()):
         morse = per_comp[P]
         closure = eliminate(P, ring.cotangent_vars)
-        if not _is_linear_ideal(closure):
+        if not closure.is_linear():
             raise InputError(
                 "iterated-slice oracle needs smooth linear closures; got V(%s)"
                 % ", ".join(closure.generator_strings())
@@ -341,7 +337,7 @@ def polar_modules_iterative(spec, point, j, k, seed=0):
     if not spec.in_strata_mode():
         raise InputError("the oracle requires strata input")
     for stratum in spec.strata:
-        if not _is_linear_ideal(stratum.closure):
+        if not stratum.closure.is_linear():
             raise InputError(
                 "iterated-slice oracle needs smooth linear closures; got %s"
                 % stratum.label

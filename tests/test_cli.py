@@ -8,6 +8,7 @@ import io
 import json
 import re
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -418,6 +419,26 @@ def test_matrix_inverse_matches_sympy(M):
     else:
         assert inverse == [[Fraction(int(x.p), int(x.q)) for x in row]
                            for row in reference.inv().tolist()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), n=st.integers(1, 5),
+       singular=st.booleans())
+def test_matrix_inverse_is_an_inverse_or_none(seed, n, singular):
+    # M times the inverse is the identity; a row that combines the others
+    # (the zero row when n = 1) makes M singular and the inverse None
+    rng = random.Random(seed)
+    M = [[Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+    if singular:
+        i = rng.randrange(n)
+        weights = [0 if k == i else rng.randint(-2, 2) for k in range(n)]
+        M[i] = [sum(a * row[j] for a, row in zip(weights, M)) for j in range(n)]
+    M = [[rational(x) for x in row] for row in M]
+    inverse = cli._mat_inverse(M)
+    if inverse is None:
+        assert sympy.Matrix(M).det() == 0
+    else:
+        assert not singular and cli._mat_mul(M, inverse) == cli._identity(n)
 
 
 def test_randomize_coordinates_deterministic():

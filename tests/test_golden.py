@@ -23,6 +23,7 @@ import pytest
 import sympy
 
 from conftest import decomposition_covers, slice_dimension, sliced_multiplicity
+from levo import geom, ideals
 from levo.cli import main
 from levo.ideals import Component, Ideal, map_poly
 from levo.poly import PolyRing
@@ -55,6 +56,29 @@ def test_golden_report(name, argv, exit_code):
     code, stdout = _run(name, argv)
     assert code == exit_code
     assert stdout == (GOLDEN / (name + ".stdout")).read_bytes()
+
+
+def test_linear_input_skips_the_general_kernel_and_the_bordered_minors(monkeypatch):
+    # on polar_af_partition, whose strata are linear, every generator set
+    # that reaches the packed Buchberger kernel and every closure whose
+    # conormal is built from bordered minors has degree above 1: linear
+    # ideals are row-reduced and their conormals read off the echelon basis
+    degrees = []
+    packed, bordered = ideals._packed_buchberger, geom._bordered_conormal
+
+    def spy_packed(generators, P):
+        degrees.append(("kernel", max(sum(P.decode(m)) for g in generators for m in g)))
+        return packed(generators, P)
+
+    def spy_bordered(I, extra_rows, full_ring):
+        degrees.append(("conormal", max((g.total_degree() for g in I.gens), default=0)))
+        return bordered(I, extra_rows, full_ring)
+
+    monkeypatch.setattr(ideals, "_packed_buchberger", spy_packed)
+    monkeypatch.setattr(geom, "_bordered_conormal", spy_bordered)
+    code, stdout = _run("polar_af_partition", [])
+    assert (code, stdout) == (0, (GOLDEN / "polar_af_partition.stdout").read_bytes())
+    assert [d for d in degrees if d[1] <= 1] == []
 
 
 def test_report_digest_tool_hashes_the_golden_bytes(tmp_path):

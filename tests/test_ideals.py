@@ -1428,3 +1428,110 @@ def test_groebner_basis_order_argument():
     # eliminates x in one basis element: y^4 - y
     basis = [Polynomial(ring, t) for t in buchberger(gens, block_key((0,)))]
     assert ring.parse("y^4 - y") in basis
+
+
+# ---------------------------------------------------------------------------
+# linear ideals
+
+
+def _linear_generators(ring, rng):
+    """Sparse linear forms with Fraction coefficients, some with a
+    constant term; combinations of earlier ones; zero generators; now and
+    then a nonzero constant, which makes the unit ideal."""
+    n = ring.nvars
+
+    def coefficient(share):
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < share else 0
+
+    gens = [ring.linear_form([coefficient(0.6) for _ in range(n)], coefficient(0.4))
+            for _ in range(rng.randint(1, n + 1))]
+    for _ in range(rng.randint(0, 2)):
+        a, b = rng.choice(gens), rng.choice(gens)
+        gens.append(a * Fraction(rng.randint(-3, 3), rng.randint(1, 3)) + b * rng.randint(-2, 2))
+    if rng.random() < 0.15:
+        gens.append(ring.const(Fraction(rng.randint(1, 5), rng.randint(1, 5))))
+    gens += [ring.zero()] * rng.randint(0, 2)
+    rng.shuffle(gens)
+    return gens
+
+
+def _general_kernel(generators, key, n):
+    """The packed Buchberger kernel's basis, as `ideals._buchberger` runs
+    it on nonlinear input."""
+    return ideals._in_fields(key, n, lambda P: [
+        P.decode_terms(t)
+        for t in ideals._packed_buchberger([P.encode_terms(g) for g in generators], P)
+    ])
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(1, 6))
+def test_linear_bases_match_the_general_kernel_and_sympy(seed, nvars):
+    # generators of degree at most 1 are row-reduced: under grevlex and a
+    # block order on random lead positions the basis is the packed
+    # kernel's item for item, dict order included, and made monic it is
+    # sympy's reduced basis
+    rng = random.Random(seed)
+    ring = PolyRing(tuple("x_%d" % i for i in range(nvars)))
+    gens = _linear_generators(ring, rng)
+    polys = [g for g in gens if not g.is_zero()]
+    assume(polys)
+    terms = [_integral(g.terms) for g in gens]
+    nonzero = [t for t in terms if t]
+    lead = tuple(rng.sample(range(nvars), rng.randint(1, nvars)))
+    rest = tuple(j for j in range(nvars) if j not in lead)
+    block = ProductOrder((sympy_grevlex, lambda m: tuple(m[j] for j in lead)),
+                         (sympy_grevlex, lambda m: tuple(m[j] for j in rest)))
+    for key, order in ((grevlex_key, "grevlex"), (block_key(lead), block)):
+        assert ideals._linear_basis(nonzero, key) is not None
+        ours = buchberger(terms, key)
+        assert [list(t.items()) for t in ours] == [
+            list(t.items()) for t in _general_kernel(nonzero, key, nvars)]
+        monic = [_monic(Polynomial(ring, t), key) for t in ours]
+        assert _term_sets(monic) == _term_sets(_sympy_basis(polys, order, key))
+
+
+def test_linear_bases_count_coefficient_bits_and_no_spairs():
+    # the row reduction records what the kernel's --timing line reports:
+    # the largest coefficient of the basis, and no S-pair
+    ring = PolyRing(("x", "y", "z"))
+    gens = [ring.parse(g).terms for g in ("3*x + 5*y - 7", "2*x - y + 11*z")]
+    with algebra_cache() as cache:
+        basis = buchberger(gens, grevlex_key)
+        top = max(abs(c) for t in basis for c in t.values())
+        assert (cache.spairs, cache.zero_reductions, cache.coeff_bits) == (0, 0, top.bit_length())
+    assert ideals._linear_basis([ring.parse("x^2 + y").terms], grevlex_key) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**6), nvars=st.integers(1, 4))
+def test_linear_shortcuts_match_the_general_routes(seed, nvars):
+    # on a linear ideal, split_components, dimension() and radical_member
+    # agree with the scan of _split, krull_dimension and the Rabinowitsch
+    # test
+    rng = random.Random(seed)
+    ring = PolyRing(tuple("x_%d" % i for i in range(nvars)))
+    I = Ideal(ring, _linear_generators(ring, rng))
+    assert I.is_linear()
+    assert I.dimension() == krull_dimension(I)
+    probes = [random_polynomial(ring, rng, max_degree=2, max_terms=3) for _ in range(3)]
+    probes += [g * random_polynomial(ring, rng) for g in I.gens[:2]] + [ring.zero()]
+    for g in probes:
+        assert radical_member(g, I) == (g.is_zero() or ideals._rabinowitsch(I, g)[0].is_unit())
+    if not I.is_unit():
+        assert [(c.ideal, c.certified) for c in split_components(I)] == [
+            (c.ideal, c.certified) for c in ideals._split(I)]
+
+
+def test_radical_member_makes_no_basis_to_decide_linearity(monkeypatch):
+    # nonlinear generators with no basis made take the Rabinowitsch test
+    # and leave the ideal without a basis; an ideal whose basis is made
+    # and linear is tested by membership alone
+    ring = PolyRing(("x", "y"))
+    I = Ideal(ring, ["x^2 - y", "x*y"])
+    assert radical_member("y", I) and not radical_member("x + 1", I)
+    assert I._gb is None
+    J = Ideal(ring, ["x^2 + x", "x - y^3 + y^3"])
+    assert J.is_linear() and J.groebner() == (ring.parse("x"),)
+    monkeypatch.setattr(ideals, "_rabinowitsch", None)
+    assert radical_member("x*y", J) and not radical_member("y", J)

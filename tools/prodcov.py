@@ -44,7 +44,6 @@ ALLOWED = {
     "cycles:EnrichedCycle._key": "behind EnrichedCycle.__eq__ and __hash__",
     "vogel:polar_modules_iterative": ORACLE + "; the bench checks polar jobs with it",
     "vogel:_strata_from_gecc": ORACLE,
-    "vogel:_is_linear_ideal": ORACLE,
     "gecc:nearby_gecc": ORACLE,
     "gecc:isolated_vanishing_stalk": ORACLE,
     "geom:multiplicity_along": "reference code that bench/spans.py names (item 14)",
