@@ -540,16 +540,16 @@ def _report(job, G, packages):
     cfg = job.cfg
     mode = "polar" if job.f.is_zero() else "levo"
     support = support_of_gecc(G)
-    crit = critical_locus(G, job.f, support.images)
+    crit = critical_locus(G, job.f)
     theta, gamma = {}, {}
-    sets, walks = polar_support_sets(G, support.images)
+    sets, walks = polar_support_sets(G)
     for m, (ths, gms) in enumerate(sets):
         theta[str(m)] = [I.generator_strings() for I in ths]
         gamma[str(m)] = [I.generator_strings() for I in gms]
 
     transversality = {}
     for stratum, con in job.spec.conormals:
-        per_i, verdict = essential_transversality(walks[con], job.point, job.ring, support.images)
+        per_i, verdict = essential_transversality(walks[con], job.point, job.ring)
         transversality[stratum.label] = {"per_index": per_i, "verdict": verdict}
 
     report = {
@@ -564,7 +564,7 @@ def _report(job, G, packages):
         "polar_supports": theta,
         "polar_varieties": gamma,
         "transversality": transversality,
-        "support_assertions": support_assertions(support, crit, job.f),
+        "support_assertions": support_assertions(G, support, crit, job.f),
         "warnings": [],
     }
 
@@ -584,9 +584,7 @@ def _report(job, G, packages):
                 conormals.append((label, stratum_conormal(closure, label, job.ring)))
             except InputError as exc:
                 _fail("af_partition[%d]" % i, exc)
-        upgraded, detail = upgrade_by_transversality(
-            cert, conormals, job.point, job.ring, support.images
-        )
+        upgraded, detail = upgrade_by_transversality(cert, conormals, job.point, job.ring)
         if upgraded.status == "certified":
             report["certificate_route"] = "essential-transversality"
         cert = upgraded
@@ -824,9 +822,10 @@ def main(argv=None):
             _emit(subset, cfg.fmt)
             return code
         if args.command == "gecc":
-            job = prepare_job(cfg)
-            G = build_gecc(job.spec)
-            subset = {"gecc": G.to_json(), "support": support_of_gecc(G).to_json(), "warnings": []}
+            with algebra_cache():  # a component in several degrees is projected once
+                G = build_gecc(prepare_job(cfg).spec)
+                support = support_of_gecc(G)
+            subset = {"gecc": G.to_json(), "support": support.to_json(), "warnings": []}
             if cfg.fmt == "text":
                 sys.stdout.write("\n".join(_gecc_lines(subset["gecc"])) + "\n")
             else:

@@ -80,26 +80,26 @@ def isolating_certificate(packages, point):
     return GenericityCertificate("proper-uncertified", d, None, checks)
 
 
-def essential_transversality(levels, point, full_ring, images):
+def essential_transversality(levels, point, full_ring):
     """Per-index transversality of the coordinate flag to one stratum.
 
     `levels` is the stratum conormal's `vogel.polar_levels` walk.  Index i
     cuts each level-i component by the hyperplanes z_0..z_{i-1} through
-    the point (level 0 is read as it is); it holds when no base image of
-    the cuts off the zero section is positive-dimensional at the point.
-    `images` is the support section's table (`base_images`).
+    the point (level 0 is read as it is); it holds when no base image
+    (`base_images`) of the cuts off the zero section is
+    positive-dimensional at the point.
     """
     point = tuple(map(rational, point))
     per_i = []
     for i, level in enumerate(levels):
         if i:
             slices = [full_ring.var(z) - c for z, c in zip(full_ring.base_vars[:i], point)]
-            level = base_images(level, slices, images, skip_zero_section=True)
+            level = base_images(level, slices, skip_zero_section=True)
         per_i.append(not any(I.vanishes_at(point) and I.dimension() > 0 for I in level.values()))
     return per_i, all(per_i)
 
 
-def upgrade_by_transversality(certificate, conormals, point, full_ring, images):
+def upgrade_by_transversality(certificate, conormals, point, full_ring):
     """Alternative certification: if the coordinate flag is essentially
     transverse to every supplied stratum at the point, a fully proper run
     is certified regardless of the support dimension.
@@ -111,7 +111,7 @@ def upgrade_by_transversality(certificate, conormals, point, full_ring, images):
     """
     detail = {}
     for label, con in conormals:
-        _, verdict = essential_transversality(polar_levels(con, images), point, full_ring, images)
+        _, verdict = essential_transversality(polar_levels(con), point, full_ring)
         detail[label] = verdict
         if not verdict:
             return certificate, detail

@@ -139,12 +139,9 @@ def build_gecc(spec):
     )
 
 
-class SupportReport(collections.namedtuple(
-    "SupportReport", ("per_degree", "essential", "total", "images")
-)):
+class SupportReport(collections.namedtuple("SupportReport", ("per_degree", "essential", "total"))):
     """The base images of a cycle's components: per degree, all of them
-    (`essential`), the maximal ones (`total`), and `images`, each distinct
-    component's image keyed by the component in `G.components()` order."""
+    (`essential`), and the maximal ones (`total`)."""
 
     __slots__ = ()
 
@@ -160,32 +157,32 @@ class SupportReport(collections.namedtuple(
 
 
 def support_of_gecc(G):
-    """Project each distinct component to the base once: the essential subvarieties.
+    """Project each degree's components to the base: the essential subvarieties.
 
     `total` keeps only maximal subvarieties (those not inside another),
-    whose union is the support.
+    whose union is the support.  A component in several degrees is
+    projected once inside an algebra-cache scope (`eliminate`).
     """
     cot = G.ring.cotangent_vars
-    images = {P: eliminate(P, cot) for P in G.components()}
     per_degree = {
-        k: _dedupe(images[P] for P in G.piece(k).components) for k in G.degrees()
+        k: _dedupe(eliminate(P, cot) for P in G.piece(k).components) for k in G.degrees()
     }
     essential = _dedupe(I for ideals in per_degree.values() for I in ideals)
-    return SupportReport(per_degree, essential, maximal_loci(essential), images)
+    return SupportReport(per_degree, essential, maximal_loci(essential))
 
 
-def support_assertions(support, crit, f):
-    """The report's checks of the support against the critical locus
+def support_assertions(G, support, crit, f):
+    """The report's checks of G's support against the critical locus
     `crit` of f: the critical locus lies inside the support, and each
     rational point whose full cotangent space is a component, with f = 0
-    there, lies on the critical locus.  Reads the images `support` kept."""
+    there, lies on the critical locus.  The images come through `eliminate`."""
     crit_inside = all(
         any(all(radical_member(g, c.ideal) for g in S.gens) for S in support.total)
         for c in crit
     )
     checked = []
-    for P, img in support.images.items():
-        point = rational_point_of(img)
+    for P in G.components():
+        point = rational_point_of(eliminate(P, G.ring.cotangent_vars))
         if point is None or f.eval_point(point) != 0:
             continue
         ring = P.ring
@@ -203,10 +200,10 @@ def support_assertions(support, crit, f):
     ]
 
 
-def base_images(ideals, extra, images, skip_zero_section=False):
+def base_images(ideals, extra, skip_zero_section=False):
     """Each distinct component of V(P + extra), for every P in `ideals`,
-    mapped to its base projection; a component of the cycle takes its
-    projection from `images`, the support section's table.
+    mapped to its base projection by `eliminate`, whose memo serves one
+    that an earlier section projected.
 
     With `skip_zero_section`, components inside the zero section (which
     carry no projective direction) are discarded before projecting.
@@ -220,7 +217,7 @@ def base_images(ideals, extra, images, skip_zero_section=False):
         for C in (comp.ideal for comp in split_components(J)):
             if C in out or skip_zero_section and all(C.contains(J.ring.var(w)) for w in cot):
                 continue
-            out[C] = images[C] if C in images else eliminate(C, cot)
+            out[C] = eliminate(C, cot)
     return out
 
 
@@ -308,12 +305,12 @@ class CriticalComponent(collections.namedtuple("CriticalComponent", ("ideal", "d
         }
 
 
-def critical_locus(G, f, images):
+def critical_locus(G, f):
     """Base components where the support meets the gradient graph, with
     the value of f on each (None when irrational or non-unique)."""
     graph = graph_ideal(f, G.ring)
     out = []
-    for I in maximal_loci(base_images(G.components(), graph.gens, images).values()):
+    for I in maximal_loci(base_images(G.components(), graph.gens).values()):
         constant, value = constant_value_on(I, f)
         out.append(CriticalComponent(I, I.dimension(), value if constant else None))
     return out

@@ -22,6 +22,7 @@ from .errors import (
 )
 from .ideals import (
     Ideal,
+    _eliminate_to,
     _with_tag_var,
     degree,
     eliminate,
@@ -31,7 +32,7 @@ from .ideals import (
     saturate_ideal,
     split_components,
 )
-from .poly import Polynomial, rational
+from .poly import Polynomial, rational, shared_ring
 
 # ---------------------------------------------------------------------------
 # multiplicities
@@ -267,11 +268,12 @@ def constant_value_on(I, f):
     """(is_constant, rational value or None) for f restricted to V(I).
 
     f is constant on V(I) exactly when I + (t - f) has a nonzero
-    eliminant in t; its roots are the values of f."""
+    eliminant in t; its roots are the values of f.  That ideal has no
+    basis to key the `eliminate` memo by."""
     ext, t = _with_tag_var(I.ring)
     gens = [map_poly(g, ext) for g in I.gens]
     gens.append(ext.var(t) - map_poly(f, ext))
-    values = eliminate(Ideal(ext, gens), set(I.ring.vars)).groebner()
+    values = _eliminate_to(Ideal(ext, gens), shared_ring((t,), ())).groebner()
     if not values:
         return False, None
     eliminant = values[0]

@@ -42,12 +42,12 @@ again with fields twice as wide, so it never gives a wrong answer.
 `split_components` certifies a component prime only in the classes
 its docstring lists.
 
-Inside an `algebra_cache()` scope, `buchberger`, `split_components` and
-`factor_rational` remember their results by canonical input: the
-generator set and order, the reduced basis, the polynomial.  Their
-results are unique (a split up to the generators listed for each
-component), so a hit returns what a fresh call would.  Outside a scope
-nothing is cached.
+Inside an `algebra_cache()` scope `buchberger` (by generator set and
+order), `split_components` (by reduced basis), `factor_rational` (by
+polynomial) and `eliminate` (by ideal and kept variables) remember their
+results.  These are unique (a split up to the generators listed for each
+component), so a hit returns what a fresh call would: for `eliminate`,
+the very `Ideal` it made.  Outside a scope nothing is cached.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from .poly import Polynomial, block_key, grevlex_key, rational, shared_ring, ter
 
 _CACHE = contextvars.ContextVar("levo_algebra_cache", default=None)
 
-_CACHE_KINDS = ("buchberger", "split_components", "factor_rational")
+_CACHE_KINDS = ("buchberger", "split_components", "factor_rational", "eliminate")
 
 
 class AlgebraCache:
@@ -120,7 +120,7 @@ def algebra_cache():
 def _memo(kind, key, compute, copy):
     """copy(compute()), where compute() runs at most once per kind and key
     inside an algebra-cache scope.  Callers get a copy, so mutating a
-    result never reaches the cache."""
+    result never reaches the cache; an `Ideal` is its own copy."""
     cache = _CACHE.get()
     if cache is None:
         return compute()
@@ -781,7 +781,8 @@ def eliminate(ideal, drop_vars):
 
     The result lives in the canonical subring (cotangent block kept only
     if the base/cotangent pairing survives intact), whose variables keep
-    their order in the ideal's ring.
+    their order in the ideal's ring.  A scope's memo keys it by the
+    ideal's basis: a caller whose ideal has none calls `_eliminate_to`.
     """
     ring = ideal.ring
     drop = set(drop_vars)
@@ -793,7 +794,8 @@ def eliminate(ideal, drop_vars):
     cot = tuple(v for v in ring.cotangent_vars if v not in drop)
     if cot and len(cot) != len(base):  # pairing broken: flatten into base variables
         base, cot = base + cot, ()
-    return _eliminate_to(ideal, shared_ring(base, cot))
+    return _memo("eliminate", (ideal, base, cot),
+                 lambda: _eliminate_to(ideal, shared_ring(base, cot)), lambda out: out)
 
 
 def _eliminate_to(ideal, target):

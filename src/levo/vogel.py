@@ -260,11 +260,10 @@ def decompose_all_degrees(G, f, point):
 # projectivized support sets
 
 
-def polar_levels(P, images):
+def polar_levels(P):
     """One component P's walk down the cotangent coordinates: for
     m = 0..n-1, a dict from each component of V(P + w_{m+1}..w_{n-1})
-    off the zero section to its base image (read from `images`, the
-    support section's table, when it is there).
+    off the zero section to its base image (`gecc.base_images`).
 
     Level n-1 splits P and each lower level splits the level above cut by
     one more w.  A component of V(P + w_{m+1}..) off the zero section is a
@@ -276,18 +275,18 @@ def polar_levels(P, images):
     direction and are discarded with their cuts.
     """
     cot = P.ring.cotangent_vars
-    levels = [base_images([P], [], images, skip_zero_section=True)]
+    levels = [base_images([P], [], skip_zero_section=True)]
     for w in reversed(cot[1:]):
-        levels.append(base_images(levels[-1], [P.ring.var(w)], images, skip_zero_section=True))
+        levels.append(base_images(levels[-1], [P.ring.var(w)], skip_zero_section=True))
     return levels[::-1]
 
 
-def polar_support_sets(G, images):
+def polar_support_sets(G):
     """(the maximal base images of the projectivized support cut by
     w_{m+1}..w_{n-1}, the m-dimensional ones) for m = 0..n-1, merged from
     the `polar_levels` walks of G's components, and those walks by
-    component; `images` is the support section's table."""
-    walks = {P: polar_levels(P, images) for P in G.components()}
+    component, which the transversality verdicts read."""
+    walks = {P: polar_levels(P) for P in G.components()}
     sets = []
     for m in range(len(G.ring.cotangent_vars)):
         ideals = maximal_loci(img for levels in walks.values() for img in levels[m].values())

@@ -28,7 +28,7 @@ from levo.diagnostics import (
     upgrade_by_transversality,
 )
 from levo.errors import GenericityError
-from levo.gecc import build_gecc, isolated_vanishing_stalk, support_of_gecc
+from levo.gecc import build_gecc, isolated_vanishing_stalk
 from levo.geom import (
     conormal_ideal,
     graph_ideal,
@@ -289,9 +289,7 @@ def test_criterion_5_two_route_equivalence():
                 cert = isolating_certificate(packages, trial.point)
                 if cert.status == "proper-uncertified":
                     conormals = [(s.label, con) for s, con in trial.spec.conormals]
-                    cert, _ = upgrade_by_transversality(
-                        cert, conormals, trial.point, trial.ring, support_of_gecc(G).images
-                    )
+                    cert, _ = upgrade_by_transversality(cert, conormals, trial.point, trial.ring)
                 if cert.status == "certified":
                     job = (trial, packages)
                     break
@@ -479,8 +477,8 @@ def test_criterion_7_genericity_behavior():
         point = (0, 0, 0, 0)
 
         def transversality(closure):
-            levels = polar_levels(conormal_ideal(Ideal(base, closure), ring), {})
-            return essential_transversality(levels, point, ring, {})
+            levels = polar_levels(conormal_ideal(Ideal(base, closure), ring))
+            return essential_transversality(levels, point, ring)
 
         per_i, verdict = transversality(["u", "x"])
         assert verdict is False and per_i[0] is False

@@ -25,6 +25,7 @@ from levo.cli import (
     EXIT_CERTIFIED,
     EXIT_GENERICITY,
     EXIT_INPUT,
+    EXIT_UNCERTIFIED,
     main,
     parse_config,
     prepare_job,
@@ -370,9 +371,9 @@ def test_run_pipeline_cache_ends_with_the_run(cache_calls):
 def test_only_the_reported_attempt_builds_report_sections(monkeypatch):
     calls = []
 
-    def spy(G, images, _original=cli.polar_support_sets):
+    def spy(G, _original=cli.polar_support_sets):
         calls.append(G)
-        return _original(G, images)
+        return _original(G)
 
     monkeypatch.setattr(cli, "polar_support_sets", spy)
     # the first attempt fails genericity and the second one is reported
@@ -567,6 +568,33 @@ def test_af_partition_conormal_is_checked_like_a_strata_conormal(tmp_path, capsy
     assert run([["u"], squared]) == (EXIT_INPUT, "input error: af_partition[1]: " + unit % 1)
 
 
+ITEM_17 = (
+    "ROADMAP item 17: the upgrade route checks only that the coordinate flag "
+    "is transverse to each listed hypersurface, not that the partition "
+    "stratifies the sheaf, so a partition missing the stratum V(u) certifies"
+)
+
+
+@pytest.mark.parametrize("partition", [
+    [["u"]],
+    pytest.param([["x"]], marks=pytest.mark.xfail(strict=True, reason=ITEM_17)),
+    pytest.param([["u + x"]], marks=pytest.mark.xfail(strict=True, reason=ITEM_17)),
+    pytest.param([["x"], ["y"]], marks=pytest.mark.xfail(strict=True, reason=ITEM_17)),
+])
+def test_only_the_strata_partition_certifies_polar_af_partition(partition):
+    # the golden's sheaf lives on V(u) and the origin; its own partition
+    # [["u"]] certifies, and a partition that misses V(u) should leave the
+    # run proper-uncertified
+    doc = json.loads((GOLDEN / "polar_af_partition.json").read_text(encoding="utf-8"))
+    report, code = run_pipeline(parse_config(json.dumps(dict(doc, af_partition=partition))))
+    if partition == [["u"]]:
+        assert code == EXIT_CERTIFIED
+        assert report["certificate"]["status"] == "certified"
+    else:
+        assert code == EXIT_UNCERTIFIED
+        assert report["certificate"]["status"] == "proper-uncertified"
+
+
 def test_empty_af_partition_locus_is_an_input_error_on_the_upgrade_route(tmp_path, capsys):
     # read only on that route, it failed in geom and named no field;
     # BAD_FIELDS holds the certified case, which never read it
@@ -603,35 +631,32 @@ def test_support_assertions_present():
 
 
 def test_report_projects_each_cycle_component_once(monkeypatch):
-    # the support section projects each distinct component of the
-    # reported cycle once; every later cut of the run reads its image
-    # from there, so no elimination of a cycle component happens twice
-    cycles = []
+    # every section projects through the `eliminate` memo, so within one
+    # run no projection of the cotangent block is computed twice: not of
+    # a cycle component, nor of a cut that two sections split alike.  The
+    # spy sits below the memo, on the computation itself.
     projected = []
-    real = ideals.eliminate
 
-    def build(spec, _real=cli.build_gecc):
-        cycles.append(_real(spec))
-        return cycles[-1]
-
-    def spy(ideal, drop_vars):
-        cot = ideal.ring.cotangent_vars
-        if cot and set(drop_vars) == set(cot):
+    def spy(ideal, target, _real=ideals._eliminate_to):
+        ring = ideal.ring
+        if ring.cotangent_vars and target.vars == ring.base_vars:
             projected.append(ideal)
-        return real(ideal, drop_vars)
+        return _real(ideal, target)
 
-    monkeypatch.setattr(cli, "build_gecc", build)
-    for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "levo"]:
-        if getattr(module, "eliminate", None) is real:
-            monkeypatch.setattr(module, "eliminate", spy)
-    for name, argv, _ in JOBS:
-        cycles.clear()
+    def repeated(run):
         projected.clear()
-        cfg = parse_config((GOLDEN / (name + ".json")).read_text(encoding="utf-8"))
-        run_pipeline(cfg, retries=int(argv[1]) if argv else 0)
-        components = {P for G in cycles for P in G.components()}
-        counts = collections.Counter(P for P in projected if P in components)
-        assert counts == {P: 1 for P in cycles[-1].components()}, name
+        run()
+        assert projected
+        return [P for P, n in collections.Counter(projected).items() if n > 1]
+
+    monkeypatch.setattr(ideals, "_eliminate_to", spy)
+    for name, argv, _ in JOBS:
+        path = GOLDEN / (name + ".json")
+        cfg = parse_config(path.read_text(encoding="utf-8"))
+        assert repeated(lambda: run_pipeline(cfg, retries=int(argv[1]) if argv else 0)) == [], name
+        # the gecc command projects the support of a cycle whose
+        # components may repeat across degrees, as polar_gecc's do
+        assert repeated(lambda: main(["gecc", "--input", str(path)])) == [], name
 
 
 def test_text_format_prints_cycles():

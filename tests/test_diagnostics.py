@@ -14,7 +14,7 @@ from levo.diagnostics import (
 from levo.errors import GenericityError
 from levo.gecc import build_gecc, support_of_gecc
 from levo.geom import conormal_ideal
-from levo.ideals import Ideal
+from levo.ideals import Ideal, algebra_cache
 from levo.poly import PolyRing
 from levo.vogel import decompose_all_degrees, polar_levels
 
@@ -75,24 +75,23 @@ def test_transversality_two_plane_strata():
     ring = space()
     base = ring.base_ring()
     point = (0, 0, 0, 0)
-    # the strata's conormals are components of the two-plane cycle, whose
-    # support table holds their images
-    images = support_of_gecc(build_gecc(two_plane_spec(ring))).images
-    con_ux = conormal_ideal(Ideal(base, ["u", "x"]), ring)
-    levels = polar_levels(con_ux, images)
-    per_i, verdict = essential_transversality(levels, point, ring, images)
-    assert verdict is False
-    assert per_i[0] is False  # the base projection is two-dimensional
+    # the strata's conormals are components of the two-plane cycle; as in
+    # a report, the support section projects them first and the walks
+    # read their images through the eliminate memo
+    with algebra_cache():
+        support_of_gecc(build_gecc(two_plane_spec(ring)))
+        con_ux = conormal_ideal(Ideal(base, ["u", "x"]), ring)
+        per_i, verdict = essential_transversality(polar_levels(con_ux), point, ring)
+        assert verdict is False
+        assert per_i[0] is False  # the base projection is two-dimensional
 
-    con_yz = conormal_ideal(Ideal(base, ["y", "z"]), ring)
-    levels = polar_levels(con_yz, images)
-    per_i2, verdict2 = essential_transversality(levels, point, ring, images)
-    assert verdict2 is True and all(per_i2)
+        con_yz = conormal_ideal(Ideal(base, ["y", "z"]), ring)
+        per_i2, verdict2 = essential_transversality(polar_levels(con_yz), point, ring)
+        assert verdict2 is True and all(per_i2)
 
-    con_origin = conormal_ideal(Ideal(base, ["u", "x", "y", "z"]), ring)
-    levels = polar_levels(con_origin, images)
-    per_i3, verdict3 = essential_transversality(levels, point, ring, images)
-    assert verdict3 is True and all(per_i3)
+        con_origin = conormal_ideal(Ideal(base, ["u", "x", "y", "z"]), ring)
+        per_i3, verdict3 = essential_transversality(polar_levels(con_origin), point, ring)
+        assert verdict3 is True and all(per_i3)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from levo.gecc import (
     support_assertions,
     support_of_gecc,
 )
-from levo.ideals import Ideal, eliminate
+from levo.ideals import Ideal, algebra_cache, eliminate
 from levo.poly import PolyRing
 
 
@@ -92,11 +92,18 @@ def test_support_empty():
 
 
 def test_support_keeps_each_component_image_once(space_ring):
+    # inside an algebra-cache scope each distinct component is projected
+    # once, however many degrees carry it, and a later `eliminate` of it
+    # returns the very image the support section reports
     G = build_gecc(two_plane_spec(space_ring))
-    report = support_of_gecc(G)
-    assert list(report.images) == G.components()
-    for P, image in report.images.items():
-        assert image == eliminate(P, space_ring.cotangent_vars)
+    cot = space_ring.cotangent_vars
+    with algebra_cache() as cache:
+        report = support_of_gecc(G)
+        assert cache.misses["eliminate"] == len(G.components())
+        for k in G.degrees():
+            for P in G.piece(k).components:
+                assert any(I is eliminate(P, cot) for I in report.per_degree[k])
+        assert cache.misses["eliminate"] == len(G.components())
 
 
 def _points_cycle(ring, points):
@@ -118,7 +125,7 @@ def test_support_assertions_flag_a_point_summand_off_the_critical_locus(plane_ri
     # the critical locus misses (1, 0); f = y is not 0 at (0, 1), so that
     # point is not checked
     crit = [CriticalComponent(Ideal(base, ["x", "y"]), 0, 0)]
-    out = support_assertions(support_of_gecc(G), crit, base.parse("y"))
+    out = support_assertions(G, support_of_gecc(G), crit, base.parse("y"))
     assert _holds(out) == {
         "critical-locus-inside-support": True,
         "point-conormal-summands-reach-the-critical-locus": False,
@@ -133,7 +140,7 @@ def test_support_assertions_flag_a_critical_component_outside_the_support(plane_
     base = plane_ring.base_ring()
     G = _points_cycle(plane_ring, [(0, 0)])
     crit = [CriticalComponent(Ideal(base, ["y"]), 1, 0)]
-    out = support_assertions(support_of_gecc(G), crit, base.zero())
+    out = support_assertions(G, support_of_gecc(G), crit, base.zero())
     assert _holds(out) == {
         "critical-locus-inside-support": False,
         "point-conormal-summands-reach-the-critical-locus": True,
@@ -241,7 +248,7 @@ def test_critical_locus_two_planes(space_ring):
     G = build_gecc(two_plane_spec(space_ring))
     a, b, gm, dl, tau = 2, 2, 2, 2, 2
     f = base.parse("(u^%d + x^%d)^%d + y^%d + z^%d" % (a, b, tau, gm, dl))
-    crit = critical_locus(G, f, support_of_gecc(G).images)
+    crit = critical_locus(G, f)
     assert len(crit) == 1
     assert crit[0].ideal == Ideal(base, ["u^2 + x^2", "y", "z"])
     assert crit[0].dim == 1
@@ -251,13 +258,13 @@ def test_critical_locus_two_planes(space_ring):
 def test_critical_locus_empty_for_submersion(plane_ring):
     base = plane_ring.base_ring()
     G = build_gecc(constant_sheaf_spec(plane_ring))
-    assert critical_locus(G, base.parse("x"), support_of_gecc(G).images) == []
+    assert critical_locus(G, base.parse("x")) == []
 
 
 def test_critical_locus_of_zero_function_is_support(space_ring):
     base = space_ring.base_ring()
     G = build_gecc(two_plane_spec(space_ring))
-    crit = critical_locus(G, base.zero(), support_of_gecc(G).images)
+    crit = critical_locus(G, base.zero())
     assert {c.ideal for c in crit} == {
         Ideal(base, ["u", "x"]),
         Ideal(base, ["y", "z"]),

@@ -18,6 +18,7 @@ from levo import ideals
 from levo.abgroups import AbGroup
 from levo.cycles import EnrichedCycle
 from levo.errors import InternalError
+from levo.geom import constant_value_on
 from levo.ideals import (
     Ideal,
     algebra_cache,
@@ -698,6 +699,41 @@ def test_eliminate_respects_containment():
         out = eliminate(I, {"z"})
         for g in out.gens:
             assert I.contains(map_poly(g, ring))
+
+
+def test_eliminate_remembers_its_result_by_the_ideal():
+    # inside a scope two equal ideals from different generators get the
+    # very result object the first call made: one miss, then a hit;
+    # outside a scope each call makes its own
+    ring = PolyRing(("x", "y", "z"))
+    I = Ideal(ring, ["x - y^2", "y*z - 1"])
+    J = Ideal(ring, ["x - y^2 + y*z - 1", "y*z - 1"])
+    assert I == J and I.gens != J.gens
+    with algebra_cache() as cache:
+        first = eliminate(I, ["y"])
+        assert eliminate(J, ["y"]) is first
+        assert (cache.misses["eliminate"], cache.hits["eliminate"]) == (1, 1)
+    a, b = eliminate(I, ["y"]), eliminate(J, ["y"])
+    assert a == b == first and a is not b
+
+
+def test_constant_value_on_computes_no_basis_of_its_tag_ideal(monkeypatch):
+    # I + (t - f) is eliminated from its generators by the block order
+    # alone; the eliminate memo would key it by a grevlex basis made for
+    # nothing else
+    ring = PolyRing(("x", "y"))
+    I = Ideal(ring, ["x - 3", "y^2 - x*y"])
+    I.groebner()
+    orders = []
+
+    def spy(generators, key, _real=ideals.buchberger):
+        orders.append(key)
+        return _real(generators, key)
+
+    monkeypatch.setattr(ideals, "buchberger", spy)
+    with algebra_cache():
+        assert constant_value_on(I, ring.parse("x + 1")) == (True, 4)
+    assert orders and all(key is not grevlex_key for key in orders)
 
 
 def _listed(basis):

@@ -12,7 +12,7 @@ from levo.diagnostics import essential_transversality
 from levo.errors import GenericityError, InputError
 from levo.gecc import SheafSpec, StratumSpec, build_gecc, support_of_gecc
 from levo.geom import conormal_ideal, graph_ideal
-from levo.ideals import Ideal, eliminate, maximal_loci, split_components
+from levo.ideals import Ideal, algebra_cache, eliminate, maximal_loci, split_components
 from levo.poly import PolyRing, rational
 from levo.vogel import (
     decompose_all_degrees,
@@ -352,7 +352,11 @@ def test_certified_polar_modules_of_the_node_agree_across_coordinates():
 
 
 def support_sets(G):
-    sets, _walks = polar_support_sets(G, support_of_gecc(G).images)
+    # as in a report: the support section projects the components first,
+    # and the walks read those images through the eliminate memo
+    with algebra_cache():
+        support_of_gecc(G)
+        sets, _walks = polar_support_sets(G)
     return sets
 
 
@@ -420,8 +424,8 @@ def support_sets_from_scratch(G, m):
 
 def axis_conormals():
     # one component that is not prime, the conormals of both axes: the
-    # support table holds the image V(x*y) of the whole, so the walk
-    # must split it before reading the table
+    # support section projects the whole to V(x*y), so the walk must
+    # split it before projecting
     ring = plane()
     P = Ideal(ring, ["x*y", "x*w_0", "y*w_1", "w_0*w_1"])
     return GradedEnrichedCycle(ring, {0: EnrichedCycle(ring, {P: Z(1)})})
@@ -466,27 +470,27 @@ def transversality_from_scratch(conormal, point):
 
 
 def transversality_cases(name):
-    """(conormal, point, support table) for each conormal the case names."""
+    """(conormal, point, the cycle whose support a report projects first,
+    or None) for each conormal the case names."""
     if name == "zero-section":
-        ring = plane()
-        G = build_gecc(constant_sheaf_spec(ring))
-        return [(P, (0, 0), support_of_gecc(G).images) for P in G.components()]
+        G = build_gecc(constant_sheaf_spec(plane()))
+        return [(P, (0, 0), G) for P in G.components()]
     if name == "two-plane-conormals":
         G = build_gecc(two_plane_spec(space()))
-        return [(P, (0, 0, 0, 0), support_of_gecc(G).images) for P in G.components()]
+        return [(P, (0, 0, 0, 0), G) for P in G.components()]
     if name == "axis-conormals":
         G = axis_conormals()
-        return [(P, (0, 0), support_of_gecc(G).images) for P in G.components()]
+        return [(P, (0, 0), G) for P in G.components()]
     if name == "coordinate-planes":
         # the plane V(y) of C^3 holds at index 0 only
         ring = PolyRing(("x", "y", "z"), ("w_0", "w_1", "w_2"))
         base = ring.base_ring()
-        return [(conormal_ideal(Ideal(base, [z]), ring), (0, 0, 0), {}) for z in base.vars]
+        return [(conormal_ideal(Ideal(base, [z]), ring), (0, 0, 0), None) for z in base.vars]
     job = prepare_job(parse_config((GOLDEN / (name + ".json")).read_text(encoding="utf-8")))
-    images = support_of_gecc(build_gecc(job.spec)).images
+    G = build_gecc(job.spec)
     conormals = [con for _, con in job.spec.conormals]
     conormals += [conormal_ideal(closure, job.ring) for closure in job.af_partition or ()]
-    return [(con, job.point, images) for con in conormals]
+    return [(con, job.point, G) for con in conormals]
 
 
 @pytest.mark.parametrize(
@@ -497,8 +501,11 @@ def transversality_cases(name):
 def test_transversality_from_the_walk_matches_each_index_from_scratch(name):
     cases = transversality_cases(name)
     assert cases or name == "polar_gecc"
-    for con, point, images in cases:
-        walked = essential_transversality(polar_levels(con, images), point, con.ring, images)
+    for con, point, G in cases:
+        with algebra_cache():
+            if G is not None:
+                support_of_gecc(G)
+            walked = essential_transversality(polar_levels(con), point, con.ring)
         assert walked == transversality_from_scratch(con, point)
 
 

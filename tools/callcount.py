@@ -7,8 +7,11 @@ FUNC was on the stack, most entered first.  FUNC is a `module.qualname`
 name inside `levo`, such as `cli._report`; `cli.main` counts everything.
 Resuming a generator is not an entry.  `ideals._buchberger` and
 `ideals._split` run only when the algebra cache misses, so their counts are
-cache misses; the last line repeats them as such.  The counts repeat
-exactly; they are counts, not speeds.
+cache misses; the last line repeats them as such.  `ideals._eliminate_to`
+counts are not `eliminate` misses, since `saturate`, `intersect` and
+`geom.constant_value_on` call it directly; read those misses off
+`levo compute --timing`.  The counts repeat exactly; they are counts, not
+speeds.
 """
 
 import contextlib
