@@ -806,7 +806,7 @@ def main(argv=None):
             t0 = time.monotonic()
             with algebra_cache() as cache:
                 report, code = run_pipeline(cfg, retries=args.retry)
-            _emit(report, cfg.fmt)
+            sys.stdout.write(report_to_text(report) if cfg.fmt == "text" else report_to_json(report))
             if args.timing:
                 print("elapsed: %.3f s" % (time.monotonic() - t0), file=sys.stderr)
                 print(cache.summary(), file=sys.stderr)
@@ -819,7 +819,7 @@ def main(argv=None):
                             "af_partition_transversality", "failure")
                 if key in report
             }
-            _emit(subset, cfg.fmt)
+            sys.stdout.write(report_to_json(subset))  # JSON under either format
             return code
         if args.command == "gecc":
             with algebra_cache():  # a component in several degrees is projected once
@@ -844,11 +844,6 @@ def main(argv=None):
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INPUT
     _PARSER.error("unknown command")
-
-
-def _emit(report, fmt):
-    text = fmt == "text" and "mode" in report
-    sys.stdout.write(report_to_text(report) if text else report_to_json(report))
 
 
 if __name__ == "__main__":

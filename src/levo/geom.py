@@ -32,7 +32,7 @@ from .ideals import (
     saturate_ideal,
     split_components,
 )
-from .poly import Polynomial, rational, shared_ring
+from .poly import PolyRing, Polynomial, rational
 
 # ---------------------------------------------------------------------------
 # multiplicities
@@ -273,7 +273,7 @@ def constant_value_on(I, f):
     ext, t = _with_tag_var(I.ring)
     gens = [map_poly(g, ext) for g in I.gens]
     gens.append(ext.var(t) - map_poly(f, ext))
-    values = _eliminate_to(Ideal(ext, gens), shared_ring((t,), ())).groebner()
+    values = _eliminate_to(Ideal(ext, gens), PolyRing((t,))).groebner()
     if not values:
         return False, None
     eliminant = values[0]

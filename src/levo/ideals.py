@@ -63,7 +63,7 @@ from math import gcd, lcm
 from operator import itemgetter, mul
 
 from .errors import InternalError, RingMismatchError
-from .poly import Polynomial, block_key, grevlex_key, rational, shared_ring, terms_to_str
+from .poly import PolyRing, Polynomial, block_key, grevlex_key, rational, terms_to_str
 
 # ---------------------------------------------------------------------------
 # per-run algebra cache
@@ -527,7 +527,7 @@ class Ideal:
         for g in gens:
             if isinstance(g, str):
                 g = ring.parse(g)
-            if g.ring is not ring and g.ring != ring:
+            if g.ring is not ring:
                 raise RingMismatchError("generator not in the ideal's ring")
             if g.terms:
                 if type(sum(g.terms.values())) is not int:  # see _cleared
@@ -566,7 +566,7 @@ class Ideal:
         as a term dict packed by Q.  The basis is packed at the first call,
         in the narrowest fields that hold it, and kept; a reduction that
         needs wider fields packs it again for them."""
-        if p.ring is not self.ring and p.ring != self.ring:
+        if p.ring is not self.ring:
             raise RingMismatchError("polynomial not in the ideal's ring")
         basis = self._basis()
 
@@ -795,7 +795,7 @@ def eliminate(ideal, drop_vars):
     if cot and len(cot) != len(base):  # pairing broken: flatten into base variables
         base, cot = base + cot, ()
     return _memo("eliminate", (ideal, base, cot),
-                 lambda: _eliminate_to(ideal, shared_ring(base, cot)), lambda out: out)
+                 lambda: _eliminate_to(ideal, PolyRing(base, cot)), lambda out: out)
 
 
 def _eliminate_to(ideal, target):
@@ -822,7 +822,7 @@ def _eliminate_to(ideal, target):
 def _with_tag_var(ring):
     """The ring with one fresh tag variable in front, and its name."""
     (name,) = _fresh_names(set(ring.vars), "_t", 1)
-    return shared_ring((name,) + ring.vars, ()), name
+    return PolyRing((name,) + ring.vars), name
 
 
 def _rabinowitsch(I, g):

@@ -3,9 +3,10 @@
 A polynomial is a sparse map from exponent vectors to nonzero
 coefficients, attached to a ring that fixes the variable list.  Rings
 distinguish base variables from their cotangent duals so that geometric
-operations know which block is which.  Values are immutable after
-construction, so they hash and compare structurally and are safe to
-share.
+operations know which block is which.  There is one ring object per
+pair of variable lists, so rings compare and hash by identity.
+Polynomials are immutable after construction, so they hash and compare
+structurally and are safe to share.
 
 A coefficient, like a point coordinate, is an int when integral, else a
 Fraction; never a float.  `rational` makes each one.  An int hashes,
@@ -73,33 +74,35 @@ def monomial_mul(a, b):
 
 
 class PolyRing:
-    """An ordered list of variable names, split into base and cotangent."""
+    """The one ring on an ordered list of variable names, split into base
+    and cotangent: equal variable tuples give the same object, so rings
+    compare and hash by identity; `_key()` orders them by their names."""
 
-    __slots__ = ("base_vars", "cotangent_vars", "vars", "_index")
+    __slots__ = ("base_vars", "cotangent_vars", "vars", "nvars", "_index", "_gens")
 
-    def __init__(self, base_vars, cotangent_vars=()):
-        base_vars = tuple(base_vars)
-        cotangent_vars = tuple(cotangent_vars)
-        if cotangent_vars and len(cotangent_vars) != len(base_vars):
-            raise ValueError("cotangent block must be empty or pair with base")
-        allvars = base_vars + cotangent_vars
-        if len(set(allvars)) != len(allvars):
-            raise ValueError("variable names must be unique")
-        self.base_vars = base_vars
-        self.cotangent_vars = cotangent_vars
-        self.vars = allvars
-        self._index = {name: i for i, name in enumerate(allvars)}
+    _rings = {}  # (base_vars, cotangent_vars) -> its ring, entered once checked
 
-    # -- identity ----------------------------------------------------------
+    def __new__(cls, base_vars, cotangent_vars=()):
+        pair = (tuple(base_vars), tuple(cotangent_vars))
+        ring = cls._rings.get(pair)
+        if ring is None:
+            base_vars, cotangent_vars = pair
+            if cotangent_vars and len(cotangent_vars) != len(base_vars):
+                raise ValueError("cotangent block must be empty or pair with base")
+            allvars = base_vars + cotangent_vars
+            if len(set(allvars)) != len(allvars):
+                raise ValueError("variable names must be unique")
+            ring = object.__new__(cls)
+            ring.base_vars, ring.cotangent_vars = pair
+            ring.vars = allvars
+            ring.nvars = n = len(allvars)
+            ring._index = {name: i for i, name in enumerate(allvars)}
+            ring._gens = tuple(ring.linear_form([int(i == j) for j in range(n)]) for i in range(n))
+            cls._rings[pair] = ring
+        return ring
 
     def _key(self):
         return (self.base_vars, self.cotangent_vars)
-
-    def __eq__(self, other):
-        return self is other or (isinstance(other, PolyRing) and self._key() == other._key())
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __repr__(self):
         if self.cotangent_vars:
@@ -111,10 +114,6 @@ class PolyRing:
 
     # -- basics --------------------------------------------------------------
 
-    @property
-    def nvars(self):
-        return len(self.vars)
-
     def index(self, name):
         try:
             return self._index[name]
@@ -123,7 +122,7 @@ class PolyRing:
 
     def base_ring(self):
         """The ring on the base variables alone."""
-        return shared_ring(self.base_vars, ())
+        return PolyRing(self.base_vars)
 
     # -- element constructors ------------------------------------------------
 
@@ -140,10 +139,9 @@ class PolyRing:
         return Polynomial(self, {(0,) * self.nvars: c})
 
     def var(self, name):
-        i = self.index(name)
-        exps = [0] * self.nvars
-        exps[i] = 1
-        return Polynomial(self, {tuple(exps): 1})
+        """The ring's own polynomial of `name`: nothing writes into a
+        polynomial's terms, so it is shared."""
+        return self._gens[self.index(name)]
 
     def parse(self, text):
         return _parse_polynomial(self, text)
@@ -161,10 +159,6 @@ class PolyRing:
         if constant:
             terms[(0,) * self.nvars] = constant
         return Polynomial(self, terms)
-
-
-# one ring per (base, cotangent) pair of variable tuples, shared by derived ideals
-shared_ring = lru_cache(maxsize=None)(PolyRing)
 
 
 class Polynomial:
@@ -204,7 +198,7 @@ class Polynomial:
     # -- arithmetic ------------------------------------------------------------
 
     def _check(self, other):
-        if self.ring != other.ring:
+        if self.ring is not other.ring:
             raise RingMismatchError(
                 "operands in different rings: %r vs %r" % (self.ring, other.ring)
             )
@@ -357,7 +351,7 @@ class Polynomial:
             if isinstance(other, (int, Fraction)):
                 return self.is_constant() and self.constant_value() == other
             return NotImplemented
-        return self.ring == other.ring and self.terms == other.terms
+        return self.ring is other.ring and self.terms == other.terms
 
     def __hash__(self):
         return hash((self.ring, self.canonical()))

@@ -1,9 +1,11 @@
 """Finitely generated abelian groups: canonical form and operations."""
 
+import doctest
 import random
 
 import pytest
 
+import levo.abgroups
 from conftest import random_group
 from levo.abgroups import AbGroup, Z, ZERO_GROUP, Zmod
 
@@ -72,3 +74,8 @@ def test_str_and_json_round_trip():
     assert str(g) == "Z^2 + Z/2 + Z/4"
     assert AbGroup.from_json(g.to_json()) == g
     assert str(ZERO_GROUP) == "0"
+
+
+def test_module_docstring_examples_pass():
+    result = doctest.testmod(levo.abgroups)
+    assert result.attempted == 3 and result.failed == 0

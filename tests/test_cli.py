@@ -25,6 +25,7 @@ from levo.cli import (
     EXIT_CERTIFIED,
     EXIT_GENERICITY,
     EXIT_INPUT,
+    EXIT_INTERNAL,
     EXIT_UNCERTIFIED,
     main,
     parse_config,
@@ -719,6 +720,51 @@ def test_failed_conormal_is_an_input_error(tmp_path, capsys):
     assert "conormal computation failed for line" in capsys.readouterr().err
 
 
+ITEM_3 = (
+    "ROADMAP item 3: the closure's generators are taken as given, so a "
+    "non-reduced closure exits 4 with 'conormal computation failed for "
+    "V(...): got dimension -1, not 3'"
+)
+
+
+@pytest.mark.parametrize("closure", [
+    ["x", "y"],
+    pytest.param(["x^2", "y"], marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_3)),
+    pytest.param(["x*y", "z^2"], marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_3)),
+])
+def test_non_reduced_closure_is_not_an_input_error(tmp_path, capsys, closure):
+    doc = {
+        "variables": ["x", "y", "z"],
+        "sheaf": {"strata": [{"closure": closure, "morse": {"1": {"rank": 1, "torsion": []}}}]},
+        "point": [0, 0, 0],
+    }
+    assert main(["compute", "--input", _write_config(tmp_path, doc)]) != EXIT_INPUT, capsys.readouterr().err
+
+
+ITEM_10 = (
+    "ROADMAP item 10: under M1 the run exits 5 with 'distinguished cycle at "
+    "stage 0 has a component of dimension 1'"
+)
+
+
+@pytest.mark.parametrize("function", [
+    "x^2*y^2 + z^2",
+    pytest.param("y^2 - x^3 - x^2*z^2",
+                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_10)),
+    pytest.param("x*y*z + x^3 + y^3",
+                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_10)),
+])
+def test_constant_sheaf_on_c3_under_m1_is_no_internal_error(tmp_path, capsys, function):
+    doc = {
+        "variables": ["x", "y", "z"],
+        "sheaf": {"strata": [{"closure": [], "morse": {"3": {"rank": 1, "torsion": []}}}]},
+        "function": function,
+        "point": [0, 0, 0],
+        "coordinate_order": [[1, 2, 3], [0, 1, 1], [1, 0, 2]],
+    }
+    assert main(["compute", "--input", _write_config(tmp_path, doc)]) != EXIT_INTERNAL, capsys.readouterr().err
+
+
 def _stratum(doc, **fields):
     doc["sheaf"]["strata"][0].update(fields)
     return doc
@@ -1046,6 +1092,22 @@ def test_cli_gecc(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == EXIT_CERTIFIED
     assert "degree 1" in out and "degree 2" in out
+
+
+def test_check_prints_json_and_gecc_text_prints_only_the_cycle(tmp_path, capsys):
+    path = _write_config(tmp_path, cusp_config())
+    out = {}
+    for command in ("check", "gecc"):
+        for fmt in ("json", "text"):
+            assert main([command, "--input", path, "--format", fmt]) == EXIT_CERTIFIED
+            out[command, fmt] = capsys.readouterr().out
+    # check writes its JSON subset under either format
+    assert out["check", "text"] == out["check", "json"]
+    assert "certificate" in json.loads(out["check", "text"])
+    # gecc's text is the cycle lines alone; the supports are JSON-only
+    gecc_json = json.loads(out["gecc", "json"])
+    assert "support" in gecc_json
+    assert out["gecc", "text"] == "\n".join(cli._gecc_lines(gecc_json["gecc"])) + "\n"
 
 
 def test_cli_input_error_exit_code(tmp_path, capsys):

@@ -1137,6 +1137,26 @@ def test_zero_dimensional_certification(gens, certified):
     assert comp.certified is certified
 
 
+ITEM_4 = (
+    "ROADMAP item 4: the zero-dimensional rule factors only basis elements "
+    "and univariate eliminants, so split_components returns the ideal as one "
+    "uncertified component"
+)
+
+
+@pytest.mark.parametrize("gens, primes", [
+    pytest.param(["x^2 - 2", "y^2 - 2"], [["x - y", "x^2 - 2"], ["x + y", "x^2 - 2"]],
+                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_4)),
+    pytest.param(["x^2 - 2", "y^2 - 3"], [["x^2 - 2", "y^2 - 3"]],
+                 marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=ITEM_4)),
+])
+def test_zero_dimensional_ideal_splits_into_certified_primes(gens, primes):
+    ring = PolyRing(("x", "y"))
+    comps = split_components(Ideal(ring, gens))
+    assert {c.ideal for c in comps} == {Ideal(ring, p) for p in primes}
+    assert all(c.certified for c in comps)
+
+
 @pytest.mark.parametrize("a,b,tau", [(2, 3, 2), (3, 2, 2)])
 def test_split_section7_partial_product(a, b, tau):
     ring = section7_ring()

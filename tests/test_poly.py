@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from levo import ideals
+from levo.cli import parse_config
 from levo.errors import PolynomialParseError, RingMismatchError
+from levo.ideals import Ideal, eliminate, map_poly
 from levo.poly import PolyRing, Polynomial, block_key, grevlex_key
 
 
@@ -153,3 +156,44 @@ def test_canonical_equality_and_hash():
     p = ring.parse("x + y")
     q = ring.parse("y + x")
     assert p == q and hash(p) == hash(q)
+
+
+def test_one_ring_per_variable_list():
+    ring = PolyRing(["x", "y"], ["w_0", "w_1"])
+    assert ring is PolyRing(("x", "y"), ("w_0", "w_1"))
+    assert ring.base_ring() is PolyRing(ring.base_vars)
+    image = eliminate(Ideal(ring, ["w_0 - x", "w_1 - y^2", "x*y"]), ring.cotangent_vars)
+    assert image.ring is ring.base_ring()
+    assert ideals._with_tag_var(ring)[0] is ideals._with_tag_var(ring)[0]
+    doc = {
+        "variables": ["x", "y"],
+        "sheaf": {"strata": [{"closure": [], "morse": {"2": {"rank": 1, "torsion": []}}}]},
+        "function": "x^2 + y^3",
+        "point": [0, 0],
+    }
+    assert parse_config(doc).ring is ring
+
+
+@pytest.mark.parametrize("base, cotangent", [
+    (("x", "y"), ("w_0",)),  # an unpaired cotangent block
+    (("x", "x"), ()),  # a repeated name
+    (("x", "y"), ("w_0", "x")),  # a cotangent name repeats a base name
+])
+def test_a_rejected_variable_list_is_never_entered(base, cotangent):
+    before = dict(PolyRing._rings)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            PolyRing(base, cotangent)
+    assert PolyRing._rings == before
+
+
+def test_a_shared_variable_polynomial_is_never_written_into():
+    ring, other = PolyRing(("x", "y")), PolyRing(("x", "y", "z"))
+    x = ring.var("x")
+    assert x is ring.var("x")
+    I = Ideal(ring, [x])
+    # every use of the shared polynomial leaves its terms as they were
+    uses = [x + 1, 2 * x, x * 1, x ** 3, x ** 1, x.diff("x"), x.subs({"y": 2}),
+            x.subs({"x": ring.var("y")}), I.groebner(), I.contains(x),
+            I.normal_form(ring.var("y") + x), map_poly(x, other)]
+    assert uses and x.terms == {(1, 0): 1}
